@@ -12,13 +12,16 @@ norm, a weighted sup norm.
 from __future__ import annotations
 
 import hashlib
+from functools import cached_property
 
 import numpy as np
 
 from .encoding import decode_complex, encode_complex
 from .errors import ConstructionError, SpaceMismatchError
+from .sampling import generator
 
 STRUCTURE_TOL = 1e-12
+SPAN_RTOL = 1e-10
 
 
 def _as_complex(data, what: str) -> np.ndarray:
@@ -221,6 +224,52 @@ class FiniteAlgebra(_CoordinateSpace):
         if self.unit_coords is None:
             return None
         return self.element(self.unit_coords)
+
+    @cached_property
+    def generators(self) -> np.ndarray:
+        """Rows of coordinates whose products span the algebra.
+
+        Two generic elements from a fixed seeded stream, then basis vectors
+        in order, each added only while the non-unital closure (the span of
+        all products of the rows) misses it. When that needs as many rows
+        as the dimension, the identity rows are returned instead.
+        """
+        n = self.dim
+        rng = generator(0, "algebra-generators")
+        rows = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        span = self._closure(rows)
+        for e in np.eye(n, dtype=complex):
+            if span.shape[0] == n or rows.shape[0] >= n:
+                break
+            if np.linalg.norm(e - span.T @ (span.conj() @ e)) > SPAN_RTOL:
+                rows = np.vstack([rows, e])
+                span = self._closure(rows)
+        if rows.shape[0] >= n:
+            rows = np.eye(n, dtype=complex)
+        rows.setflags(write=False)
+        return rows
+
+    def _closure(self, rows: np.ndarray) -> np.ndarray:
+        """Orthonormal rows spanning every product of one or more `rows`.
+
+        Gram-Schmidt over the words: each new direction b queues the
+        products b g for every row g. A word counts as new when what is
+        left after projecting out the span exceeds SPAN_RTOL times a bound
+        on the word's size, so rounding noise of a zero product is dropped.
+        """
+        size = np.linalg.norm(self.structure)
+        span = np.zeros((0, self.dim), dtype=complex)
+        queue = [(g, np.linalg.norm(g)) for g in rows]
+        while queue and span.shape[0] < self.dim:
+            word, bound = queue.pop(0)
+            for _ in range(2):  # a second pass restores orthogonality lost to rounding
+                word = word - span.T @ (span.conj() @ word)
+            length = np.linalg.norm(word)
+            if length > SPAN_RTOL * bound:
+                span = np.vstack([span, word / length])
+                products = rows @ self.left_mult_matrix(span[-1]).T
+                queue += [(w, size * np.linalg.norm(g)) for w, g in zip(products, rows)]
+        return span
 
     def left_mult_matrix(self, coords) -> np.ndarray:
         """Matrix of x -> a x for a with the given coordinates."""
@@ -427,14 +476,19 @@ def dual_bimodule(module: Bimodule) -> Bimodule:
     return Bimodule(module.algebra, left, right, weights=weights, norm_kind=kind)
 
 
-def _orthonormal_nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
-    """Rows form an orthonormal basis of the nullspace of `mat`."""
+def nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
+    """Rows form an orthonormal basis of the nullspace of `mat`.
+
+    Singular values at most `rtol` times the largest count as zero. The SVD
+    is reduced, so the left factor is never larger than `mat`; a wide matrix
+    gets the full right factor, whose extra rows span the rest of the
+    nullspace.
+    """
+    rows, cols = mat.shape
     if mat.size == 0:
-        cols = mat.shape[1] if mat.ndim == 2 else 0
         return np.eye(cols, dtype=complex)
-    _, s, vh = np.linalg.svd(mat)
-    cutoff = rtol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    _, s, vh = np.linalg.svd(mat, full_matrices=rows < cols)
+    rank = int(np.sum(s > rtol * s[0]))
     return vh[rank:].conj()
 
 
@@ -446,14 +500,14 @@ def right_annihilator(algebra: FiniteAlgebra, rtol: float = 1e-12) -> np.ndarray
     """
     n = algebra.dim
     stacked = np.transpose(algebra.structure, (0, 2, 1)).reshape(n * n, n)
-    return _orthonormal_nullspace(stacked, rtol)
+    return nullspace(stacked, rtol)
 
 
 def left_annihilator(algebra: FiniteAlgebra, rtol: float = 1e-12) -> np.ndarray:
     """Orthonormal basis (rows) of {x : x a = 0 for all a}."""
     n = algebra.dim
     stacked = np.transpose(algebra.structure, (1, 2, 0)).reshape(n * n, n)
-    return _orthonormal_nullspace(stacked, rtol)
+    return nullspace(stacked, rtol)
 
 
 def module_annihilator(module: Bimodule, rtol: float = 1e-12) -> np.ndarray:
@@ -463,7 +517,7 @@ def module_annihilator(module: Bimodule, rtol: float = 1e-12) -> np.ndarray:
         return np.zeros((0, 0), dtype=complex)
     blocks = [module.left_matrix(np.eye(n)[i]) for i in range(n)]
     blocks += [module.right_matrix(np.eye(n)[i]) for i in range(n)]
-    return _orthonormal_nullspace(np.vstack(blocks), rtol)
+    return nullspace(np.vstack(blocks), rtol)
 
 
 class LinearMap:

@@ -2,9 +2,10 @@
 
 Loads a fixture and a pipeline configuration, orchestrates the
 perturb -> extract -> decide chain, and writes machine-readable reports.
-Reports are byte-identical for identical (config, seed): all randomness is
-counter-based and keyed by the seed, and volatile quantities such as wall
-time go to stderr, never into the report.
+Reports are byte-identical for identical (config, seed) on the same machine
+and BLAS thread count: all randomness is counter-based and keyed by the
+seed, and volatile quantities such as wall time go to stderr, never into
+the report.
 
 Exit codes: 0 for satisfied/feasible/contractible outcomes, 2 for violated,
 infeasible or not-contractible outcomes (still successful runs), 1 for
@@ -257,24 +258,14 @@ def _pipeline_hypotheses(config: ExperimentConfig) -> tuple[dict, int]:
     return outputs, EXIT_OK if report.verdict == "satisfied" else EXIT_UNSATISFIED
 
 
-def _pipeline_contractibility(config: ExperimentConfig) -> tuple[dict, int]:
+def _pipeline_verdict(config: ExperimentConfig) -> tuple[dict, int]:
     algebra = _resolve_algebra(config.fixture)
     module = regular_bimodule(algebra)
     sigma = _resolve_endomorphism(algebra, config.sigma)
     tau = _resolve_endomorphism(algebra, config.tau)
-    report = is_contractible(algebra, module, sigma, tau)
-    return {"contractibility": report.to_dict()}, (
-        EXIT_OK if report.contractible else EXIT_UNSATISFIED
-    )
-
-
-def _pipeline_amenability(config: ExperimentConfig) -> tuple[dict, int]:
-    algebra = _resolve_algebra(config.fixture)
-    module = regular_bimodule(algebra)
-    sigma = _resolve_endomorphism(algebra, config.sigma)
-    tau = _resolve_endomorphism(algebra, config.tau)
-    report = is_amenable(algebra, module, sigma, tau)
-    return {"amenability": report.to_dict()}, (
+    decide = is_amenable if config.pipeline == "amenability" else is_contractible
+    report = decide(algebra, module, sigma, tau)
+    return {report.kind: report.to_dict()}, (
         EXIT_OK if report.contractible else EXIT_UNSATISFIED
     )
 
@@ -298,8 +289,8 @@ def _pipeline_roundtrip(config: ExperimentConfig) -> tuple[dict, int]:
 _PIPELINE_IMPL = {
     "extract": _pipeline_extract,
     "hypotheses": _pipeline_hypotheses,
-    "contractibility": _pipeline_contractibility,
-    "amenability": _pipeline_amenability,
+    "contractibility": _pipeline_verdict,
+    "amenability": _pipeline_verdict,
     "roundtrip": _pipeline_roundtrip,
 }
 

@@ -24,6 +24,7 @@ from .algebra import (
     act_right,
     dual_bimodule,
     mul,
+    nullspace,
     right_annihilator,
 )
 from .control import ControlFunction
@@ -33,6 +34,7 @@ from .sampling import SCALE_GRID, ball_point, generator
 
 SVD_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
+ENDO_TOL = 1e-10
 
 VERDICT_CONTRACTIBLE = "contractible"
 VERDICT_NOT_CONTRACTIBLE = "not_contractible"
@@ -80,12 +82,11 @@ def endomorphism_residual(s: LinearMap, a: AlgebraElement, b: AlgebraElement) ->
 
 def _basis_endo_residual(algebra: FiniteAlgebra, s: LinearMap) -> float:
     """Worst |s(e_i e_j) - s(e_i) s(e_j)| over all basis pairs."""
-    worst = 0.0
-    for i in range(algebra.dim):
-        ei = algebra.basis_element(i)
-        for j in range(algebra.dim):
-            worst = max(worst, endomorphism_residual(s, ei, algebra.basis_element(j)))
-    return worst
+    c, mat = algebra.structure, s.matrix
+    image_of_products = np.einsum("ks,ijs->ijk", mat, c)
+    products_of_images = np.einsum("pi,qj,pqk->ijk", mat, mat, c, optimize=True)
+    defects = np.abs(image_of_products - products_of_images) @ algebra.norm_weights
+    return float(defects.max())
 
 
 @dataclass
@@ -182,65 +183,71 @@ class SubspaceBasis:
         return self.projection_residual(vec) <= tol
 
 
-def _sigma_right_matrices(module: Bimodule, sigma: LinearMap) -> list[np.ndarray]:
-    """Per-basis matrices of x -> x.sigma(e_i)."""
-    return [module.right_matrix(sigma.matrix[:, i]) for i in range(module.algebra.dim)]
+def _twist_matrices(module: Bimodule, sigma: LinearMap,
+                    tau: LinearMap) -> tuple[np.ndarray, np.ndarray]:
+    """Per-basis matrices of x -> x.sigma(e_i) and of x -> tau(e_i).x,
+    each stacked along the first axis."""
+    right_sigma = np.einsum("ij,kir->jrk", sigma.matrix, module.right_action)
+    left_tau = np.einsum("pi,pkr->irk", tau.matrix, module.left_action)
+    return right_sigma, left_tau
 
 
-def _tau_left_matrices(module: Bimodule, tau: LinearMap) -> list[np.ndarray]:
-    """Per-basis matrices of x -> tau(e_i).x."""
-    return [module.left_matrix(tau.matrix[:, i]) for i in range(module.algebra.dim)]
+def leibniz_rows(algebra: FiniteAlgebra, sigma: LinearMap, tau: LinearMap) -> np.ndarray:
+    """Coordinates of the elements g on which derivation_space imposes
+    D(g e_j) = D(g).sigma(e_j) + tau(g).D(e_j) for every basis vector e_j.
+
+    When sigma and tau are multiplicative, the rule for a and for a' gives
+    it for aa' (expand D(aa'b) through sigma(a'b) = sigma(a')sigma(b) and
+    tau(aa') = tau(a)tau(a') with the bimodule axioms), so a generating set
+    of the algebra suffices. Otherwise every basis vector is needed.
+    """
+    if all(_basis_endo_residual(algebra, m) <= ENDO_TOL for m in (sigma, tau)):
+        return algebra.generators
+    return np.eye(algebra.dim, dtype=complex)
+
+
+def leibniz_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
+                   tau: LinearMap, rows: np.ndarray) -> np.ndarray:
+    """The Leibniz constraints for each row g of `rows` and basis vector e_j,
+    acting on row-major vec(D); shape (len(rows) * n * m, m * n).
+
+    Row (g, j, r) and column (k, s) hold delta_rk (g e_j)_s
+    - (x -> x.sigma(e_j))_rk g_s - (x -> tau(g).x)_rk delta_js.
+    """
+    n, m = algebra.dim, module.dim
+    right_sigma, left_tau = _twist_matrices(module, sigma, tau)
+    products = np.einsum("ai,ijs->ajs", rows, algebra.structure)
+    left_tau_rows = np.einsum("ai,irk->ark", rows, left_tau)
+    system = np.einsum("jrk,as->ajrks", -right_sigma, rows)
+    diag_m, diag_n = np.arange(m), np.arange(n)
+    system[:, :, diag_m, diag_m, :] += products[:, :, None, :]
+    system[:, diag_n, :, :, diag_n] -= left_tau_rows
+    return system.reshape(-1, m * n)
 
 
 def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
                      sigma: LinearMap, tau: LinearMap,
                      rtol: float = SVD_RTOL) -> SubspaceBasis:
-    """Orthonormal basis of all maps D with D(e_i e_j) = D(e_i).sigma(e_j)
-    + tau(e_i).D(e_j).
+    """Orthonormal basis of all maps D with D(ab) = D(a).sigma(b)
+    + tau(a).D(b).
 
-    The constraint is linear in the entries of D, one block of module-dim
-    rows per basis pair, and the basis is the SVD nullspace of the stacked
-    system with a relative singular-value cutoff.
+    The constraint is linear in the entries of D; it is imposed on the
+    pairs (g, e_j) with g from leibniz_rows, and the basis is the SVD
+    nullspace of the stacked system with a relative singular-value cutoff.
     """
-    n, m = algebra.dim, module.dim
-    if m == 0:
+    if module.dim == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
-    right_sigma = _sigma_right_matrices(module, sigma)
-    left_tau = _tau_left_matrices(module, tau)
-    eye_m = np.eye(m, dtype=complex)
-    blocks = []
-    for i in range(n):
-        e_i = np.zeros((1, n), dtype=complex)
-        e_i[0, i] = 1.0
-        for j in range(n):
-            e_j = np.zeros((1, n), dtype=complex)
-            e_j[0, j] = 1.0
-            product_row = algebra.structure[i, j].reshape(1, n)
-            block = (
-                np.kron(eye_m, product_row)
-                - np.kron(right_sigma[j], e_i)
-                - np.kron(left_tau[i], e_j)
-            )
-            blocks.append(block)
-    system = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(system)
-    cutoff = rtol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return SubspaceBasis(vh[rank:].conj(), algebra, module)
+    rows = leibniz_rows(algebra, sigma, tau)
+    system = leibniz_system(algebra, module, sigma, tau, rows)
+    return SubspaceBasis(nullspace(system, rtol), algebra, module)
 
 
 def _inner_operator_matrix(algebra: FiniteAlgebra, module: Bimodule,
                            sigma: LinearMap, tau: LinearMap) -> np.ndarray:
     """Matrix of x -> vec(d_x), shape (module dim * algebra dim, module dim)."""
-    n, m = algebra.dim, module.dim
-    right_sigma = _sigma_right_matrices(module, sigma)
-    left_tau = _tau_left_matrices(module, tau)
-    op = np.zeros((m * n, m), dtype=complex)
-    for i in range(n):
-        diff = right_sigma[i] - left_tau[i]
-        # column i of d_x lands at vec indices k * n + i
-        op[i::n, :] = diff
-    return op
+    right_sigma, left_tau = _twist_matrices(module, sigma, tau)
+    # column i of d_x lands at vec indices k * n + i
+    return (right_sigma - left_tau).transpose(1, 0, 2).reshape(-1, module.dim)
 
 
 def inner_space(algebra: FiniteAlgebra, module: Bimodule,
@@ -250,9 +257,12 @@ def inner_space(algebra: FiniteAlgebra, module: Bimodule,
     if module.dim == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
     op = _inner_operator_matrix(algebra, module, sigma, tau)
-    u, s, _ = np.linalg.svd(op)
-    cutoff = rtol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    u, s, _ = np.linalg.svd(op, full_matrices=False)
+    # the cutoff is relative to the two terms of x.sigma(a) - tau(a).x, not
+    # to their difference: on a commutative algebra they cancel to rounding
+    # noise, which a cutoff relative to s[0] would count as rank
+    scale = max(np.linalg.norm(t) for t in _twist_matrices(module, sigma, tau))
+    rank = int(np.sum(s > rtol * scale))
     return SubspaceBasis(u[:, :rank].T, algebra, module)
 
 
@@ -335,7 +345,7 @@ class ContractibilityReport:
 
 
 def _require_endomorphisms(algebra: FiniteAlgebra, sigma: LinearMap, tau: LinearMap,
-                           tol: float = 1e-10) -> None:
+                           tol: float = ENDO_TOL) -> None:
     for name, m in (("sigma", sigma), ("tau", tau)):
         residual = _basis_endo_residual(algebra, m)
         if residual > tol:

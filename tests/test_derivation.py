@@ -35,7 +35,9 @@ from derivlab import (
     sigma_endo_certificate,
     zero_bimodule,
 )
-from derivlab.algebra import regular_bimodule
+from derivlab.algebra import nullspace, regular_bimodule
+from derivlab.cli import _resolve_endomorphism
+from derivlab.derivation import _basis_endo_residual, leibniz_rows, leibniz_system
 from derivlab.perturb import PerturbationSpec, extend_with_annihilator, make_annihilator_perturbation
 from derivlab.sampling import ball_point, generator
 
@@ -85,6 +87,100 @@ def brute_force_inner_dim(algebra, module, sigma, tau, tol=1e-8):
             columns.append(value)
         vectors.append(np.array(columns).T.reshape(-1))
     return int(np.linalg.matrix_rank(np.array(vectors).T, tol=tol))
+
+
+def kron_leibniz_system(algebra, module, sigma, tau):
+    """One block of module-dim rows per basis pair (e_i, e_j), by np.kron."""
+    n, m = algebra.dim, module.dim
+    right_sigma = [module.right_matrix(sigma.matrix[:, i]) for i in range(n)]
+    left_tau = [module.left_matrix(tau.matrix[:, i]) for i in range(n)]
+    eye_m = np.eye(m, dtype=complex)
+    blocks = []
+    for i in range(n):
+        e_i = np.zeros((1, n), dtype=complex)
+        e_i[0, i] = 1.0
+        for j in range(n):
+            e_j = np.zeros((1, n), dtype=complex)
+            e_j[0, j] = 1.0
+            product_row = algebra.structure[i, j].reshape(1, n)
+            blocks.append(
+                np.kron(eye_m, product_row)
+                - np.kron(right_sigma[j], e_i)
+                - np.kron(left_tau[i], e_j)
+            )
+    return np.vstack(blocks)
+
+
+def projector(rows):
+    """Orthogonal projector onto the span of orthonormal rows."""
+    return rows.T @ rows.conj()
+
+
+def closed_form_dims(fixture, module_kind):
+    """(Der, Inner) for the identity twist; a conjugation twist is an
+    automorphism and gives the same dimensions.
+
+    matrix:n: every derivation is inner and the centre is the scalars, on
+    the regular module and on its dual (isomorphic through the trace).
+    upper-triangular:n: every derivation is inner; the centre is the
+    scalars, and the dual module's centraliser has dimension n.
+    zero-product:n: every linear map is a derivation and no inner map is
+    nonzero. dual-numbers: see the hand argument below.
+    """
+    if fixture == "dual-numbers":
+        return 1, 0
+    kind, _, size = fixture.partition(":")
+    n = int(size)
+    if kind == "matrix":
+        return n * n - 1, n * n - 1
+    if kind == "upper-triangular":
+        dim = n * (n + 1) // 2 - 1 if module_kind == "regular" else n * (n - 1) // 2
+        return dim, dim
+    return n * n, 0
+
+
+def change_of_basis(algebra, seed):
+    """The same algebra in the basis f_i = sum_p P[p, i] e_p for a random,
+    well-conditioned complex P: non-integer structure constants."""
+    n = algebra.dim
+    rng = generator(seed, "change-of-basis")
+    p = np.eye(n) + 0.5 * (
+        rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    ) / np.sqrt(n)
+    p_inv = np.linalg.inv(p)
+    structure = np.einsum("pi,qj,pqs,ks->ijk", p, p, algebra.structure, p_inv)
+    unit = None if algebra.unit_coords is None else p_inv @ algebra.unit_coords
+    return make_algebra(structure, unit=unit)
+
+
+def verdict_cases(fixtures):
+    """(fixture, module kind, twist) for both modules, with conjugation:shear
+    on the unital fixtures."""
+    return [
+        (fixture, module_kind, twist)
+        for fixture in fixtures
+        for module_kind in ("regular", "dual")
+        for twist in ("id", "conjugation:shear")
+        if twist == "id" or not fixture.startswith("zero-product")
+    ]
+
+
+def decide(algebra, module_kind, twist):
+    sigma = _resolve_endomorphism(algebra, twist)
+    tau = identity_map(algebra)
+    check = is_contractible if module_kind == "regular" else is_amenable
+    return check(algebra, regular_bimodule(algebra), sigma, tau)
+
+
+CLOSED_FORM_FIXTURES = (
+    "matrix:1", "matrix:2", "matrix:3", "matrix:4", "matrix:5",
+    "upper-triangular:1", "upper-triangular:2", "upper-triangular:3", "upper-triangular:4",
+    "zero-product:1", "zero-product:4", "zero-product:6", "dual-numbers",
+)
+CHANGE_OF_BASIS_FIXTURES = (
+    "matrix:2", "matrix:3", "matrix:4", "upper-triangular:3", "upper-triangular:4",
+    "dual-numbers",
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +249,20 @@ class TestResiduals:
             x = a.element(ball_point(a, rng, 2.0))
             y = a.element(ball_point(a, rng, 2.0))
             assert endomorphism_residual(conj, x, y) <= 1e-13
+
+
+    def test_basis_endo_residual_matches_the_pairwise_loop(self, m2):
+        a, _, sid = m2
+        u = a.unit_coords.copy()
+        u[1] += 1.0
+        weird = LinearMap(generator(68, "w").standard_normal((a.dim, a.dim)), a, a)
+        for s in (sid, conjugation_map(a, u), weird):
+            loop = max(
+                endomorphism_residual(s, a.basis_element(i), a.basis_element(j))
+                for i in range(a.dim)
+                for j in range(a.dim)
+            )
+            assert _basis_endo_residual(a, s) == pytest.approx(loop, rel=1e-12, abs=1e-15)
 
 
 class TestSigmaCertificate:
@@ -256,6 +366,94 @@ class TestSubspaces:
         half = LinearMap(0.5 * phi.matrix, a, a)
         ds = derivation_space(a, module, half, half)
         assert ds.projection_residual(phi.matrix.reshape(-1)) <= 1e-10
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("fixture,module_kind,twist", verdict_cases(CLOSED_FORM_FIXTURES))
+    def test_dims_match_closed_form(self, fixture, module_kind, twist):
+        report = decide(get_algebra(fixture), module_kind, twist)
+        der, inner = closed_form_dims(fixture, module_kind)
+        assert (report.derivation_dim, report.inner_dim) == (der, inner)
+        assert report.contractible == (der == inner)
+
+    @pytest.mark.parametrize("fixture,module_kind,twist",
+                             verdict_cases(CHANGE_OF_BASIS_FIXTURES))
+    def test_dims_invariant_under_change_of_basis(self, fixture, module_kind, twist):
+        algebra = change_of_basis(get_algebra(fixture), seed=17)
+        assert np.abs(algebra.structure.imag).max() > 0.1
+        report = decide(algebra, module_kind, twist)
+        der, inner = closed_form_dims(fixture, module_kind)
+        assert (report.derivation_dim, report.inner_dim) == (der, inner)
+        assert report.contractible == (der == inner)
+
+
+class TestLeibnizSystem:
+    @pytest.mark.parametrize("fixture,twist", [
+        ("matrix:3", "id"), ("matrix:3", "conjugation:shear"),
+        ("upper-triangular:3", "id"), ("upper-triangular:3", "conjugation:shear"),
+        ("zero-product:4", "id"), ("dual-numbers", "id"), ("dual-numbers", "conjugation:shear"),
+    ])
+    def test_identity_rows_reproduce_the_kron_system(self, fixture, twist):
+        a = get_algebra(fixture)
+        sigma, tau = _resolve_endomorphism(a, twist), identity_map(a)
+        for module in (regular_bimodule(a), dual_bimodule(regular_bimodule(a)),
+                       extend_with_annihilator(regular_bimodule(a))[0]):
+            system = leibniz_system(a, module, sigma, tau, np.eye(a.dim, dtype=complex))
+            assert np.array_equal(system, kron_leibniz_system(a, module, sigma, tau))
+
+    @pytest.mark.parametrize("fixture", ["matrix:3", "upper-triangular:4", "dual-numbers"])
+    def test_generator_rows_give_the_same_space(self, fixture):
+        a = get_algebra(fixture)
+        a_changed = change_of_basis(a, seed=23)
+        for alg in (a, a_changed):
+            sigma, tau = _resolve_endomorphism(alg, "conjugation:shear"), identity_map(alg)
+            for module in (regular_bimodule(alg), dual_bimodule(regular_bimodule(alg)),
+                           extend_with_annihilator(regular_bimodule(alg))[0]):
+                reduced = derivation_space(alg, module, sigma, tau)
+                full = nullspace(
+                    leibniz_system(alg, module, sigma, tau, np.eye(alg.dim)), 1e-10
+                )
+                gap = np.abs(projector(reduced.vectors) - projector(full)).max()
+                assert gap <= 1e-10
+
+    def test_generators_shrink_the_system_when_the_algebra_allows(self):
+        for fixture in ("matrix:3", "upper-triangular:4"):
+            a = get_algebra(fixture)
+            sid = identity_map(a)
+            assert leibniz_rows(a, sid, sid).shape == (2, a.dim)
+        # every product vanishes, so only the whole basis generates
+        z = get_algebra("zero-product:4")
+        zid = identity_map(z)
+        assert np.array_equal(leibniz_rows(z, zid, zid), np.eye(4))
+
+    def test_nonmultiplicative_twist_uses_every_basis_row(self, m2):
+        a, module, _ = m2
+        u = a.unit_coords.copy()
+        u[1] += 1.0
+        half = LinearMap(0.5 * conjugation_map(a, u).matrix, a, a)
+        assert np.array_equal(leibniz_rows(a, half, half), np.eye(a.dim))
+        space = derivation_space(a, module, half, half)
+        full = nullspace(kron_leibniz_system(a, module, half, half), 1e-10)
+        assert np.abs(projector(space.vectors) - projector(full)).max() <= 1e-10
+
+
+class TestNullspace:
+    @pytest.mark.parametrize("shape,rank", [((3, 7), 3), ((3, 7), 2), ((9, 4), 4),
+                                            ((9, 4), 1)])
+    def test_orthonormal_complement_of_the_row_space(self, shape, rank):
+        rng = generator(31, "nullspace", *shape, rank)
+        left = rng.standard_normal((shape[0], rank)) + 1j * rng.standard_normal((shape[0], rank))
+        right = rng.standard_normal((rank, shape[1])) + 1j * rng.standard_normal((rank, shape[1]))
+        mat = left @ right
+        basis = nullspace(mat, 1e-10)
+        assert basis.shape == (shape[1] - rank, shape[1])
+        gram = basis.conj() @ basis.T
+        assert np.abs(gram - np.eye(basis.shape[0])).max(initial=0.0) <= 1e-12
+        assert np.abs(mat @ basis.T).max(initial=0.0) <= 1e-12 * np.abs(mat).max() * shape[1]
+
+    def test_zero_and_empty_matrices(self):
+        assert nullspace(np.zeros((2, 3)), 1e-10).shape == (3, 3)
+        assert np.array_equal(nullspace(np.zeros((0, 3)), 1e-10), np.eye(3))
 
 
 class TestInnerSolve:
