@@ -73,7 +73,7 @@ from .hyers import (
     TripleExtraction,
     extract_additive,
     extract_triple,
-    restricted_lambda_mode,
+    sampled_envelope,
     verify_stability_bound,
 )
 from .perturb import (

@@ -38,7 +38,7 @@ from .algebra import (
     identity_map,
     regular_bimodule,
 )
-from .control import ControlFunction, control_from_dict, summed_control
+from .control import ControlFunction, control_from_dict
 from .derivation import (
     DerivationTriple,
     approx_contractibility_roundtrip,
@@ -49,7 +49,7 @@ from .derivation import (
 from .encoding import decode_complex
 from .errors import DerivlabError
 from .fixtures import get_algebra
-from .hyers import extract_additive, extract_triple, verify_stability_bound
+from .hyers import extract_additive, extract_triple, sampled_envelope, verify_stability_bound
 from .perturb import (
     PerturbationSpec,
     extend_with_annihilator,
@@ -57,7 +57,7 @@ from .perturb import (
     make_clamped_perturbation,
     verify_hypotheses,
 )
-from .sampling import generator
+from .sampling import generator, sphere_point
 
 PIPELINES = ("extract", "contractibility", "amenability", "roundtrip", "hypotheses")
 SEED_ENV_VAR = "DERIVLAB_SEED"
@@ -331,8 +331,10 @@ def sweep(template: ExperimentConfig, grid: dict[str, list]) -> str:
 
     One row per grid point in deterministic order (sorted keys, row-major
     value order): the parameters, the realized worst |f(a) - d(a)| over the
-    stability samples, the summed-control envelope at the worst point, the
-    deepest doubling iteration, the violation count, and a status column.
+    row's unit-sphere samples, the largest summed control of the configured
+    control over the same samples, the deepest doubling iteration, the
+    number of those samples whose error exceeds their own summed control,
+    and a status column.
     Rows that fail keep the sweep going and record the error.
     """
     if not grid:
@@ -375,30 +377,19 @@ def sweep(template: ExperimentConfig, grid: dict[str, list]) -> str:
 
 def _sweep_point(config: ExperimentConfig) -> tuple[dict, int]:
     """Extract once and summarize the bound on unit-norm samples."""
-    from .sampling import sphere_point
-
     config.validate()
     algebra, module, ann_basis, sigma, tau, triple = _base_setup(config)
     maps, _ = _perturbed(config, triple, module, ann_basis)
     control = _resolve_control(config, maps.control)
     report = extract_additive(maps.f, maps.control, seed=config.seed)
     rng = generator(config.seed, "sweep-bound")
-    max_error = 0.0
-    envelope = 0.0
-    for _ in range(config.samples):
-        coords = sphere_point(algebra, rng, 1.0)
-        element = algebra.element(coords)
-        lhs = module.norm(maps.f.eval_coords(coords) - report.limit.apply_coords(coords))
-        rhs = summed_control(control, element, element).upper
-        if lhs > max_error:
-            max_error = lhs
-        envelope = max(envelope, rhs)
-    violations = sum(1 for s in report.bound_check if s.lhs > s.rhs + 1e-12)
+    points = [sphere_point(algebra, rng, 1.0) for _ in range(config.samples)]
+    lhs, rhs = sampled_envelope(maps.f, report.limit, points, control)
     return {
-        "max_error": float(max_error),
-        "envelope": float(envelope),
+        "max_error": float(np.max(lhs, initial=0.0)),
+        "envelope": float(np.max(rhs, initial=0.0)),
         "max_iterations": int(max(report.per_basis_iterations, default=0)),
-        "violations": int(violations),
+        "violations": int(np.count_nonzero(lhs > rhs + 1e-12)),
     }, EXIT_OK
 
 

@@ -8,6 +8,8 @@ approximate map and its exact limit is the summed control
 
 which the power-norm family admits in closed form and which tabulated
 controls approximate by a certified truncation.
+`ControlTail` streams the remainder after n doublings along one orbit: one
+pass over phi certifies the whole direct-method iteration.
 """
 from __future__ import annotations
 
@@ -179,6 +181,10 @@ def summed_control(phi: ControlFunction, a, b, terms: int = DEFAULT_TRUNCATION) 
     return ControlSum(math.fsum(partials), terms, tail)
 
 
+def _diagonal_term(phi: ControlFunction, a, k: int) -> float:
+    return 0.5 * 2.0**-k * phi.evaluate(2.0**k * a, 2.0**k * a)
+
+
 def partial_sum_bound(phi: ControlFunction, a, n: int) -> float:
     """(1/2) sum_{k=0}^{n-1} 2^{-k} phi(2^k a, 2^k a).
 
@@ -189,16 +195,33 @@ def partial_sum_bound(phi: ControlFunction, a, n: int) -> float:
     n = int(n)
     if n < 1:
         raise ControlError("partial sum needs n >= 1")
-    return math.fsum(
-        0.5 * 2.0**-k * phi.evaluate(2.0**k * a, 2.0**k * a) for k in range(n)
-    )
+    return math.fsum(_diagonal_term(phi, a, k) for k in range(n))
+
+
+class ControlTail:
+    """Remainder of the doubling series at (a, a) after n terms, for growing n.
+
+    The summed control is evaluated once and each partial-sum term once;
+    every read is an fsum of the same terms as partial_sum_bound.
+    """
+
+    def __init__(self, phi: ControlFunction, a, terms: int = DEFAULT_TRUNCATION):
+        self.phi = phi
+        self.a = a
+        self.upper = summed_control(phi, a, a, terms=terms).upper
+        self._terms: list[float] = []
+
+    def after(self, n: int) -> float:
+        """Upper bound on the series remainder after the first n terms."""
+        n = int(n)
+        if n <= 0:
+            return self.upper
+        while len(self._terms) < n:
+            self._terms.append(_diagonal_term(self.phi, self.a, len(self._terms)))
+        return max(self.upper - math.fsum(self._terms[:n]), 0.0)
 
 
 def summed_control_tail(phi: ControlFunction, a, n: int,
                         terms: int = DEFAULT_TRUNCATION) -> float:
     """Upper bound on the series remainder after the first n terms at (a, a)."""
-    total = summed_control(phi, a, a, terms=terms)
-    if n <= 0:
-        return total.upper
-    tail = total.upper - partial_sum_bound(phi, a, n)
-    return max(tail, 0.0)
+    return ControlTail(phi, a, terms).after(n)

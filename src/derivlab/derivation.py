@@ -30,7 +30,7 @@ from .algebra import (
 from .control import ControlFunction
 from .encoding import encode_complex
 from .errors import PreconditionError, SpaceMismatchError
-from .sampling import SCALE_GRID, ball_point, generator
+from .sampling import SCALE_GRID, ball_point, ball_points, generator
 
 SVD_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
@@ -440,7 +440,7 @@ def approx_contractibility_roundtrip(approx_map, phi: ControlFunction,
     uniform bound at all scales collapses to zero under doubling.
     """
     from .control import PNormControl
-    from .hyers import PointMap, extract_additive
+    from .hyers import PointMap, extract_additive, sampled_envelope
     from .perturb import verify_hypotheses
 
     if not isinstance(phi, PNormControl) or phi.beta != 0.0:
@@ -477,12 +477,9 @@ def approx_contractibility_roundtrip(approx_map, phi: ControlFunction,
         )
 
     d_x = inner_derivation(module, sigma, tau, solve.x)
-    rng = generator(seed, "roundtrip-beta")
-    beta = 0.0
-    for k in range(samples):
-        coords = ball_point(algebra, rng, SCALE_GRID[k % len(SCALE_GRID)])
-        lhs = module.norm(d_x.apply_coords(coords) - approx_map.eval_coords(coords))
-        beta = max(beta, lhs)
+    points = ball_points(algebra, generator(seed, "roundtrip-beta"), samples)
+    deviations, _ = sampled_envelope(approx_map, d_x, points)
+    beta = float(np.max(deviations, initial=0.0))
     slack = max(1e-9, solve.residual * (1.0 + max(SCALE_GRID)))
     beta_bound = alpha + slack
     if beta > beta_bound:

@@ -8,15 +8,15 @@ distance |f(a) - d(a)| is bounded by the summed control at (a, a).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import LinearMap, _CoordinateSpace, _SpaceElement
-from .control import ControlFunction, summed_control, summed_control_tail
+from .control import ControlFunction, ControlTail, summed_control
 from .encoding import encode_complex
 from .errors import ConvergenceError, PreconditionError
-from .sampling import SCALE_GRID, ball_point, generator
+from .sampling import SCALE_GRID, ball_point, ball_points, generator
 from .scalar import unit_circle_grid
 
 DEFAULT_MAX_DOUBLINGS = 48
@@ -24,27 +24,16 @@ DEFAULT_TOL = 1e-10
 
 LAMBDA_FULL = "full"
 LAMBDA_ONE_I = "one-i"
-_lambda_mode = LAMBDA_FULL
 
 
-def restricted_lambda_mode(enabled: bool) -> None:
-    """Toggle hypothesis verification between the full unit-circle grid
-    and the two-point grid {1, i}.
+def lambda_grid(mode: str) -> np.ndarray:
+    """Unimodular scalars for hypothesis sampling: the full unit-circle grid,
+    or the two-point grid {1, i}.
 
     The restricted grid suffices for span-generated algebras: real
     linearity plus compatibility at i already force complex linearity of
     the limit. Extraction itself never changes (it only uses lambda = 1).
     """
-    global _lambda_mode
-    _lambda_mode = LAMBDA_ONE_I if enabled else LAMBDA_FULL
-
-
-def current_lambda_mode() -> str:
-    return _lambda_mode
-
-
-def lambda_grid(mode: str | None = None) -> np.ndarray:
-    mode = mode or _lambda_mode
     if mode == LAMBDA_ONE_I:
         return np.array([1.0 + 0j, 1j])
     if mode == LAMBDA_FULL:
@@ -59,19 +48,15 @@ class PointMap:
     the zero condition is checked once at construction.
     """
 
-    __slots__ = ("evaluator", "domain", "codomain", "zero_fixed")
+    __slots__ = ("evaluator", "domain", "codomain")
 
-    def __init__(self, evaluator, domain: _CoordinateSpace, codomain: _CoordinateSpace,
-                 check_zero: bool = True):
+    def __init__(self, evaluator, domain: _CoordinateSpace, codomain: _CoordinateSpace):
         self.evaluator = evaluator
         self.domain = domain
         self.codomain = codomain
-        self.zero_fixed = False
-        if check_zero:
-            out = evaluator(domain.zero())
-            if not np.all(out.coords == 0.0):
-                raise PreconditionError("map does not fix 0 exactly")
-            self.zero_fixed = True
+        out = evaluator(domain.zero())
+        if not np.all(out.coords == 0.0):
+            raise PreconditionError("map does not fix 0 exactly")
 
     def eval(self, elt: _SpaceElement) -> _SpaceElement:
         return self.evaluator(elt)
@@ -84,6 +69,24 @@ class PointMap:
     @classmethod
     def from_linear_map(cls, lin: LinearMap) -> "PointMap":
         return cls(lin.apply, lin.domain, lin.codomain)
+
+
+def sampled_envelope(pmap: PointMap, limit: LinearMap, points,
+                     phi: ControlFunction | None = None):
+    """Arrays of |f(a) - d(a)| and, when phi is given, of the summed control
+    at (a, a) over the caller's points (None without phi). Callers draw the
+    points and keep their own reduction.
+    """
+    codomain = pmap.codomain
+    deviations = np.array(
+        [codomain.norm(pmap.eval_coords(c) - limit.apply_coords(c)) for c in points],
+        dtype=float,
+    )
+    if phi is None:
+        return deviations, None
+    elements = [pmap.domain.element(c) for c in points]
+    controls = np.array([summed_control(phi, e, e).upper for e in elements], dtype=float)
+    return deviations, controls
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,8 @@ class ExtractionReport:
     per_basis_iterations: list[int]
     per_basis_final_delta: list[float]
     per_basis_tail_bound: list[float]
-    bound_check: list[BoundCheckSample] = field(default_factory=list)
-    bound_ok: bool = True
+    bound_check: list[BoundCheckSample]
+    bound_ok: bool
 
     def to_dict(self) -> dict:
         return {
@@ -131,16 +134,15 @@ def _pointwise_limit(pmap: PointMap, coords: np.ndarray, phi: ControlFunction,
     nonzero delta proves nothing, since the defect magnitude fluctuates,
     so it never stops the iteration by itself.
     """
-    element = pmap.domain.element(coords)
+    certificate = ControlTail(phi, pmap.domain.element(coords))
     current = pmap.eval_coords(coords)
     delta = np.inf
-    tail = summed_control_tail(phi, element, 0)
-    n = 0
+    tail = certificate.after(0)
     for n in range(1, max_n + 1):
         nxt = pmap.eval_coords(2.0**n * coords) / 2.0**n
         delta = pmap.codomain.norm(nxt - current)
         current = nxt
-        tail = summed_control_tail(phi, element, n)
+        tail = certificate.after(n)
         if tail <= tol or delta == 0.0:
             return current, n, delta, tail
     raise ConvergenceError(
@@ -168,10 +170,6 @@ def extract_additive(pmap: PointMap, phi: ControlFunction,
     against inputs whose defect is not actually controlled), and sampled
     points are recorded as (point, |f(a) - d(a)|, summed control) triples.
     """
-    if not pmap.zero_fixed:
-        out = pmap.eval(pmap.domain.zero())
-        if not np.all(out.coords == 0.0):
-            raise PreconditionError("map does not fix 0 exactly")
     domain, codomain = pmap.domain, pmap.codomain
     n_dim = domain.dim
     columns = np.zeros((codomain.dim, n_dim), dtype=complex)
@@ -202,18 +200,11 @@ def extract_additive(pmap: PointMap, phi: ControlFunction,
                 "pointwise limit disagrees with the assembled matrix"
             )
 
-    report = ExtractionReport(limit_map, iterations, deltas, tails)
-    rng = generator(seed, "extract-bound")
-    for k in range(bound_samples):
-        scale = SCALE_GRID[k % len(SCALE_GRID)]
-        coords = ball_point(domain, rng, scale)
-        element = domain.element(coords)
-        lhs = codomain.norm(pmap.eval_coords(coords) - limit_map.apply_coords(coords))
-        rhs = summed_control(phi, element, element).upper
-        report.bound_check.append(BoundCheckSample(coords, float(lhs), float(rhs)))
-        if lhs > rhs + 1e-9 * (1.0 + rhs):
-            report.bound_ok = False
-    return report
+    points = ball_points(domain, generator(seed, "extract-bound"), bound_samples)
+    lhs, rhs = sampled_envelope(pmap, limit_map, points, phi)
+    samples = [BoundCheckSample(c, float(l), float(r)) for c, l, r in zip(points, lhs, rhs)]
+    bound_ok = not np.any(lhs > rhs + 1e-9 * (1.0 + rhs))
+    return ExtractionReport(limit_map, iterations, deltas, tails, samples, bound_ok)
 
 
 @dataclass
@@ -308,28 +299,18 @@ def verify_stability_bound(pmap: PointMap, limit: LinearMap, phi: ControlFunctio
     a violation is evidence about the input map, not a failure of the
     verification itself.
     """
-    rng = generator(seed, "stability")
-    domain, codomain = pmap.domain, pmap.codomain
-    max_violation = -np.inf
-    worst = (0.0, 0.0, None)
-    violations = 0
-    for k in range(samples):
-        coords = ball_point(domain, rng, scales[k % len(scales)])
-        element = domain.element(coords)
-        lhs = codomain.norm(pmap.eval_coords(coords) - limit.apply_coords(coords))
-        rhs = summed_control(phi, element, element).upper
-        gap = lhs - rhs
-        if gap > max_violation:
-            max_violation = gap
-            worst = (float(lhs), float(rhs), coords)
-        if gap > slack:
-            violations += 1
+    points = ball_points(pmap.domain, generator(seed, "stability"), samples, scales)
+    if not points:
+        return StabilityReport(samples, -np.inf, 0, 0.0, 0.0, None, slack)
+    lhs, rhs = sampled_envelope(pmap, limit, points, phi)
+    gaps = lhs - rhs
+    worst = int(np.argmax(gaps))
     return StabilityReport(
         samples=samples,
-        max_violation=float(max_violation),
-        num_violations=violations,
-        worst_lhs=worst[0],
-        worst_rhs=worst[1],
-        worst_point=worst[2],
+        max_violation=float(gaps[worst]),
+        num_violations=int(np.count_nonzero(gaps > slack)),
+        worst_lhs=float(lhs[worst]),
+        worst_rhs=float(rhs[worst]),
+        worst_point=points[worst],
         slack=slack,
     )

@@ -19,7 +19,7 @@ from .algebra import Bimodule, module_annihilator
 from .control import ControlFunction, constant_control, control_from_dict
 from .encoding import encode_complex
 from .errors import ConstructionError, PreconditionError
-from .hyers import PointMap, current_lambda_mode, lambda_grid
+from .hyers import LAMBDA_FULL, PointMap, lambda_grid
 from .sampling import SCALE_GRID, ball_point, generator, hashed_unit_floats
 
 QUANT_GRID = 2.0**-20
@@ -336,21 +336,20 @@ def _ratio(defect: float, budget: float, dust: float = 0.0) -> float:
 
 
 def verify_hypotheses(f: PointMap, g_sigma: PointMap, g_tau: PointMap,
-                      phi: ControlFunction, lambda_mode: str | None = None,
+                      phi: ControlFunction, lambda_mode: str = LAMBDA_FULL,
                       samples: int = 2000, seed: int = 0,
                       scales=SCALE_GRID, check_multiplicative: bool = True) -> HypothesisReport:
     """Sample the approximate-derivation hypotheses for arbitrary maps.
 
     Draws seeded pairs across the scale grid and unimodular scalars from
-    the active grid (the full 64 roots of unity, or {1, i} in restricted
-    mode), and records the worst defect/budget ratio per hypothesis. The
-    verdict is 'violated' with a concrete witness as soon as any ratio
+    the grid lambda_mode names (the 64 roots of unity for "full", {1, i}
+    for "one-i"), and records the worst defect/budget ratio per hypothesis.
+    The verdict is 'violated' with a concrete witness as soon as any ratio
     exceeds 1; violations are report content, never exceptions.
     """
     if f.domain.dim == 0:
         raise PreconditionError("cannot sample a zero-dimensional algebra")
-    mode = lambda_mode or current_lambda_mode()
-    lambdas = lambda_grid(mode)
+    lambdas = lambda_grid(lambda_mode)
     rng = generator(seed, "hypotheses")
     algebra = f.domain
     module = f.codomain
@@ -413,7 +412,7 @@ def verify_hypotheses(f: PointMap, g_sigma: PointMap, g_tau: PointMap,
         product_max=maxima["product"],
         multiplicative_max=maxima["multiplicative"] if check_multiplicative else None,
         samples=samples,
-        lambda_mode=mode,
+        lambda_mode=lambda_mode,
         verdict="violated" if witness is not None else "satisfied",
         witness=witness,
     )

@@ -266,6 +266,22 @@ class TestSweep:
         grid = {"perturbation.epsilon": [1e-2, 1e-3]}
         assert sweep(cfg, grid) == sweep(cfg, grid)
 
+    def test_violations_counted_on_the_rows_own_samples(self, tmp_path):
+        # a budget far below the noise: every sample breaks the configured
+        # envelope, and the violation count must say so
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep", "--fixture", "matrix:2", "--seed", "5", "--samples", "50",
+            "--control", '{"kind": "constant", "alpha": 1e-9}',
+            "--grid", '{"perturbation.epsilon": [1e-3]}', "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        header, data = self.parse(out.read_text())
+        row = dict(zip(header, data[0]))
+        assert row["status"] == "ok"
+        assert float(row["max_error"]) > float(row["envelope"])
+        assert 0 < int(row["violations"]) <= 50
+
     def test_partial_failure_recorded_per_row(self):
         cfg = ExperimentConfig(fixture="matrix:2", seed=5, samples=50)
         text = sweep(cfg, {"perturbation.epsilon": [1e-2, -1.0]})

@@ -17,6 +17,7 @@ from derivlab import (
     partial_sum_bound,
     summed_control,
 )
+from derivlab.control import ControlTail, summed_control_tail
 from derivlab.sampling import ball_point, generator
 
 A = make_matrix_algebra(2)
@@ -131,6 +132,28 @@ class TestPartialSums:
             assert value >= previous
             assert value <= total.value + total.tail_bound + 1e-12
             previous = value
+
+
+class TestControlTail:
+    @pytest.mark.parametrize("phi", [
+        constant_control(3e-3),
+        PNormControl(1e-3, 0.5, 0.5),
+        TabulatedControl(lambda a, b: 1e-3 + 0.1 * (a.norm() ** 0.25 + b.norm() ** 0.25), 0.25),
+    ], ids=["constant", "pnorm", "tabulated"])
+    def test_streamed_tail_is_bit_identical_to_reference(self, phi):
+        a = element_of_norm(1.5)
+        upper = summed_control(phi, a, a).upper
+        reference = [upper] + [
+            max(upper - partial_sum_bound(phi, a, n), 0.0) for n in range(1, 49)
+        ]
+        streamed = ControlTail(phi, a)
+        assert [streamed.after(n).hex() for n in range(49)] == [r.hex() for r in reference]
+        # reads out of order give the same bits
+        backwards = ControlTail(phi, a)
+        assert [backwards.after(n).hex() for n in range(48, -1, -1)] == \
+            [r.hex() for r in reversed(reference)]
+        assert [summed_control_tail(phi, a, n).hex() for n in (0, 1, 17, 48)] == \
+            [reference[n].hex() for n in (0, 1, 17, 48)]
 
 
 class TestInvariants:

@@ -21,7 +21,7 @@ from derivlab import (
     verify_stability_bound,
 )
 from derivlab.algebra import regular_bimodule
-from derivlab.hyers import restricted_lambda_mode
+from derivlab.hyers import lambda_grid
 from derivlab.perturb import PerturbationSpec, extend_with_annihilator, make_annihilator_perturbation
 from derivlab.sampling import ball_point, generator
 
@@ -221,30 +221,143 @@ class TestStabilityBound:
 
 class TestRestrictedLambdaMode:
     def test_extraction_unchanged_and_complex_homogeneous(self, setup):
-        restricted_lambda_mode(True)
-        try:
-            maps = perturbed(setup, 1e-3)
-            report = extract_additive(maps.f, maps.control, seed=15)
-            lam = np.exp(1j * np.pi / 4)
-            rng = generator(16, "homog")
-            a = ball_point(report.limit.domain, rng, 1.0)
-            # the assembled matrix is complex-linear by construction
-            assert np.allclose(
-                report.limit.apply_coords(lam * a),
-                lam * report.limit.apply_coords(a),
-                atol=1e-14,
-            )
-        finally:
-            restricted_lambda_mode(False)
+        maps = perturbed(setup, 1e-3)
+        report = extract_additive(maps.f, maps.control, seed=15)
+        lam = np.exp(1j * np.pi / 4)
+        rng = generator(16, "homog")
+        a = ball_point(report.limit.domain, rng, 1.0)
+        # the assembled matrix is complex-linear by construction
+        assert np.allclose(
+            report.limit.apply_coords(lam * a),
+            lam * report.limit.apply_coords(a),
+            atol=1e-14,
+        )
 
     def test_toggle_changes_grid(self):
-        from derivlab.hyers import current_lambda_mode, lambda_grid
+        assert len(lambda_grid("full")) == 64
+        assert np.array_equal(lambda_grid("one-i"), np.array([1.0 + 0j, 1j]))
 
-        assert current_lambda_mode() == "full"
-        assert len(lambda_grid()) == 64
-        restricted_lambda_mode(True)
-        try:
-            assert current_lambda_mode() == "one-i"
-            assert np.array_equal(lambda_grid(), np.array([1.0 + 0j, 1j]))
-        finally:
-            restricted_lambda_mode(False)
+
+# --- the four consumers of sampled_envelope against per-point reference loops --
+
+def cli_maps(fixture, seed=7):
+    from derivlab.cli import ExperimentConfig, _base_setup, _perturbed
+
+    config = ExperimentConfig(fixture=fixture, seed=seed)
+    algebra, module, ann_basis, sigma, tau, triple = _base_setup(config)
+    maps, _ = _perturbed(config, triple, module, ann_basis)
+    return config, algebra, module, sigma, tau, maps
+
+
+def reference_pair(f, limit, phi, coords):
+    """|f(a) - d(a)| and the summed control at (a, a), one point at a time."""
+    element = f.domain.element(coords)
+    lhs = f.codomain.norm(f.eval_coords(coords) - limit.apply_coords(coords))
+    return lhs, summed_control(phi, element, element).upper
+
+
+CONSUMER_FIXTURES = ("matrix:2", "zero-product:4")
+ENVELOPES = (constant_control(1e-9), PNormControl(3e-3, 1e-2, 0.5))
+
+
+class TestSampledEnvelopeConsumers:
+    @pytest.mark.parametrize("fixture", CONSUMER_FIXTURES)
+    def test_extraction_bound_check(self, fixture):
+        from derivlab.sampling import SCALE_GRID
+
+        _, _, _, _, _, maps = cli_maps(fixture)
+        report = extract_additive(maps.f, maps.control, seed=3)
+        rng = generator(3, "extract-bound")
+        bound_ok = True
+        for k, sample in enumerate(report.bound_check):
+            coords = ball_point(maps.f.domain, rng, SCALE_GRID[k % len(SCALE_GRID)])
+            lhs, rhs = reference_pair(maps.f, report.limit, maps.control, coords)
+            assert np.array_equal(sample.point, coords)
+            assert (sample.lhs, sample.rhs) == (lhs, rhs)
+            bound_ok = bound_ok and not lhs > rhs + 1e-9 * (1.0 + rhs)
+        assert len(report.bound_check) == 32
+        assert report.bound_ok is bound_ok
+
+    @pytest.mark.parametrize("phi", ENVELOPES, ids=["tiny", "pnorm"])
+    @pytest.mark.parametrize("fixture", CONSUMER_FIXTURES)
+    def test_verify_stability_bound(self, fixture, phi):
+        from derivlab.sampling import SCALE_GRID
+
+        _, _, _, _, _, maps = cli_maps(fixture)
+        limit = extract_additive(maps.f, maps.control, seed=3).limit
+        report = verify_stability_bound(maps.f, limit, phi, samples=100, seed=4)
+        rng = generator(4, "stability")
+        max_violation, worst, violations = -np.inf, (0.0, 0.0, None), 0
+        for k in range(100):
+            coords = ball_point(maps.f.domain, rng, SCALE_GRID[k % len(SCALE_GRID)])
+            lhs, rhs = reference_pair(maps.f, limit, phi, coords)
+            if lhs - rhs > max_violation:
+                max_violation, worst = lhs - rhs, (lhs, rhs, coords)
+            violations += lhs - rhs > 1e-12
+        assert report.max_violation == max_violation
+        assert report.num_violations == violations
+        assert (report.worst_lhs, report.worst_rhs) == worst[:2]
+        assert np.array_equal(report.worst_point, worst[2])
+
+    @pytest.mark.parametrize("phi", ENVELOPES, ids=["tiny", "pnorm"])
+    @pytest.mark.parametrize("fixture", CONSUMER_FIXTURES)
+    def test_sweep_point(self, fixture, phi):
+        from derivlab.cli import _sweep_point
+        from derivlab.sampling import sphere_point
+
+        config, algebra, _, _, _, maps = cli_maps(fixture)
+        config.control = phi.to_dict()
+        config.samples = 60
+        outputs, _ = _sweep_point(config)
+        limit = extract_additive(maps.f, maps.control, seed=config.seed).limit
+        rng = generator(config.seed, "sweep-bound")
+        max_error = envelope = 0.0
+        violations = 0
+        for _ in range(60):
+            lhs, rhs = reference_pair(maps.f, limit, phi, sphere_point(algebra, rng, 1.0))
+            max_error, envelope = max(max_error, lhs), max(envelope, rhs)
+            violations += lhs > rhs + 1e-12
+        assert (outputs["max_error"], outputs["envelope"], outputs["violations"]) == \
+            (max_error, envelope, violations)
+
+    @pytest.mark.parametrize("fixture", ("matrix:2", "upper-triangular:3", "zero-product:4"))
+    def test_roundtrip_beta(self, fixture):
+        from derivlab.derivation import approx_contractibility_roundtrip
+        from derivlab.sampling import SCALE_GRID
+
+        config, algebra, module, sigma, tau, maps = cli_maps(fixture)
+        result = approx_contractibility_roundtrip(
+            maps.f, maps.control, algebra, module, sigma, tau, samples=200, seed=5
+        )
+        if not result.feasible:
+            # every derivation of a zero-product algebra is outer: no beta
+            assert fixture == "zero-product:4" and result.beta is None
+            return
+        d_x = inner_derivation(module, sigma, tau, result.x)
+        rng = generator(5, "roundtrip-beta")
+        beta = 0.0
+        for k in range(200):
+            coords = ball_point(algebra, rng, SCALE_GRID[k % len(SCALE_GRID)])
+            beta = max(beta, module.norm(d_x.apply_coords(coords) - maps.f.eval_coords(coords)))
+        assert result.beta == beta
+
+
+def test_one_phi_pass_per_doubling_orbit(setup):
+    from derivlab.control import DEFAULT_TRUNCATION, TabulatedControl
+    from derivlab.hyers import _pointwise_limit
+
+    maps = perturbed(setup, 1e-3)
+    budget = maps.control.alpha
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return budget
+
+    phi = TabulatedControl(counting, 0.0)
+    basis = maps.f.domain.basis_element(0).coords
+    _, doublings, _, _ = _pointwise_limit(maps.f, basis, phi, 48, 1e-10)
+    # a constant budget of ~3e-3 needs 25 doublings to certify 1e-10; the
+    # per-step recomputation used to cost 1989 phi calls on this orbit
+    assert doublings == 25
+    assert len(calls) <= DEFAULT_TRUNCATION + doublings

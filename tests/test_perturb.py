@@ -20,7 +20,6 @@ from derivlab import (
     verify_hypotheses,
 )
 from derivlab.algebra import regular_bimodule
-from derivlab.hyers import restricted_lambda_mode
 from derivlab.sampling import ball_point, generator, hashed_unit_floats
 
 
@@ -239,17 +238,6 @@ class TestVerifyHypotheses:
         assert full.verdict == "violated"
         assert abs(full.witness.lam - (-1.0)) < 0.2  # near the sign flip
         assert restricted.verdict == "satisfied"
-
-    def test_global_toggle_is_consulted(self, setup):
-        maps = annihilator_maps(setup, 1e-3)
-        restricted_lambda_mode(True)
-        try:
-            report = verify_hypotheses(
-                maps.f, maps.g_sigma, maps.g_tau, maps.control, samples=64, seed=117
-            )
-            assert report.lambda_mode == "one-i"
-        finally:
-            restricted_lambda_mode(False)
 
     def test_multiplicative_check_optional(self, setup):
         maps = annihilator_maps(setup, 1e-3)
