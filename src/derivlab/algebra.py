@@ -22,6 +22,7 @@ from .sampling import generator
 
 STRUCTURE_TOL = 1e-12
 SPAN_RTOL = 1e-10
+ANNIHILATOR_RTOL = 1e-12
 
 
 def _as_complex(data, what: str) -> np.ndarray:
@@ -492,7 +493,7 @@ def nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
     return vh[rank:].conj()
 
 
-def right_annihilator(algebra: FiniteAlgebra, rtol: float = 1e-12) -> np.ndarray:
+def right_annihilator(algebra: FiniteAlgebra) -> np.ndarray:
     """Orthonormal basis (rows) of {x : a x = 0 for all a}.
 
     Computed as the joint nullspace of the left-multiplication matrices of
@@ -500,24 +501,24 @@ def right_annihilator(algebra: FiniteAlgebra, rtol: float = 1e-12) -> np.ndarray
     """
     n = algebra.dim
     stacked = np.transpose(algebra.structure, (0, 2, 1)).reshape(n * n, n)
-    return nullspace(stacked, rtol)
+    return nullspace(stacked, ANNIHILATOR_RTOL)
 
 
-def left_annihilator(algebra: FiniteAlgebra, rtol: float = 1e-12) -> np.ndarray:
+def left_annihilator(algebra: FiniteAlgebra) -> np.ndarray:
     """Orthonormal basis (rows) of {x : x a = 0 for all a}."""
     n = algebra.dim
     stacked = np.transpose(algebra.structure, (1, 2, 0)).reshape(n * n, n)
-    return nullspace(stacked, rtol)
+    return nullspace(stacked, ANNIHILATOR_RTOL)
 
 
-def module_annihilator(module: Bimodule, rtol: float = 1e-12) -> np.ndarray:
+def module_annihilator(module: Bimodule) -> np.ndarray:
     """Orthonormal basis (rows) of {z in X : a.z = 0 and z.a = 0 for all a}."""
     n, m = module.algebra.dim, module.dim
     if m == 0:
         return np.zeros((0, 0), dtype=complex)
     blocks = [module.left_matrix(np.eye(n)[i]) for i in range(n)]
     blocks += [module.right_matrix(np.eye(n)[i]) for i in range(n)]
-    return nullspace(np.vstack(blocks), rtol)
+    return nullspace(np.vstack(blocks), ANNIHILATOR_RTOL)
 
 
 class LinearMap:

@@ -84,6 +84,16 @@ class ExperimentConfig:
     format: str = "json"
 
     def validate(self) -> None:
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DerivlabError(f"{name} must be an integer, got {value!r}")
+        for name in ("sigma", "tau"):
+            if not isinstance(getattr(self, name), str):
+                raise DerivlabError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("control", "perturbation"):
+            if not isinstance(getattr(self, name), (dict, type(None))):
+                raise DerivlabError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
         if self.pipeline not in PIPELINES:
             raise DerivlabError(
                 f"unknown pipeline {self.pipeline!r}; choose from {PIPELINES}"

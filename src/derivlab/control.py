@@ -141,22 +141,31 @@ class ControlSum:
         }
 
 
+def _number(doc: dict, key: str) -> float:
+    if key not in doc:
+        raise ControlError(f"{doc['kind']} control document is missing {key!r}")
+    try:
+        return float(doc[key])
+    except TypeError:
+        raise ControlError(f"control {key!r} must be a number, got {doc[key]!r}") from None
+
+
 def control_from_dict(doc: dict) -> ControlFunction:
     kind = doc.get("kind")
     if kind == "constant":
-        return constant_control(float(doc["alpha"]))
+        return constant_control(_number(doc, "alpha"))
     if kind == "pnorm":
-        return PNormControl(float(doc["alpha"]), float(doc["beta"]), float(doc["p"]))
+        return PNormControl(_number(doc, "alpha"), _number(doc, "beta"), _number(doc, "p"))
     raise ControlError(f"unknown control kind {kind!r}")
 
 
-def summed_control(phi: ControlFunction, a, b, terms: int = DEFAULT_TRUNCATION) -> ControlSum:
+def summed_control(phi: ControlFunction, a, b) -> ControlSum:
     """The doubling-series sum (1/2) sum 2^{-n} phi(2^n a, 2^n b).
 
     Power-norm controls evaluate in closed form,
     alpha + beta (|a|^p + |b|^p) / (2 - 2^p); tabulated controls are summed
-    to `terms` terms with a geometric tail bound from the asserted growth
-    exponent.
+    to DEFAULT_TRUNCATION terms with a geometric tail bound from the
+    asserted growth exponent.
     """
     if isinstance(phi, PNormControl):
         if phi.beta == 0.0:
@@ -168,21 +177,22 @@ def summed_control(phi: ControlFunction, a, b, terms: int = DEFAULT_TRUNCATION) 
     q = phi.growth_exponent
     if q >= 1.0:
         raise ControlError("growth exponent q >= 1: the doubling series diverges")
-    terms = int(terms)
-    if terms < 1:
-        raise ControlError("need at least one series term")
     partials = []
     growth_scale = 0.0
-    for n in range(terms):
+    for n in range(DEFAULT_TRUNCATION):
         value = phi.evaluate(2.0**n * a, 2.0**n * b)
         partials.append(0.5 * 2.0**-n * value)
         growth_scale = max(growth_scale, value / 2.0 ** (n * q))
-    tail = 0.5 * growth_scale * 2.0 ** (-terms * (1.0 - q)) / (1.0 - 2.0 ** (q - 1.0))
-    return ControlSum(math.fsum(partials), terms, tail)
+    tail = (0.5 * growth_scale * 2.0 ** (-DEFAULT_TRUNCATION * (1.0 - q))
+            / (1.0 - 2.0 ** (q - 1.0)))
+    return ControlSum(math.fsum(partials), DEFAULT_TRUNCATION, tail)
 
 
 def _diagonal_term(phi: ControlFunction, a, k: int) -> float:
-    return 0.5 * 2.0**-k * phi.evaluate(2.0**k * a, 2.0**k * a)
+    # both arguments are 2^k a: one element serves both, and the k = 0 term
+    # is a itself, so the streamed tail builds one element per doubling
+    point = a if k == 0 else 2.0**k * a
+    return 0.5 * 2.0**-k * phi.evaluate(point, point)
 
 
 def partial_sum_bound(phi: ControlFunction, a, n: int) -> float:
@@ -205,10 +215,10 @@ class ControlTail:
     every read is an fsum of the same terms as partial_sum_bound.
     """
 
-    def __init__(self, phi: ControlFunction, a, terms: int = DEFAULT_TRUNCATION):
+    def __init__(self, phi: ControlFunction, a):
         self.phi = phi
         self.a = a
-        self.upper = summed_control(phi, a, a, terms=terms).upper
+        self.upper = summed_control(phi, a, a).upper
         self._terms: list[float] = []
 
     def after(self, n: int) -> float:
@@ -221,7 +231,6 @@ class ControlTail:
         return max(self.upper - math.fsum(self._terms[:n]), 0.0)
 
 
-def summed_control_tail(phi: ControlFunction, a, n: int,
-                        terms: int = DEFAULT_TRUNCATION) -> float:
+def summed_control_tail(phi: ControlFunction, a, n: int) -> float:
     """Upper bound on the series remainder after the first n terms at (a, a)."""
-    return ControlTail(phi, a, terms).after(n)
+    return ControlTail(phi, a).after(n)

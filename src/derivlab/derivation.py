@@ -226,8 +226,7 @@ def leibniz_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
 
 
 def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
-                     sigma: LinearMap, tau: LinearMap,
-                     rtol: float = SVD_RTOL) -> SubspaceBasis:
+                     sigma: LinearMap, tau: LinearMap) -> SubspaceBasis:
     """Orthonormal basis of all maps D with D(ab) = D(a).sigma(b)
     + tau(a).D(b).
 
@@ -239,7 +238,7 @@ def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
     rows = leibniz_rows(algebra, sigma, tau)
     system = leibniz_system(algebra, module, sigma, tau, rows)
-    return SubspaceBasis(nullspace(system, rtol), algebra, module)
+    return SubspaceBasis(nullspace(system, SVD_RTOL), algebra, module)
 
 
 def _inner_operator_matrix(algebra: FiniteAlgebra, module: Bimodule,
@@ -251,8 +250,7 @@ def _inner_operator_matrix(algebra: FiniteAlgebra, module: Bimodule,
 
 
 def inner_space(algebra: FiniteAlgebra, module: Bimodule,
-                sigma: LinearMap, tau: LinearMap,
-                rtol: float = SVD_RTOL) -> SubspaceBasis:
+                sigma: LinearMap, tau: LinearMap) -> SubspaceBasis:
     """Orthonormal basis of the image of x -> (a -> x.sigma(a) - tau(a).x)."""
     if module.dim == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
@@ -262,7 +260,7 @@ def inner_space(algebra: FiniteAlgebra, module: Bimodule,
     # to their difference: on a commutative algebra they cancel to rounding
     # noise, which a cutoff relative to s[0] would count as rank
     scale = max(np.linalg.norm(t) for t in _twist_matrices(module, sigma, tau))
-    rank = int(np.sum(s > rtol * scale))
+    rank = int(np.sum(s > SVD_RTOL * scale))
     return SubspaceBasis(u[:, :rank].T, algebra, module)
 
 
@@ -356,8 +354,7 @@ def _require_endomorphisms(algebra: FiniteAlgebra, sigma: LinearMap, tau: Linear
 
 
 def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
-                    sigma: LinearMap, tau: LinearMap,
-                    membership_tol: float = MEMBERSHIP_TOL) -> ContractibilityReport:
+                    sigma: LinearMap, tau: LinearMap) -> ContractibilityReport:
     """Decide whether every twisted derivation into the module is inner.
 
     Computes both subspaces and tests inclusion by projection residuals of
@@ -373,7 +370,7 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
     for idx in range(derivations.dim):
         residual = inners.projection_residual(derivations.vectors[idx])
         worst = max(worst, residual)
-        if residual > membership_tol and witness is None:
+        if residual > MEMBERSHIP_TOL and witness is None:
             witness = derivations.linear_map(idx)
     verdict = VERDICT_CONTRACTIBLE if witness is None else VERDICT_NOT_CONTRACTIBLE
     return ContractibilityReport(
@@ -386,10 +383,9 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
 
 
 def is_amenable(algebra: FiniteAlgebra, module: Bimodule,
-                sigma: LinearMap, tau: LinearMap,
-                membership_tol: float = MEMBERSHIP_TOL) -> ContractibilityReport:
+                sigma: LinearMap, tau: LinearMap) -> ContractibilityReport:
     """Contractibility computed over the dual module."""
-    report = is_contractible(algebra, dual_bimodule(module), sigma, tau, membership_tol)
+    report = is_contractible(algebra, dual_bimodule(module), sigma, tau)
     report.kind = "amenability"
     return report
 
@@ -428,7 +424,6 @@ class RoundtripResult:
 def approx_contractibility_roundtrip(approx_map, phi: ControlFunction,
                                      algebra: FiniteAlgebra, module: Bimodule,
                                      sigma: LinearMap, tau: LinearMap,
-                                     tol: float = MEMBERSHIP_TOL,
                                      samples: int = 1000, seed: int = 0) -> RoundtripResult:
     """Round-trip an approximate twisted derivation through the exact theory.
 
@@ -462,7 +457,7 @@ def approx_contractibility_roundtrip(approx_map, phi: ControlFunction,
     report = extract_additive(approx_map, phi, seed=seed)
     d = report.limit
     triple = DerivationTriple(d, sigma, tau)
-    solve = inner_solve(triple, tol)
+    solve = inner_solve(triple)
     alpha = phi.alpha
 
     if not solve.feasible:

@@ -15,12 +15,17 @@ import numpy as np
 from .algebra import LinearMap, _CoordinateSpace, _SpaceElement
 from .control import ControlFunction, ControlTail, summed_control
 from .encoding import encode_complex
-from .errors import ConvergenceError, PreconditionError
-from .sampling import SCALE_GRID, ball_point, ball_points, generator
+from .errors import ConstructionError, ConvergenceError, PreconditionError, SpaceMismatchError
+from .sampling import ball_point, ball_points, generator
 from .scalar import unit_circle_grid
 
 DEFAULT_MAX_DOUBLINGS = 48
 DEFAULT_TOL = 1e-10
+BOUND_SAMPLES = 32  # extraction's recorded (point, |f(a) - d(a)|, summed control) triples
+ADDITIVITY_PAIRS = 8  # random pairs whose pointwise limits must be additive
+LEIBNIZ_SAMPLES = 64  # unit-ball pairs the extracted triple's product rule is checked on
+LEIBNIZ_TOL = 1e-9
+STABILITY_SLACK = 1e-12  # violations of the stability bound count beyond this gap
 
 LAMBDA_FULL = "full"
 LAMBDA_ONE_I = "one-i"
@@ -44,31 +49,43 @@ def lambda_grid(mode: str) -> np.ndarray:
 class PointMap:
     """Black-box evaluable map between coordinate spaces, fixing 0.
 
-    Wraps an evaluator on elements. Evaluations must be deterministic;
-    the zero condition is checked once at construction.
+    Wraps a deterministic function from domain coordinate arrays to
+    codomain coordinate arrays; no element objects are built on the way.
+    Every result is checked once: a wrong length raises SpaceMismatchError
+    and a non-finite entry ConstructionError. The zero condition is checked
+    once at construction. `eval` and `__call__` are the element facade.
     """
 
-    __slots__ = ("evaluator", "domain", "codomain")
+    __slots__ = ("func", "domain", "codomain")
 
-    def __init__(self, evaluator, domain: _CoordinateSpace, codomain: _CoordinateSpace):
-        self.evaluator = evaluator
+    def __init__(self, func, domain: _CoordinateSpace, codomain: _CoordinateSpace):
+        self.func = func
         self.domain = domain
         self.codomain = codomain
-        out = evaluator(domain.zero())
-        if not np.all(out.coords == 0.0):
+        out = self._checked(func(np.zeros(domain.dim, dtype=complex)))
+        if not np.all(out == 0.0):
             raise PreconditionError("map does not fix 0 exactly")
 
+    def _checked(self, out) -> np.ndarray:
+        if not np.all(np.isfinite(out)):
+            raise ConstructionError("map value contains non-finite entries")
+        if np.shape(out) != (self.codomain.dim,):
+            raise SpaceMismatchError(
+                f"map value shape {np.shape(out)} does not match dim {self.codomain.dim}"
+            )
+        return out
+
+    def eval_coords(self, coords) -> np.ndarray:
+        return self._checked(self.func(np.asarray(coords, dtype=complex)))
+
     def eval(self, elt: _SpaceElement) -> _SpaceElement:
-        return self.evaluator(elt)
+        return self.codomain.element(self.eval_coords(elt.coords))
 
     __call__ = eval
 
-    def eval_coords(self, coords) -> np.ndarray:
-        return self.evaluator(self.domain.element(coords)).coords
-
     @classmethod
     def from_linear_map(cls, lin: LinearMap) -> "PointMap":
-        return cls(lin.apply, lin.domain, lin.codomain)
+        return cls(lin.apply_coords, lin.domain, lin.codomain)
 
 
 def sampled_envelope(pmap: PointMap, limit: LinearMap, points,
@@ -154,8 +171,7 @@ def _pointwise_limit(pmap: PointMap, coords: np.ndarray, phi: ControlFunction,
 
 def extract_additive(pmap: PointMap, phi: ControlFunction,
                      max_n: int = DEFAULT_MAX_DOUBLINGS, tol: float = DEFAULT_TOL,
-                     *, seed: int = 0, bound_samples: int = 32,
-                     additivity_pairs: int = 8) -> ExtractionReport:
+                     *, seed: int = 0) -> ExtractionReport:
     """Extract the exact additive limit of an approximately additive map.
 
     Runs the doubling iteration on every basis vector of the domain and
@@ -184,7 +200,7 @@ def extract_additive(pmap: PointMap, phi: ControlFunction,
     limit_map = LinearMap(columns, domain, codomain)
 
     rng = generator(seed, "extract-additivity")
-    for _ in range(additivity_pairs):
+    for _ in range(ADDITIVITY_PAIRS):
         a = ball_point(domain, rng, 1.0)
         b = ball_point(domain, rng, 1.0)
         la, _, _, _ = _pointwise_limit(pmap, a, phi, max_n, tol)
@@ -200,7 +216,7 @@ def extract_additive(pmap: PointMap, phi: ControlFunction,
                 "pointwise limit disagrees with the assembled matrix"
             )
 
-    points = ball_points(domain, generator(seed, "extract-bound"), bound_samples)
+    points = ball_points(domain, generator(seed, "extract-bound"), BOUND_SAMPLES)
     lhs, rhs = sampled_envelope(pmap, limit_map, points, phi)
     samples = [BoundCheckSample(c, float(l), float(r)) for c, l, r in zip(points, lhs, rhs)]
     bound_ok = not np.any(lhs > rhs + 1e-9 * (1.0 + rhs))
@@ -229,14 +245,13 @@ class TripleExtraction:
 
 def extract_triple(approx_d: PointMap, approx_sigma: PointMap, approx_tau: PointMap,
                    phi: ControlFunction, max_n: int = DEFAULT_MAX_DOUBLINGS,
-                   tol: float = DEFAULT_TOL, *, seed: int = 0,
-                   leibniz_samples: int = 64, leibniz_tol: float = 1e-9) -> TripleExtraction:
+                   tol: float = DEFAULT_TOL, *, seed: int = 0) -> TripleExtraction:
     """Extract (d, sigma, tau) limits and verify the product rule they inherit.
 
     The three extractions are independent; afterwards the twisted product
-    rule d(ab) = d(a).sigma(b) + tau(a).d(b) is sampled on unit-ball pairs
-    and must hold to leibniz_tol, which is what the doubling of the product
-    defect guarantees for controlled inputs.
+    rule d(ab) = d(a).sigma(b) + tau(a).d(b) is sampled on LEIBNIZ_SAMPLES
+    unit-ball pairs and must hold to LEIBNIZ_TOL, which is what the doubling
+    of the product defect guarantees for controlled inputs.
     """
     from .derivation import DerivationTriple, leibniz_residual
 
@@ -248,17 +263,17 @@ def extract_triple(approx_d: PointMap, approx_sigma: PointMap, approx_tau: Point
     rng = generator(seed, "triple-leibniz")
     domain = approx_d.domain
     worst = 0.0
-    for _ in range(leibniz_samples):
+    for _ in range(LEIBNIZ_SAMPLES):
         a = domain.element(ball_point(domain, rng, 1.0))
         b = domain.element(ball_point(domain, rng, 1.0))
         worst = max(worst, leibniz_residual(triple, a, b))
-    if worst > leibniz_tol:
+    if worst > LEIBNIZ_TOL:
         raise ConvergenceError(
             f"extracted triple violates the product rule (residual {worst:.3e} "
-            f"> {leibniz_tol:.1e})",
+            f"> {LEIBNIZ_TOL:.1e})",
             diagnostics={"leibniz_max": worst},
         )
-    return TripleExtraction(d_report, sigma_report, tau_report, worst, leibniz_samples)
+    return TripleExtraction(d_report, sigma_report, tau_report, worst, LEIBNIZ_SAMPLES)
 
 
 @dataclass
@@ -270,8 +285,8 @@ class StabilityReport:
     num_violations: int
     worst_lhs: float
     worst_rhs: float
-    worst_point: np.ndarray | None
-    slack: float = 1e-12
+    worst_point: np.ndarray
+    slack: float
 
     @property
     def satisfied(self) -> bool:
@@ -284,33 +299,31 @@ class StabilityReport:
             "num_violations": self.num_violations,
             "worst_lhs": self.worst_lhs,
             "worst_rhs": self.worst_rhs,
-            "worst_point": None if self.worst_point is None
-            else encode_complex(self.worst_point),
+            "worst_point": encode_complex(self.worst_point),
             "slack": self.slack,
         }
 
 
 def verify_stability_bound(pmap: PointMap, limit: LinearMap, phi: ControlFunction,
-                           samples: int = 1000, seed: int = 0,
-                           scales=SCALE_GRID, slack: float = 1e-12) -> StabilityReport:
+                           samples: int = 1000, seed: int = 0) -> StabilityReport:
     """Check |f(a) - d(a)| <= summed control at (a, a) on seeded samples.
 
-    Violations beyond the slack are counted and reported, never raised:
-    a violation is evidence about the input map, not a failure of the
-    verification itself.
+    Violations beyond STABILITY_SLACK are counted and reported, never
+    raised: a violation is evidence about the input map, not a failure of
+    the verification itself. At least one sample is required.
     """
-    points = ball_points(pmap.domain, generator(seed, "stability"), samples, scales)
-    if not points:
-        return StabilityReport(samples, -np.inf, 0, 0.0, 0.0, None, slack)
+    if samples < 1:
+        raise PreconditionError("stability verification needs at least one sample")
+    points = ball_points(pmap.domain, generator(seed, "stability"), samples)
     lhs, rhs = sampled_envelope(pmap, limit, points, phi)
     gaps = lhs - rhs
     worst = int(np.argmax(gaps))
     return StabilityReport(
         samples=samples,
         max_violation=float(gaps[worst]),
-        num_violations=int(np.count_nonzero(gaps > slack)),
+        num_violations=int(np.count_nonzero(gaps > STABILITY_SLACK)),
         worst_lhs=float(lhs[worst]),
         worst_rhs=float(rhs[worst]),
         worst_point=points[worst],
-        slack=slack,
+        slack=STABILITY_SLACK,
     )

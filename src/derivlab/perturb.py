@@ -75,6 +75,8 @@ class PerturbationSpec:
                 seed=int(doc.get("seed", 0)),
             )
         if mode == "clamped":
+            if "control" not in doc:
+                raise ConstructionError("clamped perturbation document is missing 'control'")
             return PerturbationSpec(
                 mode="clamped",
                 control=control_from_dict(doc["control"]),
@@ -185,17 +187,17 @@ def make_annihilator_perturbation(d0, spec: PerturbationSpec, annihilator_basis=
     seed = spec.seed
     d_matrix = d0.d
 
-    def evaluator(a):
-        value = d_matrix.apply_coords(a.coords)
+    def f_coords(x):
+        value = d_matrix.apply_coords(x)
         if epsilon > 0.0:
-            coeffs, magnitude = _keyed_direction(seed, b"ann", a.coords, basis.shape[0])
+            coeffs, magnitude = _keyed_direction(seed, b"ann", x, basis.shape[0])
             raw = coeffs @ basis
             scale = module.norm(raw)
             if scale > 0.0:
                 value = value + (epsilon * magnitude / scale) * raw
-        return module.element(value)
+        return value
 
-    f = PointMap(evaluator, d0.algebra, module)
+    f = PointMap(f_coords, d0.algebra, module)
     g_sigma = PointMap.from_linear_map(d0.sigma)
     g_tau = PointMap.from_linear_map(d0.tau)
     return PerturbedMaps(f, g_sigma, g_tau, constant_control(3.0 * epsilon))
@@ -232,22 +234,20 @@ def make_clamped_perturbation(d0, spec: PerturbationSpec, samples: int = 10000,
     algebra = d0.algebra
     noise_seed = spec.seed
 
-    def evaluator(a):
-        value = d_matrix.apply_coords(a.coords)
-        norm_a = algebra.norm(a.coords)
-        cut = _smooth_cutoff(norm_a, radius)
+    def f_coords(x):
+        value = d_matrix.apply_coords(x)
+        cut = _smooth_cutoff(algebra.norm(x), radius)
         if cut > 0.0:
+            a = algebra.element(x)  # the control callback takes elements
             budget = min(phi.evaluate(a, a) / 3.0, cap) * cut
             if budget > 0.0:
-                coeffs, magnitude = _keyed_direction(
-                    noise_seed, b"clamp", a.coords, module.dim
-                )
+                coeffs, magnitude = _keyed_direction(noise_seed, b"clamp", x, module.dim)
                 scale = module.norm(coeffs)
                 if scale > 0.0:
                     value = value + (budget * magnitude / scale) * coeffs
-        return module.element(value)
+        return value
 
-    f = PointMap(evaluator, algebra, module)
+    f = PointMap(f_coords, algebra, module)
     g_sigma = PointMap.from_linear_map(d0.sigma)
     g_tau = PointMap.from_linear_map(d0.tau)
     # sample inside the trust region: the scale grid stretched to end at it
@@ -288,36 +288,32 @@ class HypothesisReport:
     additive_max: additivity defect of the main map under unimodular
     scaling. twist_additive_max: same for the two twisting candidates.
     product_max: the twisted product-rule defect. multiplicative_max: the
-    multiplicativity defect of the tau candidate (None when not checked).
-    Satisfied means every checked ratio is at most 1.
+    multiplicativity defect of the tau candidate.
+    Satisfied means every ratio is at most 1.
     """
 
     additive_max: float
     twist_additive_max: float
     product_max: float
-    multiplicative_max: float | None
+    multiplicative_max: float
     samples: int
     lambda_mode: str
     verdict: str = "satisfied"
     witness: HypothesisWitness | None = None
 
     def maxima(self) -> dict:
-        out = {
+        return {
             "additive_max": self.additive_max,
             "twist_additive_max": self.twist_additive_max,
             "product_max": self.product_max,
+            "multiplicative_max": self.multiplicative_max,
         }
-        if self.multiplicative_max is not None:
-            out["multiplicative_max"] = self.multiplicative_max
-        return out
 
     def worst_ratio(self) -> float:
         return max(self.maxima().values())
 
     def to_dict(self) -> dict:
-        doc = dict(self.maxima())
-        if self.multiplicative_max is None:
-            doc["multiplicative_max"] = None
+        doc = self.maxima()
         doc.update(
             samples=self.samples,
             lambda_mode=self.lambda_mode,
@@ -338,15 +334,18 @@ def _ratio(defect: float, budget: float, dust: float = 0.0) -> float:
 def verify_hypotheses(f: PointMap, g_sigma: PointMap, g_tau: PointMap,
                       phi: ControlFunction, lambda_mode: str = LAMBDA_FULL,
                       samples: int = 2000, seed: int = 0,
-                      scales=SCALE_GRID, check_multiplicative: bool = True) -> HypothesisReport:
+                      scales=SCALE_GRID) -> HypothesisReport:
     """Sample the approximate-derivation hypotheses for arbitrary maps.
 
     Draws seeded pairs across the scale grid and unimodular scalars from
     the grid lambda_mode names (the 64 roots of unity for "full", {1, i}
     for "one-i"), and records the worst defect/budget ratio per hypothesis.
     The verdict is 'violated' with a concrete witness as soon as any ratio
-    exceeds 1; violations are report content, never exceptions.
+    exceeds 1; violations are report content, never exceptions. At least
+    one sample is required.
     """
+    if samples < 1:
+        raise PreconditionError("hypothesis verification needs at least one sample")
     if f.domain.dim == 0:
         raise PreconditionError("cannot sample a zero-dimensional algebra")
     lambdas = lambda_grid(lambda_mode)
@@ -394,23 +393,22 @@ def verify_hypotheses(f: PointMap, g_sigma: PointMap, g_tau: PointMap,
         )
         record("product", _ratio(product_defect, budget, dust), scale, lam, a, b)
 
-        if check_multiplicative:
-            mult_defect = algebra.norm(
-                g_tau.eval_coords(ab)
-                - np.einsum(
-                    "i,j,ijk->k",
-                    g_tau.eval_coords(a),
-                    g_tau.eval_coords(b),
-                    algebra.structure,
-                )
+        mult_defect = algebra.norm(
+            g_tau.eval_coords(ab)
+            - np.einsum(
+                "i,j,ijk->k",
+                g_tau.eval_coords(a),
+                g_tau.eval_coords(b),
+                algebra.structure,
             )
-            record("multiplicative", _ratio(mult_defect, budget, dust), scale, lam, a, b)
+        )
+        record("multiplicative", _ratio(mult_defect, budget, dust), scale, lam, a, b)
 
     report = HypothesisReport(
         additive_max=maxima["additive"],
         twist_additive_max=maxima["twist_additive"],
         product_max=maxima["product"],
-        multiplicative_max=maxima["multiplicative"] if check_multiplicative else None,
+        multiplicative_max=maxima["multiplicative"],
         samples=samples,
         lambda_mode=lambda_mode,
         verdict="violated" if witness is not None else "satisfied",

@@ -73,7 +73,6 @@ def sphere_point(space, rng: np.random.Generator, scale: float = 1.0) -> np.ndar
 SCALE_GRID = (0.25, 1.0, 4.0, 16.0)
 
 
-def ball_points(space, rng: np.random.Generator, count: int,
-                scales=SCALE_GRID) -> list[np.ndarray]:
-    """`count` ball points drawn in order, point k with radius scales[k % len(scales)]."""
-    return [ball_point(space, rng, scales[k % len(scales)]) for k in range(count)]
+def ball_points(space, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """`count` ball points drawn in order, point k with radius SCALE_GRID[k % 4]."""
+    return [ball_point(space, rng, SCALE_GRID[k % len(SCALE_GRID)]) for k in range(count)]

@@ -168,6 +168,30 @@ class TestErrors:
         assert code == EXIT_ERROR
 
 
+MALFORMED_CONFIGS = {
+    "fractional samples": {"pipeline": "extract", "samples": 2.5},
+    "boolean samples": {"pipeline": "extract", "samples": True},
+    "fractional seed": {"pipeline": "extract", "seed": 1.5},
+    "numeric sigma": {"pipeline": "contractibility", "sigma": 5},
+    "pnorm without beta": {"pipeline": "extract",
+                           "control": {"kind": "pnorm", "alpha": 1e-3, "p": 0.5}},
+    "clamped without control": {"pipeline": "hypotheses",
+                                "perturbation": {"mode": "clamped", "region_radius": 1.0}},
+    "numeric control": {"pipeline": "extract", "control": 5},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_malformed_config_is_one_error_line(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixture": "matrix:2", **doc}))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_ERROR
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "report.json").exists()
+
+
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -288,6 +312,14 @@ class TestSweep:
         _, data = self.parse(text)
         assert data[0][-1] == "ok"
         assert data[1][-1].startswith("error:")
+
+
+    def test_malformed_row_values_become_error_rows(self):
+        cfg = ExperimentConfig(fixture="matrix:2", seed=5, samples=50)
+        text = sweep(cfg, {"samples": [2.5, True, 20]})
+        _, data = self.parse(text)
+        assert [row[-1].startswith("error:") for row in data] == [True, True, False]
+        assert data[2][-1] == "ok"
 
 
 def test_run_record_excludes_wall_time():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from derivlab import (
+    ConstructionError,
     ConvergenceError,
     DerivationTriple,
     LinearMap,
     PNormControl,
     PointMap,
     PreconditionError,
+    SpaceMismatchError,
     constant_control,
     extract_additive,
     extract_triple,
@@ -41,6 +43,67 @@ def perturbed(setup, epsilon, seed=51):
     triple = DerivationTriple(d0, sid, sid)
     spec = PerturbationSpec(mode="annihilator", epsilon=epsilon, seed=seed)
     return make_annihilator_perturbation(triple, spec, ann)
+
+
+class TestPointMapContract:
+    @pytest.mark.parametrize(
+        "spoil, error",
+        [(lambda out: np.full_like(out, np.nan), ConstructionError),
+         (lambda out: out[:-1], SpaceMismatchError)],
+        ids=["non-finite", "wrong-length"],
+    )
+    def test_bad_values_rejected_at_construction_and_evaluation(self, setup, spoil, error):
+        a, module, _, _, d0 = setup
+        with pytest.raises(error):
+            PointMap(lambda x: spoil(d0.apply_coords(x)), a, module)
+
+        def func(x):  # fixes 0, misbehaves everywhere else
+            out = d0.apply_coords(x)
+            return spoil(out) if np.any(x) else out
+
+        pmap = PointMap(func, a, module)
+        point = np.ones(a.dim, dtype=complex)
+        with pytest.raises(error):
+            pmap.eval_coords(point)
+        with pytest.raises(error):
+            pmap.eval(a.element(point))
+
+    def test_eval_matches_eval_coords_bit_for_bit(self, setup):
+        maps = perturbed(setup, 1e-3)
+        domain = maps.f.domain
+        rng = generator(17, "facade")
+        for _ in range(20):
+            coords = ball_point(domain, rng, 4.0)
+            expected = maps.f.eval_coords(coords).tobytes()
+            for value in (maps.f.eval(domain.element(coords)), maps.f(domain.element(coords))):
+                assert value.space is maps.f.codomain
+                assert value.coords.tobytes() == expected
+
+    def test_extraction_builds_fewer_elements_than_evaluations(self, monkeypatch):
+        from derivlab.algebra import _SpaceElement
+
+        _, _, _, _, _, maps = cli_maps("matrix:2")
+        evaluations = elements = 0
+
+        def counting(x):
+            nonlocal evaluations
+            evaluations += 1
+            return maps.f.func(x)
+
+        pmap = PointMap(counting, maps.f.domain, maps.f.codomain)
+        evaluations = 0
+        init = _SpaceElement.__init__
+
+        def counting_init(self, space, coords):
+            nonlocal elements
+            elements += 1
+            init(self, space, coords)
+
+        monkeypatch.setattr(_SpaceElement, "__init__", counting_init)
+        extract_additive(pmap, constant_control(3e-3), seed=3)
+        # evaluation builds no element: what is left is the control's argument
+        # at each doubling, the basis vectors and the recorded bound samples
+        assert 0 < elements < evaluations
 
 
 class TestExtractAdditive:
@@ -105,11 +168,11 @@ class TestExtractAdditive:
         a, module, _, _, _ = setup
         shift = module.basis_element(0)
 
-        def evaluator(x):
-            return module.element(shift.coords + 0.0 * x.coords[0])
+        def func(x):
+            return shift.coords + 0.0 * x[0]
 
         with pytest.raises(PreconditionError):
-            PointMap(evaluator, a, module)
+            PointMap(func, a, module)
 
     def test_nonconvergence_raises_with_diagnostics(self, setup):
         # sublinear growth: deltas decay like 2^(-n/10), far too slow for
@@ -117,10 +180,10 @@ class TestExtractAdditive:
         a, module, _, _, _ = setup
         direction = module.basis_element(0)
 
-        def evaluator(x):
-            return module.element(x.norm() ** 0.9 * direction.coords)
+        def func(x):
+            return a.norm(x) ** 0.9 * direction.coords
 
-        pmap = PointMap(evaluator, a, module)
+        pmap = PointMap(func, a, module)
         phi = PNormControl(0.0, 1.0, 0.9)
         with pytest.raises(ConvergenceError) as err:
             extract_additive(pmap, phi, max_n=48, tol=1e-10)
@@ -132,10 +195,10 @@ class TestExtractAdditive:
         a, module, _, _, _ = setup
         direction = module.basis_element(1)
 
-        def evaluator(x):
-            return module.element(x.norm() ** 1.2 * direction.coords)
+        def func(x):
+            return a.norm(x) ** 1.2 * direction.coords
 
-        pmap = PointMap(evaluator, a, module)
+        pmap = PointMap(func, a, module)
         with pytest.raises(ConvergenceError):
             extract_additive(pmap, constant_control(1e-3), max_n=48, tol=1e-8)
 
@@ -217,6 +280,13 @@ class TestStabilityBound:
         assert report.num_violations > 0
         assert report.max_violation > 0
         assert report.worst_point is not None
+
+
+    def test_zero_samples_rejected(self, setup):
+        _, _, _, _, d0 = setup
+        with pytest.raises(PreconditionError):
+            verify_stability_bound(PointMap.from_linear_map(d0), d0, constant_control(1.0),
+                                   samples=0)
 
 
 class TestRestrictedLambdaMode:

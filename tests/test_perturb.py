@@ -6,6 +6,7 @@ import pytest
 from derivlab import (
     ConstructionError,
     DerivationTriple,
+    PreconditionError,
     LinearMap,
     PerturbationSpec,
     PointMap,
@@ -188,6 +189,11 @@ class TestVerifyHypotheses:
         assert report.verdict == "satisfied"
         assert report.worst_ratio() <= 1e-12
 
+    def test_zero_samples_rejected(self, setup):
+        maps = annihilator_maps(setup, 1e-3)
+        with pytest.raises(PreconditionError):
+            verify_hypotheses(maps.f, maps.g_sigma, maps.g_tau, maps.control, samples=0)
+
     def test_unbounded_linear_bias_violated_at_largest_scale(self, setup):
         # a linear bias keeps additivity exact but breaks the product rule
         # with defects growing like the product of the scales
@@ -216,18 +222,18 @@ class TestVerifyHypotheses:
         direction = np.zeros(module.dim, dtype=complex)
         direction[-1] = 1.0  # the killed coordinate of the extended module
 
-        def evaluator(x):
-            value = triple.d.apply_coords(x.coords)
-            snapped = np.round(x.coords / 2.0**-20)
+        def func(x):
+            value = triple.d.apply_coords(x)
+            snapped = np.round(x / 2.0**-20)
             if np.any(snapped != 0.0):
                 coin = hashed_unit_floats(
                     b"coin" + np.ascontiguousarray(snapped).tobytes(), 1
                 )[0]
                 if coin >= 0.5:
                     value = value + eps * direction
-            return module.element(value)
+            return value
 
-        f = PointMap(evaluator, a, module)
+        f = PointMap(func, a, module)
         budget = constant_control(2.5 * eps)
         g_sigma = PointMap.from_linear_map(sid)
         g_tau = PointMap.from_linear_map(sid)
@@ -238,15 +244,6 @@ class TestVerifyHypotheses:
         assert full.verdict == "violated"
         assert abs(full.witness.lam - (-1.0)) < 0.2  # near the sign flip
         assert restricted.verdict == "satisfied"
-
-    def test_multiplicative_check_optional(self, setup):
-        maps = annihilator_maps(setup, 1e-3)
-        report = verify_hypotheses(
-            maps.f, maps.g_sigma, maps.g_tau, maps.control,
-            samples=64, seed=119, check_multiplicative=False,
-        )
-        assert report.multiplicative_max is None
-        assert "multiplicative_max" not in report.maxima()
 
 
 def test_perturbation_recipe_roundtrip():
