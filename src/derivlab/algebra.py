@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import decode_complex, encode_complex
+from .encoding import decode_complex, document_field, encode_complex
 from .errors import ConstructionError, SpaceMismatchError
 from .sampling import generator
 
@@ -609,8 +609,9 @@ def algebra_to_dict(algebra: FiniteAlgebra) -> dict:
 
 def algebra_from_dict(doc: dict) -> FiniteAlgebra:
     """Rebuild an algebra from its document, re-running all certifications."""
-    structure = decode_complex(doc["structure"])
-    if structure.shape != (doc["dim"],) * 3:
+    what = "algebra document"
+    structure = decode_complex(document_field(doc, "structure", ConstructionError, what))
+    if structure.shape != (document_field(doc, "dim", ConstructionError, what),) * 3:
         raise ConstructionError("document dim does not match structure tensor")
     unit = decode_complex(doc["unit"]) if doc.get("unit") is not None else None
     return make_algebra(

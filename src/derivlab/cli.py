@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
+    Bimodule,
     FiniteAlgebra,
     LinearMap,
     algebra_from_dict,
@@ -46,12 +47,13 @@ from .derivation import (
     is_amenable,
     is_contractible,
 )
-from .encoding import decode_complex
-from .errors import DerivlabError
+from .encoding import decode_complex, document_field
+from .errors import ConstructionError, DerivlabError
 from .fixtures import get_algebra
 from .hyers import extract_additive, extract_triple, sampled_envelope, verify_stability_bound
 from .perturb import (
     PerturbationSpec,
+    PerturbedMaps,
     extend_with_annihilator,
     make_annihilator_perturbation,
     make_clamped_perturbation,
@@ -81,7 +83,6 @@ class ExperimentConfig:
     samples: int = 1000
     lambda_mode: str = "full"
     out: str | None = None
-    format: str = "json"
 
     def validate(self) -> None:
         for name in ("samples", "seed"):
@@ -98,8 +99,6 @@ class ExperimentConfig:
             raise DerivlabError(
                 f"unknown pipeline {self.pipeline!r}; choose from {PIPELINES}"
             )
-        if self.format not in ("json", "csv"):
-            raise DerivlabError("format must be json or csv")
         if self.lambda_mode not in ("full", "one-i"):
             raise DerivlabError("lambda-mode must be 'full' or 'one-i'")
         if self.samples < 1:
@@ -180,91 +179,95 @@ def _resolve_endomorphism(algebra: FiniteAlgebra, name: str) -> LinearMap:
                     continue
             raise DerivlabError("no invertible shear found")
         with open(arg, encoding="utf-8") as fh:
-            u = decode_complex(json.load(fh)["coords"])
-        return conjugation_map(algebra, u)
+            u = document_field(json.load(fh), "coords", ConstructionError, f"document {arg}")
+        return conjugation_map(algebra, decode_complex(u))
     if name.startswith("file:"):
-        with open(name.split(":", 1)[1], encoding="utf-8") as fh:
-            matrix = decode_complex(json.load(fh)["matrix"])
-        return LinearMap(matrix, algebra, algebra)
+        path = name.split(":", 1)[1]
+        with open(path, encoding="utf-8") as fh:
+            matrix = document_field(json.load(fh), "matrix", ConstructionError, f"document {path}")
+        return LinearMap(decode_complex(matrix), algebra, algebra)
     raise DerivlabError(
         f"unknown endomorphism {name!r}; use 'id', 'conjugation:shear', "
         "'conjugation:<coords.json>' or 'file:<matrix.json>'"
     )
 
 
-def _resolve_control(config: ExperimentConfig, fallback: ControlFunction) -> ControlFunction:
-    if config.control is None:
-        return fallback
-    return control_from_dict(config.control)
+@dataclass
+class PerturbedExperiment:
+    """The setup extract, hypotheses, roundtrip and sweep rows share: the
+    base derivation d0 is the first basis vector of the derivation space
+    (else zero) into the regular bimodule extended by one zero-action
+    direction; control is the requested one, else the maps' own."""
 
+    algebra: FiniteAlgebra
+    module: Bimodule
+    sigma: LinearMap
+    tau: LinearMap
+    d0: DerivationTriple
+    spec: PerturbationSpec
+    maps: PerturbedMaps
+    control: ControlFunction
 
-def _resolve_perturbation(config: ExperimentConfig) -> PerturbationSpec:
-    if config.perturbation is None:
-        return PerturbationSpec(mode="annihilator", epsilon=1e-3, seed=config.seed)
-    return PerturbationSpec.from_dict(config.perturbation)
+    @staticmethod
+    def perturbation(config: ExperimentConfig) -> PerturbationSpec:
+        """The configured perturbation, else annihilator noise of size 1e-3."""
+        if config.perturbation is None:
+            return PerturbationSpec(mode="annihilator", epsilon=1e-3, seed=config.seed)
+        return PerturbationSpec.from_dict(config.perturbation)
 
+    @classmethod
+    def build(cls, config: ExperimentConfig) -> "PerturbedExperiment":
+        algebra = _resolve_algebra(config.fixture)
+        module, ann_basis = extend_with_annihilator(regular_bimodule(algebra))
+        sigma = _resolve_endomorphism(algebra, config.sigma)
+        tau = _resolve_endomorphism(algebra, config.tau)
+        space = derivation_space(algebra, module, sigma, tau)
+        if space.dim > 0:
+            d = space.linear_map(0)
+        else:
+            d = LinearMap(np.zeros((module.dim, algebra.dim), dtype=complex), algebra, module)
+        d0 = DerivationTriple(d, sigma, tau)
+        spec = cls.perturbation(config)
+        if spec.mode == "annihilator":
+            maps = make_annihilator_perturbation(d0, spec, ann_basis)
+        else:
+            maps = make_clamped_perturbation(d0, spec)
+        control = maps.control if config.control is None else control_from_dict(config.control)
+        return cls(algebra, module, sigma, tau, d0, spec, maps, control)
 
-def _base_setup(config: ExperimentConfig):
-    """Fixture, extended module, endomorphisms and a seeded base derivation."""
-    algebra = _resolve_algebra(config.fixture)
-    module, ann_basis = extend_with_annihilator(regular_bimodule(algebra))
-    sigma = _resolve_endomorphism(algebra, config.sigma)
-    tau = _resolve_endomorphism(algebra, config.tau)
-    space = derivation_space(algebra, module, sigma, tau)
-    if space.dim > 0:
-        d0 = space.linear_map(0)
-    else:
-        d0 = LinearMap(
-            np.zeros((module.dim, algebra.dim), dtype=complex), algebra, module
-        )
-    return algebra, module, ann_basis, sigma, tau, DerivationTriple(d0, sigma, tau)
-
-
-def _perturbed(config: ExperimentConfig, triple, module, ann_basis):
-    spec = _resolve_perturbation(config)
-    if spec.mode == "annihilator":
-        return make_annihilator_perturbation(triple, spec, ann_basis), spec
-    return make_clamped_perturbation(triple, spec), spec
+    def outputs(self, **entries) -> dict:
+        """The report's perturbation and control entries plus the given ones."""
+        return {"perturbation": self.spec.to_dict(), "control": self.control.to_dict(),
+                **entries}
 
 
 def _pipeline_extract(config: ExperimentConfig) -> tuple[dict, int]:
-    algebra, module, ann_basis, sigma, tau, triple = _base_setup(config)
-    maps, spec = _perturbed(config, triple, module, ann_basis)
-    control = _resolve_control(config, maps.control)
+    exp = PerturbedExperiment.build(config)
+    maps = exp.maps
     # the generator's own control certifies the iteration; the requested
     # control is the envelope the stability bound is verified against
     # (the extracted limit is unique, so the choice cannot change it)
-    extraction = extract_triple(
-        maps.f, maps.g_sigma, maps.g_tau, maps.control, seed=config.seed
-    )
+    extraction = extract_triple(maps.f, maps.g_sigma, maps.g_tau, maps.control, seed=config.seed)
     stability = verify_stability_bound(
-        maps.f, extraction.d.limit, control, samples=config.samples, seed=config.seed
+        maps.f, extraction.d.limit, exp.control, samples=config.samples, seed=config.seed
     )
-    outputs = {
-        "perturbation": spec.to_dict(),
-        "control": control.to_dict(),
-        "extraction_control": maps.control.to_dict(),
-        "extraction": extraction.to_dict(),
-        "stability": stability.to_dict(),
-    }
+    outputs = exp.outputs(
+        extraction_control=maps.control.to_dict(),
+        extraction=extraction.to_dict(),
+        stability=stability.to_dict(),
+    )
     return outputs, EXIT_OK if stability.satisfied else EXIT_UNSATISFIED
 
 
 def _pipeline_hypotheses(config: ExperimentConfig) -> tuple[dict, int]:
-    algebra, module, ann_basis, sigma, tau, triple = _base_setup(config)
-    maps, spec = _perturbed(config, triple, module, ann_basis)
-    control = _resolve_control(config, maps.control)
+    exp = PerturbedExperiment.build(config)
     report = verify_hypotheses(
-        maps.f, maps.g_sigma, maps.g_tau, control,
+        exp.maps.f, exp.maps.g_sigma, exp.maps.g_tau, exp.control,
         lambda_mode=config.lambda_mode,
         samples=config.samples,
         seed=config.seed,
     )
-    outputs = {
-        "perturbation": spec.to_dict(),
-        "control": control.to_dict(),
-        "hypotheses": report.to_dict(),
-    }
+    outputs = exp.outputs(hypotheses=report.to_dict())
     return outputs, EXIT_OK if report.verdict == "satisfied" else EXIT_UNSATISFIED
 
 
@@ -281,18 +284,12 @@ def _pipeline_verdict(config: ExperimentConfig) -> tuple[dict, int]:
 
 
 def _pipeline_roundtrip(config: ExperimentConfig) -> tuple[dict, int]:
-    algebra, module, ann_basis, sigma, tau, triple = _base_setup(config)
-    maps, spec = _perturbed(config, triple, module, ann_basis)
-    control = _resolve_control(config, maps.control)
+    exp = PerturbedExperiment.build(config)
     result = approx_contractibility_roundtrip(
-        maps.f, control, algebra, module, sigma, tau,
+        exp.maps.f, exp.control, exp.algebra, exp.module, exp.sigma, exp.tau,
         samples=config.samples, seed=config.seed,
     )
-    outputs = {
-        "perturbation": spec.to_dict(),
-        "control": control.to_dict(),
-        "roundtrip": result.to_dict(),
-    }
+    outputs = exp.outputs(roundtrip=result.to_dict())
     return outputs, EXIT_OK if result.feasible else EXIT_UNSATISFIED
 
 
@@ -356,7 +353,7 @@ def sweep(template: ExperimentConfig, grid: dict[str, list]) -> str:
     base = json.loads(json.dumps(template.semantic_dict()))
     # materialize defaults so dotted overrides have a document to land in
     if base.get("perturbation") is None and any(k.startswith("perturbation.") for k in keys):
-        base["perturbation"] = _resolve_perturbation(template).to_dict()
+        base["perturbation"] = PerturbedExperiment.perturbation(template).to_dict()
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["config_hash", template.hash()])
@@ -388,13 +385,11 @@ def sweep(template: ExperimentConfig, grid: dict[str, list]) -> str:
 def _sweep_point(config: ExperimentConfig) -> tuple[dict, int]:
     """Extract once and summarize the bound on unit-norm samples."""
     config.validate()
-    algebra, module, ann_basis, sigma, tau, triple = _base_setup(config)
-    maps, _ = _perturbed(config, triple, module, ann_basis)
-    control = _resolve_control(config, maps.control)
-    report = extract_additive(maps.f, maps.control, seed=config.seed)
+    exp = PerturbedExperiment.build(config)
+    report = extract_additive(exp.maps.f, exp.maps.control, seed=config.seed)
     rng = generator(config.seed, "sweep-bound")
-    points = [sphere_point(algebra, rng, 1.0) for _ in range(config.samples)]
-    lhs, rhs = sampled_envelope(maps.f, report.limit, points, control)
+    points = [sphere_point(exp.algebra, rng, 1.0) for _ in range(config.samples)]
+    lhs, rhs = sampled_envelope(exp.maps.f, report.limit, points, exp.control)
     return {
         "max_error": float(np.max(lhs, initial=0.0)),
         "envelope": float(np.max(rhs, initial=0.0)),
@@ -435,7 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int)
         p.add_argument("--lambda-mode", choices=("full", "one-i"), dest="lambda_mode")
         p.add_argument("--out", help="report path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"))
 
     run_p = sub.add_parser("run", help="execute one pipeline")
     add_common(run_p)
@@ -469,7 +463,6 @@ def _config_from_args(args) -> ExperimentConfig:
     flag("samples")
     flag("lambda_mode")
     flag("out")
-    flag("format")
     if getattr(args, "perturb", None) is not None:
         doc["perturbation"] = json.loads(args.perturb)
     if args.seed is not None:
@@ -492,8 +485,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "run":
             config = _config_from_args(args)
-            if config.format == "csv":
-                raise DerivlabError("run reports are json; csv is for sweeps")
             record = run(config)
             write_report(record, config.out)
             print(f"wall_time={record.wall_time:.3f}s", file=sys.stderr)

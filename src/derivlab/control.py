@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .encoding import document_field, document_number
 from .errors import ControlError
 
 DEFAULT_TRUNCATION = 64
@@ -141,21 +142,14 @@ class ControlSum:
         }
 
 
-def _number(doc: dict, key: str) -> float:
-    if key not in doc:
-        raise ControlError(f"{doc['kind']} control document is missing {key!r}")
-    try:
-        return float(doc[key])
-    except TypeError:
-        raise ControlError(f"control {key!r} must be a number, got {doc[key]!r}") from None
-
-
 def control_from_dict(doc: dict) -> ControlFunction:
-    kind = doc.get("kind")
+    kind = document_field(doc, "kind", ControlError, "control document")
+    what = f"{kind} control document"
     if kind == "constant":
-        return constant_control(_number(doc, "alpha"))
+        return constant_control(document_number(doc, "alpha", ControlError, what))
     if kind == "pnorm":
-        return PNormControl(_number(doc, "alpha"), _number(doc, "beta"), _number(doc, "p"))
+        return PNormControl(*(document_number(doc, key, ControlError, what)
+                              for key in ("alpha", "beta", "p")))
     raise ControlError(f"unknown control kind {kind!r}")
 
 

@@ -5,9 +5,10 @@ killed by both module actions makes every product cross term vanish
 exactly, so the additivity and product-rule defects are globally certified
 by a constant budget rather than merely sampled. The clamped construction
 trades that certificate for arbitrary control shapes inside a bounded
-trust region, verified honestly by sampling; outside the safe regime the
-cross terms grow with the partner's norm, which is exactly the negative
-control the verifier is expected to flag.
+trust region; outside the safe regime the cross terms grow with the
+partner's norm, which is exactly the negative control the verifier is
+expected to flag. The constructors only build maps: verify_hypotheses
+samples the hypotheses, once, wherever a report reads them.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .algebra import Bimodule, module_annihilator
 from .control import ControlFunction, constant_control, control_from_dict
-from .encoding import encode_complex
+from .encoding import document_field, document_number, encode_complex
 from .errors import ConstructionError, PreconditionError
 from .hyers import LAMBDA_FULL, PointMap, lambda_grid
 from .sampling import SCALE_GRID, ball_point, generator, hashed_unit_floats
@@ -68,23 +69,19 @@ class PerturbationSpec:
     @staticmethod
     def from_dict(doc: dict) -> "PerturbationSpec":
         mode = doc.get("mode")
+        if mode not in ("annihilator", "clamped"):
+            raise ConstructionError(f"unknown perturbation mode {mode!r}")
+        what = f"{mode} perturbation document"
+
+        def number(key, default, integer=False):
+            return document_number(doc, key, ConstructionError, what, default, integer)
+
+        seed = number("seed", 0, integer=True)
         if mode == "annihilator":
-            return PerturbationSpec(
-                mode="annihilator",
-                epsilon=float(doc.get("epsilon", 0.0)),
-                seed=int(doc.get("seed", 0)),
-            )
-        if mode == "clamped":
-            if "control" not in doc:
-                raise ConstructionError("clamped perturbation document is missing 'control'")
-            return PerturbationSpec(
-                mode="clamped",
-                control=control_from_dict(doc["control"]),
-                region_radius=float(doc.get("region_radius", 1.0)),
-                cap=float(doc.get("cap", float("inf"))),
-                seed=int(doc.get("seed", 0)),
-            )
-        raise ConstructionError(f"unknown perturbation mode {mode!r}")
+            return PerturbationSpec(mode, epsilon=number("epsilon", 0.0), seed=seed)
+        control = control_from_dict(document_field(doc, "control", ConstructionError, what))
+        return PerturbationSpec(mode, control=control, region_radius=number("region_radius", 1.0),
+                                cap=number("cap", float("inf")), seed=seed)
 
 
 def _keyed_direction(seed: int, label: bytes, coords: np.ndarray, out_dim: int):
@@ -118,7 +115,6 @@ class PerturbedMaps:
     g_sigma: PointMap
     g_tau: PointMap
     control: ControlFunction
-    report: "HypothesisReport | None" = None
 
 
 def extend_with_annihilator(module: Bimodule, k: int = 1):
@@ -213,16 +209,16 @@ def _smooth_cutoff(t: float, radius: float) -> float:
     return s * s * (3.0 - 2.0 * s)
 
 
-def make_clamped_perturbation(d0, spec: PerturbationSpec, samples: int = 10000,
-                              seed: int | None = None):
+def make_clamped_perturbation(d0, spec: PerturbationSpec):
     """Perturb a derivation triple by region-limited noise.
 
     |eta(a)| <= min(phi(a, a) / 3, cap) inside the trust region, smoothly
     cut off at twice the region radius. Unlike the annihilator mode nothing
     cancels: the product cross terms eta(a).sigma(b) and tau(a).eta(b) grow
-    with the partner's norm, so the hypotheses are only verified by
-    sampling pairs inside the region and the report must be read, not
-    assumed. Oversized regions are expected to fail.
+    with the partner's norm, so phi is a budget to check, not a certificate.
+    This only builds the maps: verify_hypotheses checks them by sampling
+    (inside the region: SCALE_GRID stretched to end at the radius), and its
+    report must be read, not assumed. Oversized regions are expected to fail.
     """
     if spec.mode != "clamped":
         raise ConstructionError("spec mode must be 'clamped'")
@@ -250,15 +246,7 @@ def make_clamped_perturbation(d0, spec: PerturbationSpec, samples: int = 10000,
     f = PointMap(f_coords, algebra, module)
     g_sigma = PointMap.from_linear_map(d0.sigma)
     g_tau = PointMap.from_linear_map(d0.tau)
-    # sample inside the trust region: the scale grid stretched to end at it
-    region_scales = tuple(s * radius / max(SCALE_GRID) for s in SCALE_GRID)
-    report = verify_hypotheses(
-        f, g_sigma, g_tau, phi,
-        samples=samples,
-        seed=spec.seed if seed is None else seed,
-        scales=region_scales,
-    )
-    return PerturbedMaps(f, g_sigma, g_tau, phi, report)
+    return PerturbedMaps(f, g_sigma, g_tau, phi)
 
 
 @dataclass

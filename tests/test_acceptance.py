@@ -38,11 +38,12 @@ from derivlab import (
     scalar_homogeneity_certificate,
     sigma_endo_certificate,
     three_unimodular,
+    verify_hypotheses,
     verify_stability_bound,
 )
 from derivlab.algebra import regular_bimodule
 from derivlab.control import PNormControl, summed_control
-from derivlab.sampling import ball_point, generator
+from derivlab.sampling import SCALE_GRID, ball_point, generator
 
 from test_derivation import brute_force_derivation_dim, brute_force_inner_dim
 
@@ -251,16 +252,17 @@ def test_criterion_9_negative_controls():
     sid = identity_map(algebra)
     x = module.element(ball_point(module, generator(67, "x"), 1.0))
     triple = DerivationTriple(inner_derivation(module, sid, sid, x), sid, sid)
-    oversized = make_clamped_perturbation(
-        triple,
-        PerturbationSpec(
-            mode="clamped", control=constant_control(0.1), region_radius=64.0, seed=71
-        ),
-        samples=10000,
+    spec = PerturbationSpec(
+        mode="clamped", control=constant_control(0.1), region_radius=64.0, seed=71
     )
-    assert oversized.report.verdict == "violated"
-    assert oversized.report.witness is not None
-    assert oversized.report.witness.ratio > 1.0
+    maps = make_clamped_perturbation(triple, spec)
+    # sampled inside the trust region: the scale grid stretched to end at it
+    region_scales = tuple(s * spec.region_radius / max(SCALE_GRID) for s in SCALE_GRID)
+    oversized = verify_hypotheses(maps.f, maps.g_sigma, maps.g_tau, spec.control,
+                                  samples=10000, seed=spec.seed, scales=region_scales)
+    assert oversized.verdict == "violated"
+    assert oversized.witness is not None
+    assert oversized.witness.ratio > 1.0
 
     duals = get_algebra("dual-numbers")
     duals_mod, duals_ann = extend_with_annihilator(regular_bimodule(duals))

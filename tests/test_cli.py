@@ -154,13 +154,6 @@ class TestErrors:
         assert code == EXIT_ERROR
         assert "usage error" in capsys.readouterr().err
 
-    def test_csv_format_rejected_for_run(self, tmp_path):
-        code, _ = run_main(
-            tmp_path, "run", "--fixture", "matrix:2",
-            "--pipeline", "contractibility", "--format", "csv",
-        )
-        assert code == EXIT_ERROR
-
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fixture": "matrix:2", "mystery": 1}))
@@ -178,6 +171,24 @@ MALFORMED_CONFIGS = {
     "clamped without control": {"pipeline": "hypotheses",
                                 "perturbation": {"mode": "clamped", "region_radius": 1.0}},
     "numeric control": {"pipeline": "extract", "control": 5},
+    "null epsilon": {"pipeline": "extract",
+                     "perturbation": {"mode": "annihilator", "epsilon": None}},
+    "string epsilon": {"pipeline": "extract",
+                       "perturbation": {"mode": "annihilator", "epsilon": "0.01"}},
+    "boolean epsilon": {"pipeline": "extract",
+                        "perturbation": {"mode": "annihilator", "epsilon": True}},
+    "fractional perturbation seed": {"pipeline": "extract",
+                                     "perturbation": {"mode": "annihilator", "seed": 1.5}},
+    "boolean perturbation seed": {"pipeline": "extract",
+                                  "perturbation": {"mode": "annihilator", "seed": True}},
+    "null region radius": {"pipeline": "hypotheses",
+                           "perturbation": {"mode": "clamped", "region_radius": None,
+                                            "control": {"kind": "constant", "alpha": 0.1}}},
+    "string control alpha": {"pipeline": "extract",
+                             "control": {"kind": "constant", "alpha": "0.01"}},
+    "boolean control alpha": {"pipeline": "extract",
+                              "control": {"kind": "constant", "alpha": True}},
+    "format key": {"pipeline": "contractibility", "format": "json"},
 }
 
 
@@ -190,6 +201,51 @@ def test_malformed_config_is_one_error_line(tmp_path, capsys, doc):
     assert code == EXIT_ERROR
     assert len(err) == 1 and err[0].startswith("error:")
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--sigma", "conjugation:{}", "coords"),
+    ("--sigma", "file:{}", "matrix"),
+    ("--fixture", "{}", "structure"),
+])
+def test_document_without_its_key_is_one_error_line(tmp_path, capsys, flag, value, key):
+    from derivlab import algebra_to_dict, make_matrix_algebra
+
+    raw = algebra_to_dict(make_matrix_algebra(2))
+    del raw["structure"]
+    doc = tmp_path / "doc.json"
+    # an algebra document without structure lacks all three keys
+    doc.write_text(json.dumps({"algebra": raw}))
+    # a second --fixture flag replaces the first
+    code = main(["run", "--fixture", "matrix:2", "--pipeline", "contractibility",
+                 flag, value.format(doc)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_ERROR
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert f"missing {key!r}" in err[0]
+
+
+def test_clamped_pipelines_verify_hypotheses_once(monkeypatch):
+    import derivlab.cli
+    import derivlab.perturb
+
+    samples = []
+    verify = derivlab.perturb.verify_hypotheses
+
+    def counting(*args, **kwargs):
+        samples.append(kwargs["samples"])
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(derivlab.perturb, "verify_hypotheses", counting)
+    monkeypatch.setattr(derivlab.cli, "verify_hypotheses", counting)
+    clamped = {"mode": "clamped", "control": {"kind": "constant", "alpha": 0.1},
+               "region_radius": 1.0, "cap": 0.002, "seed": 3}
+    for pipeline, expected in (("extract", []), ("hypotheses", [50])):
+        samples.clear()
+        record = run(ExperimentConfig(fixture="matrix:2", pipeline=pipeline,
+                                      perturbation=clamped, samples=50, seed=3))
+        assert record.exit_code == EXIT_OK
+        assert samples == expected, pipeline
 
 
 class TestConfigPrecedence:
@@ -239,7 +295,7 @@ class TestDeterminism:
 
     def test_config_hash_ignores_output_routing(self):
         one = ExperimentConfig(fixture="matrix:2", out="x.json")
-        two = ExperimentConfig(fixture="matrix:2", out="y.json", format="json")
+        two = ExperimentConfig(fixture="matrix:2", out="y.json")
         assert one.hash() == two.hash()
 
     def test_different_seeds_change_extract_outputs(self, tmp_path):

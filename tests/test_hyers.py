@@ -311,12 +311,11 @@ class TestRestrictedLambdaMode:
 # --- the four consumers of sampled_envelope against per-point reference loops --
 
 def cli_maps(fixture, seed=7):
-    from derivlab.cli import ExperimentConfig, _base_setup, _perturbed
+    from derivlab.cli import ExperimentConfig, PerturbedExperiment
 
     config = ExperimentConfig(fixture=fixture, seed=seed)
-    algebra, module, ann_basis, sigma, tau, triple = _base_setup(config)
-    maps, _ = _perturbed(config, triple, module, ann_basis)
-    return config, algebra, module, sigma, tau, maps
+    exp = PerturbedExperiment.build(config)
+    return config, exp.algebra, exp.module, exp.sigma, exp.tau, exp.maps
 
 
 def reference_pair(f, limit, phi, coords):

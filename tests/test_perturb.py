@@ -21,7 +21,7 @@ from derivlab import (
     verify_hypotheses,
 )
 from derivlab.algebra import regular_bimodule
-from derivlab.sampling import ball_point, generator, hashed_unit_floats
+from derivlab.sampling import SCALE_GRID, ball_point, generator, hashed_unit_floats
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +38,14 @@ def annihilator_maps(setup, epsilon, seed=7):
     _, _, ann, _, triple = setup
     spec = PerturbationSpec(mode="annihilator", epsilon=epsilon, seed=seed)
     return make_annihilator_perturbation(triple, spec, ann)
+
+
+def region_report(maps, spec, samples):
+    """Hypotheses of clamped maps sampled inside the trust region: the
+    scale grid stretched to end at the region radius."""
+    scales = tuple(s * spec.region_radius / max(SCALE_GRID) for s in SCALE_GRID)
+    return verify_hypotheses(maps.f, maps.g_sigma, maps.g_tau, spec.control,
+                             samples=samples, seed=spec.seed, scales=scales)
 
 
 class TestAnnihilatorMode:
@@ -132,8 +140,8 @@ class TestClampedMode:
             mode="clamped", control=constant_control(0.1),
             region_radius=1.0, cap=0.002, seed=3,
         )
-        maps = make_clamped_perturbation(triple, spec, samples=10000)
-        assert maps.report.verdict == "satisfied"
+        report = region_report(make_clamped_perturbation(triple, spec), spec, 10000)
+        assert report.verdict == "satisfied"
 
     def test_oversized_region_violated_with_witness(self, setup):
         _, _, _, _, triple = setup
@@ -141,9 +149,9 @@ class TestClampedMode:
             mode="clamped", control=constant_control(0.1),
             region_radius=64.0, seed=3,
         )
-        maps = make_clamped_perturbation(triple, spec, samples=10000)
-        assert maps.report.verdict == "violated"
-        witness = maps.report.witness
+        report = region_report(make_clamped_perturbation(triple, spec), spec, 10000)
+        assert report.verdict == "violated"
+        witness = report.witness
         assert witness is not None
         assert witness.ratio > 1.0
         assert witness.equation == "product"
@@ -154,9 +162,9 @@ class TestClampedMode:
             mode="clamped", control=constant_control(0.1),
             region_radius=1.0, cap=0.0, seed=3,
         )
-        maps = make_clamped_perturbation(triple, spec, samples=500)
+        maps = make_clamped_perturbation(triple, spec)
         # only the base derivation's float dust remains
-        assert maps.report.worst_ratio() <= 1e-12
+        assert region_report(maps, spec, 500).worst_ratio() <= 1e-12
         rng = generator(107, "pts")
         p = ball_point(a, rng, 0.5)
         assert np.array_equal(maps.f.eval_coords(p), triple.d.apply_coords(p))
@@ -167,7 +175,7 @@ class TestClampedMode:
         spec = PerturbationSpec(
             mode="clamped", control=phi, region_radius=4.0, seed=5,
         )
-        maps = make_clamped_perturbation(triple, spec, samples=200)
+        maps = make_clamped_perturbation(triple, spec)
         rng = generator(109, "pts")
         for _ in range(200):
             p = ball_point(a, rng, 4.0)
