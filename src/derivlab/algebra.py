@@ -64,6 +64,20 @@ class _CoordinateSpace:
             return float(self.norm_weights @ np.abs(coords))
         return float(np.max(self.norm_weights * np.abs(coords)))
 
+    def norms(self, rows) -> np.ndarray:
+        """`norm` of each row of an [N, dim] coordinate array, bit for bit.
+
+        The l1 weights are applied as one stacked dot product per row, the
+        product `norm` computes; `abs(rows) @ weights` would be a matrix-vector
+        product whose blocked sums differ in the last bits.
+        """
+        mags = np.abs(np.asarray(rows))
+        if self.dim == 0:
+            return np.zeros(len(mags))
+        if self.norm_kind == "l1":
+            return (mags[:, None, :] @ self.norm_weights[:, None])[:, 0, 0]
+        return np.max(self.norm_weights * mags, axis=1)
+
     def element(self, coords):
         return self._element_cls(self, _as_complex(coords, "element coordinates"))
 
@@ -555,6 +569,12 @@ class LinearMap:
 
     def apply_coords(self, coords) -> np.ndarray:
         return self.matrix @ np.asarray(coords, dtype=complex)
+
+    def apply_rows(self, rows) -> np.ndarray:
+        """`apply_coords` of each row of an [N, n] array, bit for bit: one
+        stacked matrix-vector product per row, never `rows @ matrix.T`."""
+        rows = np.asarray(rows, dtype=complex)
+        return (self.matrix[None] @ rows[:, :, None])[:, :, 0]
 
     def operator_norm(self) -> float:
         """Norm induced by the weighted norms of domain and codomain.

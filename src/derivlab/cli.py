@@ -330,6 +330,9 @@ def _set_dotted(doc: dict, dotted: str, value) -> None:
         if node.get(key) is None:
             node[key] = {}
         node = node[key]
+        if not isinstance(node, dict):
+            raise DerivlabError(f"grid key {dotted!r} passes through {key!r}, which is "
+                                "not a JSON object")
     node[keys[-1]] = value
 
 
@@ -344,8 +347,15 @@ def sweep(template: ExperimentConfig, grid: dict[str, list]) -> str:
     and a status column.
     Rows that fail keep the sweep going and record the error.
     """
+    if not isinstance(grid, dict):
+        raise DerivlabError(f"sweep grid must be a JSON object, got {grid!r}")
     if not grid:
         raise DerivlabError("sweep needs a nonempty parameter grid")
+    for key, values in grid.items():
+        if key.split(".")[0] not in ExperimentConfig.__dataclass_fields__:
+            raise DerivlabError(f"unknown grid key {key!r}")
+        if not isinstance(values, list):
+            raise DerivlabError(f"grid values for {key!r} must be a list, got {values!r}")
     if template.pipeline != "extract":
         raise DerivlabError("sweep supports the extract pipeline")
     keys = sorted(grid)
@@ -447,7 +457,10 @@ def _config_from_args(args) -> ExperimentConfig:
     doc: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            doc.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise DerivlabError(f"config file {args.config} must hold a JSON object")
+        doc.update(loaded)
     doc.pop("sweep", None)
 
     def flag(name, parse=None):
@@ -496,7 +509,10 @@ def main(argv=None) -> int:
                 grid = json.loads(args.grid)
             elif args.config:
                 with open(args.config, encoding="utf-8") as fh:
-                    grid = json.load(fh).get("sweep", {}).get("grid")
+                    entry = json.load(fh).get("sweep") or {}
+                if not isinstance(entry, dict):
+                    raise DerivlabError("the config file's sweep entry must be a JSON object")
+                grid = entry.get("grid")
             if not grid:
                 raise DerivlabError(
                     "sweep needs --grid or a config file with a sweep.grid entry"

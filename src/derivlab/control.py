@@ -153,19 +153,25 @@ def control_from_dict(doc: dict) -> ControlFunction:
     raise ControlError(f"unknown control kind {kind!r}")
 
 
+def pnorm_sum(phi: PNormControl, norm_a: float, norm_b: float) -> float:
+    """The summed power-norm control at arguments with these norms, in
+    closed form: alpha + beta (|a|^p + |b|^p) / (2 - 2^p)."""
+    if phi.beta == 0.0:
+        return phi.alpha
+    s = _signed_power(norm_a, phi.p) + _signed_power(norm_b, phi.p)
+    return phi.alpha + phi.beta * s / (2.0 - 2.0**phi.p)
+
+
 def summed_control(phi: ControlFunction, a, b) -> ControlSum:
     """The doubling-series sum (1/2) sum 2^{-n} phi(2^n a, 2^n b).
 
-    Power-norm controls evaluate in closed form,
-    alpha + beta (|a|^p + |b|^p) / (2 - 2^p); tabulated controls are summed
-    to DEFAULT_TRUNCATION terms with a geometric tail bound from the
-    asserted growth exponent.
+    Power-norm controls evaluate in closed form (pnorm_sum); tabulated
+    controls are summed to DEFAULT_TRUNCATION terms with a geometric tail
+    bound from the asserted growth exponent. When b is a, each term passes
+    one scaled element as both arguments.
     """
     if isinstance(phi, PNormControl):
-        if phi.beta == 0.0:
-            return ControlSum(phi.alpha, None, 0.0)
-        s = _signed_power(a.norm(), phi.p) + _signed_power(b.norm(), phi.p)
-        return ControlSum(phi.alpha + phi.beta * s / (2.0 - 2.0**phi.p), None, 0.0)
+        return ControlSum(pnorm_sum(phi, a.norm(), b.norm()), None, 0.0)
     if not isinstance(phi, TabulatedControl):
         raise ControlError(f"unsupported control type {type(phi).__name__}")
     q = phi.growth_exponent
@@ -174,7 +180,8 @@ def summed_control(phi: ControlFunction, a, b) -> ControlSum:
     partials = []
     growth_scale = 0.0
     for n in range(DEFAULT_TRUNCATION):
-        value = phi.evaluate(2.0**n * a, 2.0**n * b)
+        point = 2.0**n * a
+        value = phi.evaluate(point, point if b is a else 2.0**n * b)
         partials.append(0.5 * 2.0**-n * value)
         growth_scale = max(growth_scale, value / 2.0 ** (n * q))
     tail = (0.5 * growth_scale * 2.0 ** (-DEFAULT_TRUNCATION * (1.0 - q))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LinearMap, _CoordinateSpace, _SpaceElement
-from .control import ControlFunction, ControlTail, summed_control
+from .control import ControlFunction, ControlTail, PNormControl, pnorm_sum, summed_control
 from .encoding import encode_complex
 from .errors import ConstructionError, ConvergenceError, PreconditionError, SpaceMismatchError
 from .sampling import ball_point, ball_points, generator
@@ -46,64 +46,99 @@ def lambda_grid(mode: str) -> np.ndarray:
     raise ValueError(f"unknown lambda mode {mode!r}")
 
 
+def _checked(out, shape) -> np.ndarray:
+    if not np.all(np.isfinite(out)):
+        raise ConstructionError("map value contains non-finite entries")
+    if np.shape(out) != shape:
+        raise SpaceMismatchError(f"map value shape {np.shape(out)} does not match {shape}")
+    return out
+
+
 class PointMap:
     """Black-box evaluable map between coordinate spaces, fixing 0.
 
-    Wraps a deterministic function from domain coordinate arrays to
-    codomain coordinate arrays; no element objects are built on the way.
-    Every result is checked once: a wrong length raises SpaceMismatchError
-    and a non-finite entry ConstructionError. The zero condition is checked
-    once at construction. `eval` and `__call__` are the element facade.
+    A map has one evaluation path, `eval_rows`, from [N, n] domain
+    coordinate rows to [N, m] codomain rows; no element objects are built on
+    the way. `PointMap(func, domain, codomain)` wraps a function of one
+    coordinate array and loops it over the rows; `from_rows` wraps a
+    function of all rows at once, which must give each row the bits the
+    one-row call gives it. Every result is checked: a non-finite entry
+    raises ConstructionError and a wrong shape SpaceMismatchError. The zero
+    condition is checked once at construction. `eval_coords` is the one-row
+    case and `eval`/`__call__` the element facade.
     """
 
-    __slots__ = ("func", "domain", "codomain")
+    __slots__ = ("func", "_rows", "domain", "codomain")
 
     def __init__(self, func, domain: _CoordinateSpace, codomain: _CoordinateSpace):
+        shape = (codomain.dim,)
+
+        def looped(rows):
+            out = np.empty((len(rows), codomain.dim), dtype=complex)
+            for k, coords in enumerate(rows):
+                out[k] = _checked(func(coords), shape)
+            return out
+
+        self._bind(func, looped, domain, codomain)
+
+    @classmethod
+    def from_rows(cls, rows, domain: _CoordinateSpace,
+                  codomain: _CoordinateSpace) -> "PointMap":
+        """A map given by a function of [N, n] coordinate rows."""
+        pmap = cls.__new__(cls)
+        pmap._bind(lambda coords: rows(np.asarray(coords, dtype=complex)[None])[0],
+                   rows, domain, codomain)
+        return pmap
+
+    @classmethod
+    def from_linear_map(cls, lin: LinearMap) -> "PointMap":
+        return cls.from_rows(lin.apply_rows, lin.domain, lin.codomain)
+
+    def _bind(self, func, rows, domain, codomain) -> None:
         self.func = func
+        self._rows = rows
         self.domain = domain
         self.codomain = codomain
-        out = self._checked(func(np.zeros(domain.dim, dtype=complex)))
+        out = self.eval_rows(np.zeros((1, domain.dim), dtype=complex))
         if not np.all(out == 0.0):
             raise PreconditionError("map does not fix 0 exactly")
 
-    def _checked(self, out) -> np.ndarray:
-        if not np.all(np.isfinite(out)):
-            raise ConstructionError("map value contains non-finite entries")
-        if np.shape(out) != (self.codomain.dim,):
-            raise SpaceMismatchError(
-                f"map value shape {np.shape(out)} does not match dim {self.codomain.dim}"
-            )
-        return out
+    def eval_rows(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=complex)
+        return _checked(self._rows(rows), (len(rows), self.codomain.dim))
 
     def eval_coords(self, coords) -> np.ndarray:
-        return self._checked(self.func(np.asarray(coords, dtype=complex)))
+        return self.eval_rows(np.asarray(coords, dtype=complex)[None])[0]
 
     def eval(self, elt: _SpaceElement) -> _SpaceElement:
         return self.codomain.element(self.eval_coords(elt.coords))
 
     __call__ = eval
 
-    @classmethod
-    def from_linear_map(cls, lin: LinearMap) -> "PointMap":
-        return cls(lin.apply_coords, lin.domain, lin.codomain)
+
+def _as_rows(space: _CoordinateSpace, points) -> np.ndarray:
+    return np.asarray(points, dtype=complex).reshape(len(points), space.dim)
 
 
 def sampled_envelope(pmap: PointMap, limit: LinearMap, points,
                      phi: ControlFunction | None = None):
     """Arrays of |f(a) - d(a)| and, when phi is given, of the summed control
     at (a, a) over the caller's points (None without phi). Callers draw the
-    points and keep their own reduction.
+    points and keep their own reduction. All points are evaluated at once;
+    a power-norm control reads the row norms, a tabulated one is summed
+    point by point.
     """
-    codomain = pmap.codomain
-    deviations = np.array(
-        [codomain.norm(pmap.eval_coords(c) - limit.apply_coords(c)) for c in points],
-        dtype=float,
-    )
+    rows = _as_rows(pmap.domain, points)
+    deviations = pmap.codomain.norms(pmap.eval_rows(rows) - limit.apply_rows(rows))
     if phi is None:
         return deviations, None
-    elements = [pmap.domain.element(c) for c in points]
-    controls = np.array([summed_control(phi, e, e).upper for e in elements], dtype=float)
-    return deviations, controls
+    if isinstance(phi, PNormControl):
+        norms = pmap.domain.norms(rows).tolist()
+        controls = [pnorm_sum(phi, t, t) for t in norms]
+    else:
+        elements = [pmap.domain.element(c) for c in rows]
+        controls = [summed_control(phi, e, e).upper for e in elements]
+    return deviations, np.array(controls, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -138,35 +173,58 @@ class ExtractionReport:
         }
 
 
-def _pointwise_limit(pmap: PointMap, coords: np.ndarray, phi: ControlFunction,
-                     max_n: int, tol: float):
-    """Iterate the doubling sequence at one point.
-
-    Returns (limit coords, iterations, final delta, certified tail).
-
-    The binding stop rule is the a-priori series tail at or below tol: for
-    a controlled map it rigorously bounds the distance to the limit. A
-    step delta of exactly zero is accepted as well (a map that is linear
-    along the doubling orbit is its own limit after one step). A small but
-    nonzero delta proves nothing, since the defect magnitude fluctuates,
-    so it never stops the iteration by itself.
-    """
-    certificate = ControlTail(phi, pmap.domain.element(coords))
-    current = pmap.eval_coords(coords)
-    delta = np.inf
-    tail = certificate.after(0)
-    for n in range(1, max_n + 1):
-        nxt = pmap.eval_coords(2.0**n * coords) / 2.0**n
-        delta = pmap.codomain.norm(nxt - current)
-        current = nxt
-        tail = certificate.after(n)
-        if tail <= tol or delta == 0.0:
-            return current, n, delta, tail
-    raise ConvergenceError(
+def _not_converged(max_n: int, delta: float, tail: float) -> ConvergenceError:
+    return ConvergenceError(
         f"doubling iteration did not converge in {max_n} steps "
         f"(delta={delta:.3e}, tail={tail:.3e})",
         diagnostics={"iterations": max_n, "delta": float(delta), "tail": float(tail)},
     )
+
+
+def _pointwise_limits(pmap: PointMap, rows: np.ndarray, phi: ControlFunction,
+                      max_n: int, tol: float):
+    """Iterate the doubling sequence at every row at once.
+
+    Returns arrays (limits, iterations, final deltas, certified tails,
+    converged). Each row stops on its own rule with its own ControlTail:
+    the a-priori series tail at or below tol, which for a controlled map
+    rigorously bounds the distance to the limit, or a step delta of
+    exactly zero (a map that is linear along the doubling orbit is its own
+    limit after one step). A small but nonzero delta proves nothing, since
+    the defect magnitude fluctuates, so it never stops a row by itself. A
+    row that reaches max_n unconverged keeps its last delta and tail.
+    """
+    certificates = [ControlTail(phi, pmap.domain.element(c)) for c in rows]
+    limits = pmap.eval_rows(rows)
+    count = len(rows)
+    iterations = np.full(count, max_n)
+    deltas = np.full(count, np.inf)
+    tails = np.array([c.after(0) for c in certificates], dtype=float)
+    converged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    for n in range(1, max_n + 1):
+        if not len(active):
+            break
+        nxt = pmap.eval_rows(2.0**n * rows[active]) / 2.0**n
+        deltas[active] = pmap.codomain.norms(nxt - limits[active])
+        limits[active] = nxt
+        tails[active] = [certificates[r].after(n) for r in active]
+        stop = (tails[active] <= tol) | (deltas[active] == 0.0)
+        iterations[active[stop]] = n
+        converged[active[stop]] = True
+        active = active[~stop]
+    return limits, iterations, deltas, tails, converged
+
+
+def _pointwise_limit(pmap: PointMap, coords: np.ndarray, phi: ControlFunction,
+                     max_n: int, tol: float):
+    """One row of _pointwise_limits: (limit coords, iterations, final delta,
+    certified tail), or ConvergenceError with the diagnostics at max_n."""
+    limits, iterations, deltas, tails, converged = _pointwise_limits(
+        pmap, np.asarray(coords, dtype=complex)[None], phi, max_n, tol)
+    if not converged[0]:
+        raise _not_converged(max_n, deltas[0], tails[0])
+    return limits[0], int(iterations[0]), float(deltas[0]), float(tails[0])
 
 
 def extract_additive(pmap: PointMap, phi: ControlFunction,
@@ -185,33 +243,39 @@ def extract_additive(pmap: PointMap, phi: ControlFunction,
     must be additive and agree with the matrix to 10 * tol (this guards
     against inputs whose defect is not actually controlled), and sampled
     points are recorded as (point, |f(a) - d(a)|, summed control) triples.
+    The pairs are drawn first, and the basis orbits and the orbits of
+    a, b and a + b for each pair run in one doubling loop; the checks then
+    read the rows in the order of one orbit after another.
     """
     domain, codomain = pmap.domain, pmap.codomain
     n_dim = domain.dim
-    columns = np.zeros((codomain.dim, n_dim), dtype=complex)
-    iterations, deltas, tails = [], [], []
-    for i in range(n_dim):
-        basis = domain.basis_element(i)
-        limit, its, delta, tail = _pointwise_limit(pmap, basis.coords, phi, max_n, tol)
-        columns[:, i] = limit
-        iterations.append(its)
-        deltas.append(float(delta))
-        tails.append(float(tail))
-    limit_map = LinearMap(columns, domain, codomain)
-
     rng = generator(seed, "extract-additivity")
+    pairs = []
     for _ in range(ADDITIVITY_PAIRS):
         a = ball_point(domain, rng, 1.0)
         b = ball_point(domain, rng, 1.0)
-        la, _, _, _ = _pointwise_limit(pmap, a, phi, max_n, tol)
-        lb, _, _, _ = _pointwise_limit(pmap, b, phi, max_n, tol)
-        lab, _, _, _ = _pointwise_limit(pmap, a + b, phi, max_n, tol)
+        pairs += [a, b, a + b]
+    rows = np.vstack([np.eye(n_dim, dtype=complex), _as_rows(domain, pairs)])
+    limits, iterations, deltas, tails, converged = _pointwise_limits(
+        pmap, rows, phi, max_n, tol)
+
+    def limit_at(r):
+        if not converged[r]:
+            raise _not_converged(max_n, deltas[r], tails[r])
+        return limits[r]
+
+    for i in range(n_dim):
+        limit_at(i)
+    limit_map = LinearMap(np.ascontiguousarray(limits[:n_dim].T), domain, codomain)
+
+    for k in range(ADDITIVITY_PAIRS):
+        la, lb, lab = (limit_at(n_dim + 3 * k + j) for j in range(3))
         if codomain.norm(lab - la - lb) > 10.0 * tol:
             raise ConvergenceError(
                 "pointwise limits are not additive; the defect of the input "
                 "map is not controlled by the declared control function"
             )
-        if codomain.norm(la - limit_map.apply_coords(a)) > 10.0 * tol:
+        if codomain.norm(la - limit_map.apply_coords(pairs[3 * k])) > 10.0 * tol:
             raise ConvergenceError(
                 "pointwise limit disagrees with the assembled matrix"
             )
@@ -220,7 +284,8 @@ def extract_additive(pmap: PointMap, phi: ControlFunction,
     lhs, rhs = sampled_envelope(pmap, limit_map, points, phi)
     samples = [BoundCheckSample(c, float(l), float(r)) for c, l, r in zip(points, lhs, rhs)]
     bound_ok = not np.any(lhs > rhs + 1e-9 * (1.0 + rhs))
-    return ExtractionReport(limit_map, iterations, deltas, tails, samples, bound_ok)
+    return ExtractionReport(limit_map, iterations[:n_dim].tolist(), deltas[:n_dim].tolist(),
+                            tails[:n_dim].tolist(), samples, bound_ok)
 
 
 @dataclass

@@ -225,6 +225,34 @@ def test_document_without_its_key_is_one_error_line(tmp_path, capsys, flag, valu
     assert f"missing {key!r}" in err[0]
 
 
+MALFORMED_GRIDS = {
+    "value not a list": '{"perturbation.epsilon": 0.1}',
+    "dotted key through a number": '{"perturbation.epsilon.x": [0.1]}',
+    "grid not an object": "[1]",
+    "unknown key": '{"foo": [1]}',
+}
+
+
+@pytest.mark.parametrize("grid", MALFORMED_GRIDS.values(), ids=MALFORMED_GRIDS.keys())
+def test_malformed_sweep_grid_is_one_error_line(capsys, grid):
+    code = main(["sweep", "--fixture", "matrix:2", "--samples", "5", "--grid", grid])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == EXIT_ERROR
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_config_file_that_is_not_an_object_is_one_error_line(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code = main([command, "--config", str(cfg)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_ERROR
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_clamped_pipelines_verify_hypotheses_once(monkeypatch):
     import derivlab.cli
     import derivlab.perturb
