@@ -81,6 +81,12 @@ class _CoordinateSpace:
     def element(self, coords):
         return self._element_cls(self, _as_complex(coords, "element coordinates"))
 
+    def view_element(self, coords):
+        """Element over a coordinate row, sharing its memory (the row view is
+        made read-only) and, like element arithmetic, not checked for
+        finiteness."""
+        return self._element_cls(self, coords)
+
     def basis_element(self, index: int):
         coords = np.zeros(self.dim, dtype=complex)
         coords[index] = 1.0

@@ -10,11 +10,19 @@ which the power-norm family admits in closed form and which tabulated
 controls approximate by a certified truncation.
 `ControlTail` streams the remainder after n doublings along one orbit: one
 pass over phi certifies the whole direct-method iteration.
+
+phi and the sums are evaluated on [N, dim] coordinate rows (`phi_rows`,
+`summed_control_rows`, `diagonal_terms`); a power-norm control reads the
+row norms, any other control is called once per row. The element forms
+(`evaluate`, `summed_control`, `ControlTail`) are their one-row cases.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .encoding import document_field, document_number
 from .errors import ControlError
@@ -64,11 +72,29 @@ class PNormControl(ControlFunction):
         return "constant" if self.beta == 0.0 else "pnorm"
 
     def evaluate(self, a, b) -> float:
+        return float(self.at_norms(a.norm(), b.norm()))
+
+    def at_norms(self, ta, tb, summed: bool = False):
+        """phi at arguments with norms ta and tb, elementwise over arrays of
+        norms; with summed, the doubling-series sum in closed form,
+        alpha + beta (|a|^p + |b|^p) / (2 - 2^p).
+
+        Each power is a Python float power: numpy's vectorized power rounds
+        differently in the last bit.
+        """
         if self.beta == 0.0:
-            return self.alpha
-        return self.alpha + self.beta * (
-            _signed_power(a.norm(), self.p) + _signed_power(b.norm(), self.p)
-        )
+            return np.full(np.broadcast_shapes(np.shape(ta), np.shape(tb)), self.alpha)
+
+        def powers(t):
+            t = np.asarray(t, dtype=float)
+            flat = [_signed_power(x, self.p) for x in t.ravel().tolist()]
+            return np.array(flat).reshape(t.shape)
+
+        pa = powers(ta)
+        budget = self.beta * (pa + (pa if tb is ta else powers(tb)))
+        if summed:
+            budget = budget / (2.0 - 2.0**self.p)
+        return self.alpha + budget
 
     def to_dict(self) -> dict:
         if self.beta == 0.0:
@@ -106,7 +132,10 @@ class TabulatedControl(ControlFunction):
 
     def evaluate(self, a, b) -> float:
         value = self.func(a, b)
-        if not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0.0:
+        # any real number but a bool; float first, as the abstract check is slow
+        real = type(value) is float or (
+            not isinstance(value, bool) and isinstance(value, numbers.Real))
+        if not real or not math.isfinite(value) or value < 0.0:
             raise ControlError(f"control callback returned invalid value {value!r}")
         return float(value)
 
@@ -153,47 +182,98 @@ def control_from_dict(doc: dict) -> ControlFunction:
     raise ControlError(f"unknown control kind {kind!r}")
 
 
-def pnorm_sum(phi: PNormControl, norm_a: float, norm_b: float) -> float:
-    """The summed power-norm control at arguments with these norms, in
-    closed form: alpha + beta (|a|^p + |b|^p) / (2 - 2^p)."""
-    if phi.beta == 0.0:
-        return phi.alpha
-    s = _signed_power(norm_a, phi.p) + _signed_power(norm_b, phi.p)
-    return phi.alpha + phi.beta * s / (2.0 - 2.0**phi.p)
+def phi_rows(phi: ControlFunction, space, a_rows, b_rows) -> np.ndarray:
+    """phi(a_k, b_k) for the rows of two [N, dim] coordinate arrays.
 
-
-def summed_control(phi: ControlFunction, a, b) -> ControlSum:
-    """The doubling-series sum (1/2) sum 2^{-n} phi(2^n a, 2^n b).
-
-    Power-norm controls evaluate in closed form (pnorm_sum); tabulated
-    controls are summed to DEFAULT_TRUNCATION terms with a geometric tail
-    bound from the asserted growth exponent. When b is a, each term passes
-    one scaled element as both arguments.
+    A power-norm control reads the row norms (PNormControl.at_norms); any
+    other control is called once per row, in row order, on elements viewing
+    the rows. When b_rows is a_rows one element serves as both arguments.
     """
+    diagonal = b_rows is a_rows
     if isinstance(phi, PNormControl):
-        return ControlSum(pnorm_sum(phi, a.norm(), b.norm()), None, 0.0)
+        ta = space.norms(a_rows)
+        return phi.at_norms(ta, ta if diagonal else space.norms(b_rows))
+    out = np.empty(len(a_rows))
+    for k in range(len(a_rows)):
+        a = space.view_element(a_rows[k])
+        out[k] = phi.evaluate(a, a if diagonal else space.view_element(b_rows[k]))
+    return out
+
+
+# 2^n and the series weight (1/2) 2^{-n} of each truncated term
+_DOUBLINGS = np.array([2.0**n for n in range(DEFAULT_TRUNCATION)])
+_TERM_WEIGHTS = np.array([0.5 * 2.0**-n for n in range(DEFAULT_TRUNCATION)])
+
+
+def summed_control_rows(phi: ControlFunction, space, a_rows, b_rows):
+    """The doubling-series sum (1/2) sum 2^{-n} phi(2^n a, 2^n b) at each pair
+    of rows: (values, tail bounds), the tail bounds None in closed form.
+
+    Power-norm controls evaluate in closed form from the row norms;
+    tabulated controls are summed to DEFAULT_TRUNCATION terms, one table
+    of the scaled rows 2^n a per row, with a geometric tail bound from the
+    asserted growth exponent.
+    """
+    diagonal = b_rows is a_rows
+    if isinstance(phi, PNormControl):
+        ta = space.norms(a_rows)
+        return phi.at_norms(ta, ta if diagonal else space.norms(b_rows), summed=True), None
     if not isinstance(phi, TabulatedControl):
         raise ControlError(f"unsupported control type {type(phi).__name__}")
     q = phi.growth_exponent
     if q >= 1.0:
         raise ControlError("growth exponent q >= 1: the doubling series diverges")
-    partials = []
-    growth_scale = 0.0
-    for n in range(DEFAULT_TRUNCATION):
-        point = 2.0**n * a
-        value = phi.evaluate(point, point if b is a else 2.0**n * b)
-        partials.append(0.5 * 2.0**-n * value)
-        growth_scale = max(growth_scale, value / 2.0 ** (n * q))
-    tail = (0.5 * growth_scale * 2.0 ** (-DEFAULT_TRUNCATION * (1.0 - q))
-            / (1.0 - 2.0 ** (q - 1.0)))
-    return ControlSum(math.fsum(partials), DEFAULT_TRUNCATION, tail)
+    growth_steps = [2.0 ** (n * q) for n in range(DEFAULT_TRUNCATION)]
+    if 0.0 in growth_steps:
+        raise _tail_underflow(q)
+    values = np.empty((len(a_rows), DEFAULT_TRUNCATION))
+    for k in range(len(a_rows)):
+        table = _DOUBLINGS[:, None] * a_rows[k]
+        values[k] = phi_rows(phi, space, table,
+                             table if diagonal else _DOUBLINGS[:, None] * b_rows[k])
+    sums = np.array([math.fsum(row) for row in (_TERM_WEIGHTS * values).tolist()])
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = np.array([max(0.0, m) for m in (values / growth_steps).max(axis=1).tolist()])
+        tails = (0.5 * growth * 2.0 ** (-DEFAULT_TRUNCATION * (1.0 - q))
+                 / (1.0 - 2.0 ** (q - 1.0)))
+    if not np.all(np.isfinite(tails)):
+        # value / 2^(n q) overflowed: an inf growth scale times a tail factor
+        # that underflowed to 0 gives nan, which no bound check would flag
+        raise _tail_underflow(q)
+    return sums, tails
+
+
+def _tail_underflow(q: float) -> ControlError:
+    return ControlError(f"growth exponent {q} is too negative for the tail bound: "
+                        f"2^(n q) underflows over {DEFAULT_TRUNCATION} terms")
+
+
+def summed_control(phi: ControlFunction, a, b) -> ControlSum:
+    """The summed control at one pair of elements: the one-row case of
+    summed_control_rows."""
+    rows = a.coords[None]
+    values, tails = summed_control_rows(phi, a.space, rows, rows if b is a else b.coords[None])
+    if tails is None:
+        return ControlSum(float(values[0]), None, 0.0)
+    return ControlSum(float(values[0]), DEFAULT_TRUNCATION, float(tails[0]))
+
+
+def diagonal_terms(phi: ControlFunction, space, rows, k: int) -> np.ndarray:
+    """Term k of the doubling series, (1/2) 2^{-k} phi(r, r), at each row r
+    of an [N, dim] array that already holds the scaled points 2^k a."""
+    return 0.5 * 2.0**-k * phi_rows(phi, space, rows, rows)
 
 
 def _diagonal_term(phi: ControlFunction, a, k: int) -> float:
-    # both arguments are 2^k a: one element serves both, and the k = 0 term
-    # is a itself, so the streamed tail builds one element per doubling
-    point = a if k == 0 else 2.0**k * a
-    return 0.5 * 2.0**-k * phi.evaluate(point, point)
+    # the k = 0 term is a itself; later terms scale it, as the doubling loop does
+    point = a.coords if k == 0 else 2.0**k * a.coords
+    return float(diagonal_terms(phi, a.space, point[None], k)[0])
+
+
+def series_remainder(upper: float, terms) -> float:
+    """The summed control's upper bound less the fsum of the first terms,
+    floored at 0: the certified tail after len(terms) doublings."""
+    return max(upper - math.fsum(terms), 0.0)
 
 
 def partial_sum_bound(phi: ControlFunction, a, n: int) -> float:
@@ -229,7 +309,7 @@ class ControlTail:
             return self.upper
         while len(self._terms) < n:
             self._terms.append(_diagonal_term(self.phi, self.a, len(self._terms)))
-        return max(self.upper - math.fsum(self._terms[:n]), 0.0)
+        return series_remainder(self.upper, self._terms[:n])
 
 
 def summed_control_tail(phi: ControlFunction, a, n: int) -> float:

@@ -30,7 +30,7 @@ from .algebra import (
 from .control import ControlFunction
 from .encoding import encode_complex
 from .errors import PreconditionError, SpaceMismatchError
-from .sampling import SCALE_GRID, ball_point, ball_points, generator
+from .sampling import SCALE_GRID, ball_point, ball_points, ball_rows, generator
 
 SVD_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
@@ -487,9 +487,7 @@ def approx_contractibility_roundtrip(approx_map, phi: ControlFunction,
     # and scaled back, stays at the solve residual (exact for linear maps)
     scale = 2.0**40
     scaling_residual = 0.0
-    rng = generator(seed, "roundtrip-scaling")
-    for _ in range(16):
-        coords = ball_point(algebra, rng, 1.0)
+    for coords in ball_rows(algebra, generator(seed, "roundtrip-scaling"), np.ones(16)):
         value = module.norm(
             d_x.apply_coords(scale * coords) - d.apply_coords(scale * coords)
         ) / scale

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import LinearMap, _CoordinateSpace, _SpaceElement
-from .control import ControlFunction, ControlTail, PNormControl, pnorm_sum, summed_control
+from .control import ControlFunction, diagonal_terms, series_remainder, summed_control_rows
 from .encoding import encode_complex
 from .errors import ConstructionError, ConvergenceError, PreconditionError, SpaceMismatchError
-from .sampling import ball_point, ball_points, generator
+from .sampling import ball_points, ball_rows, generator
 from .scalar import unit_circle_grid
 
 DEFAULT_MAX_DOUBLINGS = 48
@@ -125,20 +125,15 @@ def sampled_envelope(pmap: PointMap, limit: LinearMap, points,
     """Arrays of |f(a) - d(a)| and, when phi is given, of the summed control
     at (a, a) over the caller's points (None without phi). Callers draw the
     points and keep their own reduction. All points are evaluated at once;
-    a power-norm control reads the row norms, a tabulated one is summed
-    point by point.
+    the control is the closed-form value or the truncated sum plus its tail
+    bound (summed_control_rows).
     """
     rows = _as_rows(pmap.domain, points)
     deviations = pmap.codomain.norms(pmap.eval_rows(rows) - limit.apply_rows(rows))
     if phi is None:
         return deviations, None
-    if isinstance(phi, PNormControl):
-        norms = pmap.domain.norms(rows).tolist()
-        controls = [pnorm_sum(phi, t, t) for t in norms]
-    else:
-        elements = [pmap.domain.element(c) for c in rows]
-        controls = [summed_control(phi, e, e).upper for e in elements]
-    return deviations, np.array(controls, dtype=float)
+    values, tails = summed_control_rows(phi, pmap.domain, rows, rows)
+    return deviations, values if tails is None else values + tails
 
 
 @dataclass(frozen=True)
@@ -186,33 +181,45 @@ def _pointwise_limits(pmap: PointMap, rows: np.ndarray, phi: ControlFunction,
     """Iterate the doubling sequence at every row at once.
 
     Returns arrays (limits, iterations, final deltas, certified tails,
-    converged). Each row stops on its own rule with its own ControlTail:
-    the a-priori series tail at or below tol, which for a controlled map
-    rigorously bounds the distance to the limit, or a step delta of
-    exactly zero (a map that is linear along the doubling orbit is its own
-    limit after one step). A small but nonzero delta proves nothing, since
-    the defect magnitude fluctuates, so it never stops a row by itself. A
-    row that reaches max_n unconverged keeps its last delta and tail.
+    converged). Each row stops on its own rule: the a-priori series tail
+    at or below tol, which for a controlled map rigorously bounds the
+    distance to the limit, or a step delta of exactly zero (a map that is
+    linear along the doubling orbit is its own limit after one step). A
+    small but nonzero delta proves nothing, since the defect magnitude
+    fluctuates, so it never stops a row by itself. A row that reaches max_n
+    unconverged keeps its last delta and tail.
+
+    The tail after n doublings is ControlTail(phi, row).after(n): the
+    summed control's upper bound less the fsum of the first n series
+    terms, where term k is phi at the step-k rows the loop already builds.
     """
-    certificates = [ControlTail(phi, pmap.domain.element(c)) for c in rows]
+    domain = pmap.domain
+    values, bounds = summed_control_rows(phi, domain, rows, rows)
+    upper = (values + (0.0 if bounds is None else bounds)).tolist()  # ControlSum.upper
     limits = pmap.eval_rows(rows)
     count = len(rows)
     iterations = np.full(count, max_n)
     deltas = np.full(count, np.inf)
-    tails = np.array([c.after(0) for c in certificates], dtype=float)
+    tails = np.array(upper)
+    terms: list[list[float]] = [[] for _ in range(count)]
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)
+    previous = rows  # the active rows at the step before
     for n in range(1, max_n + 1):
         if not len(active):
             break
-        nxt = pmap.eval_rows(2.0**n * rows[active]) / 2.0**n
+        scaled = 2.0**n * rows[active]
+        nxt = pmap.eval_rows(scaled) / 2.0**n
         deltas[active] = pmap.codomain.norms(nxt - limits[active])
         limits[active] = nxt
-        tails[active] = [certificates[r].after(n) for r in active]
+        for r, term in zip(active.tolist(), diagonal_terms(phi, domain, previous, n - 1).tolist()):
+            terms[r].append(term)
+            tails[r] = series_remainder(upper[r], terms[r])
         stop = (tails[active] <= tol) | (deltas[active] == 0.0)
         iterations[active[stop]] = n
         converged[active[stop]] = True
         active = active[~stop]
+        previous = scaled[~stop]
     return limits, iterations, deltas, tails, converged
 
 
@@ -249,13 +256,10 @@ def extract_additive(pmap: PointMap, phi: ControlFunction,
     """
     domain, codomain = pmap.domain, pmap.codomain
     n_dim = domain.dim
-    rng = generator(seed, "extract-additivity")
-    pairs = []
-    for _ in range(ADDITIVITY_PAIRS):
-        a = ball_point(domain, rng, 1.0)
-        b = ball_point(domain, rng, 1.0)
-        pairs += [a, b, a + b]
-    rows = np.vstack([np.eye(n_dim, dtype=complex), _as_rows(domain, pairs)])
+    drawn = ball_rows(domain, generator(seed, "extract-additivity"), np.ones(2 * ADDITIVITY_PAIRS))
+    a, b = drawn[0::2], drawn[1::2]
+    pairs = np.stack([a, b, a + b], axis=1).reshape(3 * ADDITIVITY_PAIRS, n_dim)
+    rows = np.vstack([np.eye(n_dim, dtype=complex), pairs])
     limits, iterations, deltas, tails, converged = _pointwise_limits(
         pmap, rows, phi, max_n, tol)
 
@@ -325,13 +329,11 @@ def extract_triple(approx_d: PointMap, approx_sigma: PointMap, approx_tau: Point
     tau_report = extract_additive(approx_tau, phi, max_n, tol, seed=seed)
 
     triple = DerivationTriple(d_report.limit, sigma_report.limit, tau_report.limit)
-    rng = generator(seed, "triple-leibniz")
     domain = approx_d.domain
+    drawn = ball_rows(domain, generator(seed, "triple-leibniz"), np.ones(2 * LEIBNIZ_SAMPLES))
     worst = 0.0
-    for _ in range(LEIBNIZ_SAMPLES):
-        a = domain.element(ball_point(domain, rng, 1.0))
-        b = domain.element(ball_point(domain, rng, 1.0))
-        worst = max(worst, leibniz_residual(triple, a, b))
+    for a, b in zip(drawn[0::2], drawn[1::2]):
+        worst = max(worst, leibniz_residual(triple, domain.element(a), domain.element(b)))
     if worst > LEIBNIZ_TOL:
         raise ConvergenceError(
             f"extracted triple violates the product rule (residual {worst:.3e} "

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Bimodule, module_annihilator
-from .control import ControlFunction, constant_control, control_from_dict
+from .control import ControlFunction, constant_control, control_from_dict, phi_rows
 from .encoding import document_field, document_number, encode_complex
 from .errors import ConstructionError, PreconditionError
 from .hyers import LAMBDA_FULL, PointMap, lambda_grid
-from .sampling import SCALE_GRID, ball_point, generator, hashed_unit_floats
+from .sampling import SCALE_GRID, ball_rows, generator, hashed_unit_rows
 
 QUANT_GRID = 2.0**-20
 
@@ -99,8 +99,7 @@ def _keyed_directions(seed: int, label: bytes, rows: np.ndarray, out_dim: int):
     keyed = np.any(snapped != 0.0, axis=1) & (out_dim > 0)
     floats = np.zeros((len(rows), 2 * out_dim + 1))
     prefix = int(seed).to_bytes(8, "little", signed=True) + label
-    for r in np.flatnonzero(keyed):
-        floats[r] = hashed_unit_floats(prefix + snapped[r].tobytes(), 2 * out_dim + 1)
+    floats[keyed] = hashed_unit_rows(prefix, snapped[keyed], 2 * out_dim + 1)
     directions = (2.0 * floats[:, :out_dim] - 1.0) + 1j * (2.0 * floats[:, out_dim:-1] - 1.0)
     magnitudes = floats[:, -1] * (1.0 - 1e-12)
     directions[~keyed] = 0.0
@@ -242,12 +241,12 @@ def make_clamped_perturbation(d0, spec: PerturbationSpec):
 
     def f_rows(x):
         values = d_matrix.apply_rows(x)
+        cuts = np.array([_smooth_cutoff(t, radius) for t in algebra.norms(x).tolist()])
+        inside = np.flatnonzero(cuts > 0.0)
+        region = x[inside]
         budgets = np.zeros(len(x))
-        for r, t in enumerate(algebra.norms(x).tolist()):
-            cut = _smooth_cutoff(t, radius)
-            if cut > 0.0:
-                a = algebra.element(x[r])  # the control callback takes elements
-                budgets[r] = min(phi.evaluate(a, a) / 3.0, cap) * cut
+        budgets[inside] = np.minimum(phi_rows(phi, algebra, region, region) / 3.0, cap) \
+            * cuts[inside]
         noisy = np.flatnonzero(budgets > 0.0)
         coeffs, magnitudes = _keyed_directions(noise_seed, b"clamp", x[noisy], module.dim)
         _add_noise(module, values, noisy, budgets[noisy] * magnitudes, coeffs)
@@ -387,13 +386,9 @@ def verify_hypotheses(f: PointMap, g_sigma: PointMap, g_tau: PointMap,
         block = range(start, min(start + HYPOTHESIS_BLOCK, samples))
         scale = np.array([scales[k % len(scales)] for k in block], dtype=float)
         lam = np.array([lambdas[k % len(lambdas)] for k in block], dtype=complex)
-        a = np.empty((len(block), algebra.dim), dtype=complex)
-        b = np.empty_like(a)
-        budgets = np.empty(len(block))
-        for r, s in enumerate(scale.tolist()):
-            a[r] = ball_point(algebra, rng, s)
-            b[r] = ball_point(algebra, rng, s)
-            budgets[r] = phi.evaluate(algebra.element(a[r]), algebra.element(b[r]))
+        drawn = ball_rows(algebra, rng, np.repeat(scale, 2))
+        a, b = np.ascontiguousarray(drawn[0::2]), np.ascontiguousarray(drawn[1::2])
+        budgets = phi_rows(phi, algebra, a, b)
         dust = 1e-12 * (1.0 + scale) * (1.0 + scale)
         ratios = _defect_ratios(f, g_sigma, g_tau, a, b, lam, budgets, dust)
         for column, name in enumerate(FAMILIES):

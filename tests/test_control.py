@@ -69,6 +69,27 @@ class TestEvaluate:
         with pytest.raises(ControlError):
             phi.evaluate(A.zero(), A.zero())
 
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1.0", None, 1j])
+    def test_tabulated_rejects_non_real_budgets(self, value):
+        # a bool is an int, but True is not a budget of 1.0
+        phi = TabulatedControl(lambda a, b: value, 0.5)
+        with pytest.raises(ControlError, match="invalid value"):
+            phi.evaluate(A.zero(), A.zero())
+
+    @pytest.mark.parametrize("value", [np.float32(0.1), np.int64(2), np.float64(0.25), 3,
+                                       np.float16(0.5)])
+    def test_tabulated_accepts_numpy_reals(self, value):
+        phi = TabulatedControl(lambda a, b: value, 0.5)
+        result = phi.evaluate(A.zero(), A.zero())
+        assert type(result) is float
+        assert result == float(value)
+
+    @pytest.mark.parametrize("value", [np.float32("nan"), np.float64("inf"), np.int64(-1)])
+    def test_tabulated_rejects_invalid_numpy_reals(self, value):
+        phi = TabulatedControl(lambda a, b: value, 0.5)
+        with pytest.raises(ControlError, match="invalid value"):
+            phi.evaluate(A.zero(), A.zero())
+
 
 class TestSummedControl:
     def test_constant_sums_to_alpha(self):
@@ -98,6 +119,19 @@ class TestSummedControl:
         assert not cs.closed_form
         oracle = series_oracle(phi, a, a, terms=400)
         assert cs.value <= oracle <= cs.value + cs.tail_bound + 1e-12
+
+    @pytest.mark.parametrize("q", [-16.5, -17.0, -20.0])
+    def test_tabulated_growth_that_underflows_rejected(self, q):
+        # 2^(63 q) is subnormal below q = -16.2 (value / 2^(63 q) overflows,
+        # and the tail bound was nan) and 0 below about -17 (a division by zero)
+        a = element_of_norm(1.0)
+        with pytest.raises(ControlError, match="underflows"):
+            summed_control(TabulatedControl(lambda a, b: 1.0, q), a, a)
+
+    def test_tabulated_steep_decay_keeps_a_finite_tail(self):
+        a = element_of_norm(1.0)
+        cs = summed_control(TabulatedControl(lambda a, b: 1.0, -16.0), a, a)
+        assert cs.value == 1.0 and cs.tail_bound == 0.0
 
     def test_tabulated_divergent_growth_rejected(self):
         with pytest.raises(ControlError):

@@ -7,12 +7,14 @@ forms and against per-point reference loops kept here, so a numpy or BLAS
 upgrade that changes the dispatch fails here first.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from derivlab import (
+    ControlError,
     ConvergenceError,
     DerivationTriple,
     LinearMap,
@@ -33,10 +35,11 @@ from derivlab import (
     verify_hypotheses,
     zero_bimodule,
 )
-from derivlab.control import ControlTail
-from derivlab.hyers import ADDITIVITY_PAIRS, lambda_grid
+from derivlab.control import ControlTail, phi_rows, summed_control, summed_control_rows
+from derivlab.hyers import ADDITIVITY_PAIRS, _pointwise_limits, lambda_grid, sampled_envelope
 from derivlab.perturb import QUANT_GRID, _smooth_cutoff
-from derivlab.sampling import SCALE_GRID, ball_point, generator, hashed_unit_floats
+from derivlab.sampling import (SCALE_GRID, ball_point, ball_points, ball_rows, generator,
+                               hashed_unit_floats, hashed_unit_rows)
 
 FAMILIES = ("matrix:2", "matrix:3", "upper-triangular:3", "dual-numbers", "zero-product:4")
 
@@ -411,3 +414,358 @@ class TestHypothesisRows:
                                         mode, 1100, spec.seed, scales)
         assert report.verdict == "violated"
         assert_same_report(report, *expected)
+
+
+# --- ball draws, keyed hashes and control sums on rows --------------------------
+
+def reference_ball_point(space, rng, scale):
+    """One ball point drawn and scaled on its own, as a per-point loop does."""
+    if space.dim == 0:
+        return np.zeros(0, dtype=complex)
+    v = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
+    nv = space.norm(v)
+    if nv == 0.0:
+        return np.zeros(space.dim, dtype=complex)
+    return v * (scale * rng.uniform() / nv)
+
+
+def reference_hashed_floats(payload, count):
+    out = np.empty(count)
+    for block, start in enumerate(range(0, count, 8)):
+        take = min(count - start, 8)
+        digest = hashlib.blake2b(payload + block.to_bytes(4, "little"),
+                                 digest_size=8 * take).digest()
+        out[start:start + take] = np.frombuffer(digest, dtype="<u8") / 2.0**64
+    return out
+
+
+class ZeroingRng:
+    """Philox draws, except that every normal of the listed points is zero.
+
+    Draws are counted, so the row form and the per-point loop can be
+    compared on how much of the stream they consume.
+    """
+
+    def __init__(self, dim, zero_points, seed=17):
+        self.inner = generator(seed, "zeroing")
+        self.per_point = 2 * dim
+        self.zero_points = set(zero_points)
+        self.normals = 0
+        self.uniforms = 0
+
+    def standard_normal(self, size=None, out=None):
+        count = out.size if out is not None else size
+        values = []
+        for _ in range(count):
+            zero = self.normals // self.per_point in self.zero_points
+            values.append(0.0 if zero else self.inner.standard_normal())
+            self.normals += 1
+        if out is None:
+            return np.array(values)
+        out[...] = np.reshape(values, out.shape)
+        return out
+
+    def uniform(self):
+        self.uniforms += 1
+        return self.inner.uniform()
+
+    random = uniform
+
+
+RADII = [0.25, 1.0, 4.0, 16.0, 0.0, 3.5, 1e-300, 2.0**40]
+
+
+class TestSamplingRows:
+    @pytest.mark.parametrize("kind", ["algebra", "extended", "dual", "zero"])
+    @pytest.mark.parametrize("count", [0, 1, 37])
+    def test_ball_rows_match_point_loops(self, family, kind, count):
+        space = family[1][kind]
+        radii = [RADII[k % len(RADII)] for k in range(count)]
+        rows = ball_rows(space, generator(5, "ball"), radii)
+        assert rows.shape == (count, space.dim) and rows.dtype == complex
+        rng = generator(5, "ball")
+        assert_rows_equal(rows, [reference_ball_point(space, rng, r) for r in radii])
+        rng_points = generator(5, "ball")
+        assert_rows_equal(rows, [ball_point(space, rng_points, r) for r in radii])
+        # the same stream was consumed: the next draws agree
+        consumed = generator(5, "ball")
+        ball_rows(space, consumed, radii)
+        assert consumed.random() == rng.random() == rng_points.random()
+
+    def test_dim_zero_and_no_rows_draw_nothing(self):
+        zero = zero_bimodule(get_algebra("matrix:2"))
+        stub = ZeroingRng(0, ())
+        assert ball_rows(zero, stub, [1.0, 2.0]).shape == (2, 0)
+        assert ball_point(zero, stub, 1.0).shape == (0,)
+        algebra = get_algebra("matrix:2")
+        assert ball_rows(algebra, stub, []).shape == (0, 4)
+        assert stub.normals == stub.uniforms == 0
+
+    @pytest.mark.parametrize("zero_points", [range(6), (0,), (2, 5), ()])
+    def test_zero_draws_stay_zero_and_skip_the_fraction(self, zero_points):
+        space = get_algebra("upper-triangular:3")
+        radii = [1.0, 4.0, 0.25, 16.0, 2.0, 1.0]
+        ours = ZeroingRng(space.dim, zero_points)
+        rows = ball_rows(space, ours, radii)
+        reference = ZeroingRng(space.dim, zero_points)
+        assert_rows_equal(rows, [reference_ball_point(space, reference, r) for r in radii])
+        assert (ours.normals, ours.uniforms) == (reference.normals, reference.uniforms)
+        assert ours.uniforms == len(radii) - len(zero_points)
+        for k in zero_points:
+            assert rows[k].tobytes() == np.zeros(space.dim, dtype=complex).tobytes()
+
+    def test_ball_points_cycle_the_scale_grid(self):
+        space = get_algebra("matrix:3")
+        points = ball_points(space, generator(6, "grid"), 10)
+        rng = generator(6, "grid")
+        assert_rows_equal(points, [reference_ball_point(space, rng, SCALE_GRID[k % 4])
+                                   for k in range(10)])
+
+    @pytest.mark.parametrize("count", [1, 3, 8, 9, 17])
+    @pytest.mark.parametrize("rows", [0, 1, 25])
+    def test_hashed_unit_rows_match_per_row(self, count, rows):
+        prefix = (7).to_bytes(8, "little", signed=True) + b"ann"
+        data = random_rows(rows, 5, 8)
+        out = hashed_unit_rows(prefix, data, count)
+        assert out.shape == (rows, count) and out.dtype == float
+        assert_rows_equal(out, [hashed_unit_floats(prefix + r.tobytes(), count) for r in data])
+        assert_rows_equal(out, [reference_hashed_floats(prefix + r.tobytes(), count)
+                                for r in data])
+
+    @pytest.mark.parametrize("count", [0, 1, 9, 17])
+    def test_hashed_unit_floats_is_one_row(self, count):
+        out = hashed_unit_floats(b"payload", count)
+        assert out.tobytes() == reference_hashed_floats(b"payload", count).tobytes()
+
+
+def reference_summed_control(phi, a, b):
+    """(value, tail bound) of the doubling sum, one scaled element per term."""
+    if isinstance(phi, PNormControl):
+        if phi.beta == 0.0:
+            return phi.alpha, 0.0
+        s = sum(0.0 if t == 0.0 else t**phi.p for t in (a.norm(), b.norm()))
+        return phi.alpha + phi.beta * s / (2.0 - 2.0**phi.p), 0.0
+    q = phi.growth_exponent
+    partials, growth = [], 0.0
+    for n in range(64):
+        point = 2.0**n * a
+        value = phi.evaluate(point, point if b is a else 2.0**n * b)
+        partials.append(0.5 * 2.0**-n * value)
+        growth = max(growth, value / 2.0 ** (n * q))
+    tail = 0.5 * growth * 2.0 ** (-64 * (1.0 - q)) / (1.0 - 2.0 ** (q - 1.0))
+    return math.fsum(partials), tail
+
+
+def reference_tail(phi, a, n):
+    value, bound = reference_summed_control(phi, a, a)
+    terms = []
+    for k in range(n):
+        point = a if k == 0 else 2.0**k * a
+        terms.append(0.5 * 2.0**-k * phi.evaluate(point, point))
+    return max(value + bound - math.fsum(terms), 0.0)
+
+
+ROW_CONTROLS = {
+    "constant": constant_control(3e-3),
+    "pnorm": PNormControl(3e-3, 1e-2, 0.5),
+    "negative-p": PNormControl(1e-3, 2e-2, -0.5),
+    "tabulated": TabulatedControl(
+        lambda a, b: 1e-3 + 1e-2 * (a.norm() ** 0.25 + 2.0 * b.norm() ** 0.5), 0.5),
+}
+
+
+def control_rows(dim, seed):
+    rows = random_rows(12, dim, seed)
+    rows[1] = 0.0  # a zero row next to nonzero ones
+    return rows
+
+
+class TestControlRows:
+    @pytest.mark.parametrize("control", ROW_CONTROLS)
+    @pytest.mark.parametrize("fixture", ["matrix:2", "upper-triangular:3"])
+    def test_phi_rows_match_evaluate(self, fixture, control):
+        phi, space = ROW_CONTROLS[control], get_algebra(fixture)
+        a, b = control_rows(space.dim, 9), control_rows(space.dim, 10)
+        assert_rows_equal(phi_rows(phi, space, a, b)[:, None],
+                          [[phi.evaluate(space.element(x), space.element(y))]
+                           for x, y in zip(a, b)])
+        assert_rows_equal(phi_rows(phi, space, a, a)[:, None],
+                          [[phi.evaluate(space.element(x), space.element(x))] for x in a])
+
+    @pytest.mark.parametrize("control", ROW_CONTROLS)
+    @pytest.mark.parametrize("fixture", ["matrix:2", "upper-triangular:3"])
+    def test_summed_rows_match_summed_control(self, fixture, control):
+        phi, space = ROW_CONTROLS[control], get_algebra(fixture)
+        a, b = control_rows(space.dim, 11), control_rows(space.dim, 12)
+        for b_rows in (a, b):
+            values, tails = summed_control_rows(phi, space, a, b_rows)
+            pairs = [(space.element(x), space.element(y)) for x, y in zip(a, b_rows)]
+            sums = [summed_control(phi, x, x if b_rows is a else y) for x, y in pairs]
+            references = [reference_summed_control(phi, x, x if b_rows is a else y)
+                          for x, y in pairs]
+            assert_rows_equal(values[:, None], [[s.value] for s in sums])
+            assert_rows_equal(values[:, None], [[r[0]] for r in references])
+            if tails is None:
+                assert all(s.closed_form and s.tail_bound == 0.0 for s in sums)
+            else:
+                assert_rows_equal(tails[:, None], [[s.tail_bound] for s in sums])
+                assert_rows_equal(tails[:, None], [[r[1]] for r in references])
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_summed_rows_call_the_control_as_the_per_term_loop(self, diagonal):
+        space = get_algebra("matrix:2")
+        a = control_rows(space.dim, 18)  # signed zeros in some coordinates
+        b = a if diagonal else control_rows(space.dim, 19)
+        ours, reference = LoggedCallback(), LoggedCallback()
+        summed_control_rows(TabulatedControl(ours, 0.5), space, a, b)
+        phi = TabulatedControl(reference, 0.5)
+        for x, y in zip(a, b):
+            x = space.element(x)
+            reference_summed_control(phi, x, x if diagonal else space.element(y))
+        assert ours.calls == reference.calls
+
+    def test_negative_zero_budgets(self):
+        # a budget of -0.0 passes the value check; the growth scale starts at
+        # +0.0, so the tail bound stays +0.0
+        space = get_algebra("matrix:2")
+        phi = TabulatedControl(lambda a, b: -0.0, 0.5)
+        rows = control_rows(space.dim, 20)
+        values, tails = summed_control_rows(phi, space, rows, rows)
+        expected = [reference_summed_control(phi, e, e) for e in map(space.element, rows)]
+        assert_rows_equal(values[:, None], [[value] for value, _ in expected])
+        assert_rows_equal(tails[:, None], [[bound] for _, bound in expected])
+
+    @pytest.mark.parametrize("control", ROW_CONTROLS)
+    def test_sampled_envelope_reads_summed_control_upper(self, control):
+        phi = ROW_CONTROLS[control]
+        _, _, _, triple = base_triple("matrix:2")
+        points = control_rows(triple.d.domain.dim, 13)
+        _, rhs = sampled_envelope(PointMap.from_linear_map(triple.d), triple.d, points, phi)
+        elements = [triple.d.domain.element(p) for p in points]
+        assert_rows_equal(rhs[:, None], [[summed_control(phi, e, e).upper] for e in elements])
+        uppers = [[value + bound] for value, bound in
+                  (reference_summed_control(phi, e, e) for e in elements)]
+        assert_rows_equal(rhs[:, None], uppers)
+
+    @pytest.mark.parametrize("control", ROW_CONTROLS)
+    @pytest.mark.parametrize("max_n", [3, 48])
+    def test_pointwise_limit_tails_match_control_tail(self, control, max_n):
+        phi = ROW_CONTROLS[control]
+        maps, _ = annihilator_case("upper-triangular:3", epsilon=1e-3)
+        domain = maps.f.domain
+        rows = np.vstack([np.eye(domain.dim, dtype=complex), control_rows(domain.dim, 14)])
+        _, iterations, _, tails, _ = _pointwise_limits(maps.f, rows, phi, max_n, 1e-10)
+        for row, n, tail in zip(rows, iterations.tolist(), tails.tolist()):
+            element = domain.element(row)
+            assert tail.hex() == ControlTail(phi, element).after(n).hex()
+            assert tail.hex() == reference_tail(phi, element, n).hex()
+
+
+# --- invalid tabulated values: the same error from the same first (row, term) ---
+
+class LoggedCallback:
+    """A tabulated budget that logs each argument pair and returns an invalid
+    value (minus the call number) at call `fail_at`, or once the argument
+    norm exceeds `above`."""
+
+    def __init__(self, fail_at=None, above=math.inf):
+        self.fail_at = fail_at
+        self.above = above
+        self.calls = []
+
+    def __call__(self, a, b):
+        self.calls.append(a.coords.tobytes() + b.coords.tobytes())
+        if len(self.calls) == self.fail_at or a.norm() > self.above:
+            return -float(len(self.calls))
+        return 1e-3 + 1e-4 * (a.norm() + b.norm()) ** 0.5
+
+
+def reference_pointwise_limits(pmap, rows, phi, max_n, tol):
+    """The doubling loop with one ControlTail per row, read row after row."""
+    certificates = [ControlTail(phi, pmap.domain.element(c)) for c in rows]
+    limits = pmap.eval_rows(rows)
+    count = len(rows)
+    iterations, deltas = np.full(count, max_n), np.full(count, np.inf)
+    tails = np.array([c.after(0) for c in certificates], dtype=float)
+    converged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    for n in range(1, max_n + 1):
+        if not len(active):
+            break
+        nxt = pmap.eval_rows(2.0**n * rows[active]) / 2.0**n
+        deltas[active] = pmap.codomain.norms(nxt - limits[active])
+        limits[active] = nxt
+        tails[active] = [certificates[r].after(n) for r in active]
+        stop = (tails[active] <= tol) | (deltas[active] == 0.0)
+        iterations[active[stop]] = n
+        converged[active[stop]] = True
+        active = active[~stop]
+    return limits, iterations, deltas, tails, converged
+
+
+def outcome(run, callback):
+    try:
+        result = run()
+    except ControlError as exc:
+        return str(exc), callback.calls
+    return result, callback.calls
+
+
+class TestInvalidTabulatedValues:
+    def test_sampled_envelope_fails_at_the_first_row_and_term(self):
+        _, _, _, triple = base_triple("matrix:2")
+        pmap = PointMap.from_linear_map(triple.d)
+        points = ball_points(triple.d.domain, generator(15, "points"), 8)
+        ours, reference = LoggedCallback(above=2.0**20), LoggedCallback(above=2.0**20)
+        message, calls = outcome(lambda: sampled_envelope(
+            pmap, triple.d, points, TabulatedControl(ours, 0.5)), ours)
+        phi = TabulatedControl(reference, 0.5)
+        expected = outcome(lambda: [reference_summed_control(phi, e, e) for e in
+                                    (triple.d.domain.element(p) for p in points)], reference)
+        assert "invalid value" in message
+        assert (message, calls) == expected
+        assert len(calls) < 64  # the first point fails at its first large term
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.6, 0.9, 1.0])
+    def test_doubling_loop_fails_at_the_same_call(self, fraction):
+        maps, _ = annihilator_case("matrix:2", epsilon=1e-3)
+        domain = maps.f.domain
+        rows = np.vstack([np.eye(domain.dim, dtype=complex), control_rows(domain.dim, 16)])
+        counting = LoggedCallback()
+        reference_pointwise_limits(maps.f, rows, TabulatedControl(counting, 0.5), 48, 1e-10)
+        total = len(counting.calls)
+        assert total > 64 * len(rows)  # the tail terms are evaluated too
+        fail_at = 1 + int(fraction * (total - 1))
+        ours, reference = LoggedCallback(fail_at), LoggedCallback(fail_at)
+        message, calls = outcome(lambda: _pointwise_limits(
+            maps.f, rows, TabulatedControl(ours, 0.5), 48, 1e-10), ours)
+        expected = outcome(lambda: reference_pointwise_limits(
+            maps.f, rows, TabulatedControl(reference, 0.5), 48, 1e-10), reference)
+        assert message == expected[0]
+        assert message == f"control callback returned invalid value {-float(fail_at)!r}"
+        assert calls == expected[1]
+
+    def test_doubling_loop_without_failure_matches(self):
+        maps, _ = annihilator_case("upper-triangular:3", epsilon=1e-3)
+        domain = maps.f.domain
+        rows = np.vstack([np.eye(domain.dim, dtype=complex), control_rows(domain.dim, 17)])
+        ours, reference = LoggedCallback(), LoggedCallback()
+        for max_n in (5, 48):
+            got = _pointwise_limits(maps.f, rows, TabulatedControl(ours, 0.5), max_n, 1e-10)
+            expected = reference_pointwise_limits(maps.f, rows, TabulatedControl(reference, 0.5),
+                                                  max_n, 1e-10)
+            for x, y in zip(got, expected):
+                assert x.tobytes() == y.tobytes()
+        assert ours.calls == reference.calls
+
+    def test_hypothesis_budgets_fail_at_the_first_sample(self):
+        maps, _ = annihilator_case("matrix:2", epsilon=1e-3)
+        ours, reference = LoggedCallback(above=3.0), LoggedCallback(above=3.0)
+        message, calls = outcome(lambda: verify_hypotheses(
+            maps.f, maps.g_sigma, maps.g_tau, TabulatedControl(ours, 0.5), samples=50, seed=2),
+            ours)
+        expected = outcome(lambda: reference_hypotheses(
+            maps.f, maps.g_sigma, maps.g_tau, TabulatedControl(reference, 0.5), "full", 50, 2,
+            SCALE_GRID), reference)
+        assert "invalid value" in message
+        assert (message, calls) == expected
