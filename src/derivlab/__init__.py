@@ -37,7 +37,6 @@ from .control import (
     TabulatedControl,
     constant_control,
     control_from_dict,
-    partial_sum_bound,
     summed_control,
 )
 from .derivation import (

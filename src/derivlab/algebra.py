@@ -65,13 +65,15 @@ class _CoordinateSpace:
         return float(np.max(self.norm_weights * np.abs(coords)))
 
     def norms(self, rows) -> np.ndarray:
-        """`norm` of each row of an [N, dim] coordinate array, bit for bit.
+        """`norm` of each row of an [N, dim] coordinate array, bit for bit,
+        in any memory layout.
 
         The l1 weights are applied as one stacked dot product per row, the
         product `norm` computes; `abs(rows) @ weights` would be a matrix-vector
-        product whose blocked sums differ in the last bits.
+        product whose blocked sums differ in the last bits, and so does the
+        stacked product over rows that are not C-contiguous.
         """
-        mags = np.abs(np.asarray(rows))
+        mags = np.ascontiguousarray(np.abs(np.asarray(rows)))
         if self.dim == 0:
             return np.zeros(len(mags))
         if self.norm_kind == "l1":
@@ -577,9 +579,10 @@ class LinearMap:
         return self.matrix @ np.asarray(coords, dtype=complex)
 
     def apply_rows(self, rows) -> np.ndarray:
-        """`apply_coords` of each row of an [N, n] array, bit for bit: one
-        stacked matrix-vector product per row, never `rows @ matrix.T`."""
-        rows = np.asarray(rows, dtype=complex)
+        """`apply_coords` of each row of an [N, n] array, bit for bit, in any
+        memory layout: one stacked matrix-vector product per row, never
+        `rows @ matrix.T`."""
+        rows = np.ascontiguousarray(rows, dtype=complex)
         return (self.matrix[None] @ rows[:, :, None])[:, :, 0]
 
     def operator_norm(self) -> float:
@@ -592,8 +595,7 @@ class LinearMap:
             raise ConstructionError("operator norm implemented for l1 domains only")
         if self.domain.dim == 0:
             return 0.0
-        cols = [self.codomain.norm(self.matrix[:, j]) for j in range(self.domain.dim)]
-        return float(np.max(np.array(cols) / self.domain.norm_weights))
+        return float(np.max(self.codomain.norms(self.matrix.T) / self.domain.norm_weights))
 
     def __repr__(self):
         return (

@@ -489,6 +489,9 @@ def _config_from_args(args) -> ExperimentConfig:
     unknown = set(doc) - known
     if unknown:
         raise DerivlabError(f"unknown config keys: {sorted(unknown)}")
+    # main opens out for run and sweep alike; an int would open a file descriptor
+    if not isinstance(doc.get("out"), (str, type(None))):
+        raise DerivlabError(f"out must be a string or null, got {doc['out']!r}")
     return ExperimentConfig(**doc)
 
 

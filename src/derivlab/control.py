@@ -7,14 +7,15 @@ approximate map and its exact limit is the summed control
     (1/2) * sum_{n >= 0} 2^{-n} phi(2^n a, 2^n b),
 
 which the power-norm family admits in closed form and which tabulated
-controls approximate by a certified truncation.
-`ControlTail` streams the remainder after n doublings along one orbit: one
-pass over phi certifies the whole direct-method iteration.
+controls approximate by a certified truncation. The remainder after n
+doublings, the summed control less the first n terms, certifies the
+direct-method iteration stopped there.
 
 phi and the sums are evaluated on [N, dim] coordinate rows (`phi_rows`,
 `summed_control_rows`, `diagonal_terms`); a power-norm control reads the
 row norms, any other control is called once per row. The element forms
-(`evaluate`, `summed_control`, `ControlTail`) are their one-row cases.
+(`evaluate`, `summed_control`, `summed_control_tail`) are their one-row
+cases.
 """
 from __future__ import annotations
 
@@ -264,54 +265,20 @@ def diagonal_terms(phi: ControlFunction, space, rows, k: int) -> np.ndarray:
     return 0.5 * 2.0**-k * phi_rows(phi, space, rows, rows)
 
 
-def _diagonal_term(phi: ControlFunction, a, k: int) -> float:
-    # the k = 0 term is a itself; later terms scale it, as the doubling loop does
-    point = a.coords if k == 0 else 2.0**k * a.coords
-    return float(diagonal_terms(phi, a.space, point[None], k)[0])
-
-
 def series_remainder(upper: float, terms) -> float:
     """The summed control's upper bound less the fsum of the first terms,
     floored at 0: the certified tail after len(terms) doublings."""
     return max(upper - math.fsum(terms), 0.0)
 
 
-def partial_sum_bound(phi: ControlFunction, a, n: int) -> float:
-    """(1/2) sum_{k=0}^{n-1} 2^{-k} phi(2^k a, 2^k a).
-
-    Monotone nondecreasing in n and converging to the summed control at
-    (a, a); this is the a-priori error certificate for stopping the
-    direct-method iteration after n doublings.
-    """
-    n = int(n)
-    if n < 1:
-        raise ControlError("partial sum needs n >= 1")
-    return math.fsum(_diagonal_term(phi, a, k) for k in range(n))
-
-
-class ControlTail:
-    """Remainder of the doubling series at (a, a) after n terms, for growing n.
-
-    The summed control is evaluated once and each partial-sum term once;
-    every read is an fsum of the same terms as partial_sum_bound.
-    """
-
-    def __init__(self, phi: ControlFunction, a):
-        self.phi = phi
-        self.a = a
-        self.upper = summed_control(phi, a, a).upper
-        self._terms: list[float] = []
-
-    def after(self, n: int) -> float:
-        """Upper bound on the series remainder after the first n terms."""
-        n = int(n)
-        if n <= 0:
-            return self.upper
-        while len(self._terms) < n:
-            self._terms.append(_diagonal_term(self.phi, self.a, len(self._terms)))
-        return series_remainder(self.upper, self._terms[:n])
-
-
 def summed_control_tail(phi: ControlFunction, a, n: int) -> float:
-    """Upper bound on the series remainder after the first n terms at (a, a)."""
-    return ControlTail(phi, a).after(n)
+    """Upper bound on the series remainder after the first n terms at (a, a):
+    the summed control's upper bound less the fsum of the terms k < n, read
+    from one phi_rows table of the scaled rows 2^k a (row 0 is a itself, as
+    in the doubling loop)."""
+    upper = summed_control(phi, a, a).upper
+    count = max(int(n), 0)
+    table = np.array([a.coords if k == 0 else 2.0**k * a.coords for k in range(count)])
+    table = table.reshape(count, a.space.dim)
+    weights = np.array([0.5 * 2.0**-k for k in range(count)])
+    return series_remainder(upper, (weights * phi_rows(phi, a.space, table, table)).tolist())

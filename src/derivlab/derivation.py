@@ -15,22 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
     Bimodule,
     FiniteAlgebra,
     LinearMap,
     ModuleElement,
-    act_left,
-    act_right,
     dual_bimodule,
-    mul,
     nullspace,
     right_annihilator,
 )
 from .control import ControlFunction
 from .encoding import encode_complex
 from .errors import PreconditionError, SpaceMismatchError
-from .sampling import SCALE_GRID, ball_point, ball_points, ball_rows, generator
+from .sampling import SCALE_GRID, ball_points, ball_rows, generator
 
 SVD_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
@@ -66,18 +62,36 @@ class DerivationTriple:
         return self.d.codomain
 
 
-def leibniz_residual(triple: DerivationTriple, a: AlgebraElement, b: AlgebraElement) -> float:
-    """|d(ab) - d(a).sigma(b) - tau(a).d(b)| in the module norm."""
-    d, sigma, tau = triple.d, triple.sigma, triple.tau
-    lhs = d.apply(mul(a, b))
-    first = act_right(d.apply(a), sigma.apply(b))
-    second = act_left(tau.apply(a), d.apply(b))
-    return (lhs - first - second).norm()
+def _products(algebra: FiniteAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # a_k b_k per pair of rows in any memory layout: the batched form of mul,
+    # with its bits in each row, as the action einsums below are of act_left
+    # and act_right
+    return np.einsum("ni,nj,ijk->nk", np.ascontiguousarray(a), np.ascontiguousarray(b),
+                     algebra.structure)
 
 
-def endomorphism_residual(s: LinearMap, a: AlgebraElement, b: AlgebraElement) -> float:
-    """|s(ab) - s(a) s(b)| in the algebra norm."""
-    return (s.apply(mul(a, b)) - mul(s.apply(a), s.apply(b))).norm()
+def leibniz_residual(triple: DerivationTriple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|d(ab) - d(a).sigma(b) - tau(a).d(b)| in the module norm at each pair
+    of rows of two [N, n] coordinate arrays."""
+    d, module = triple.d, triple.module
+    first = np.einsum("nj,ni,jik->nk", d.apply_rows(a), triple.sigma.apply_rows(b),
+                      module.right_action)
+    second = np.einsum("ni,nj,ijk->nk", triple.tau.apply_rows(a), d.apply_rows(b),
+                       module.left_action)
+    return module.norms(d.apply_rows(_products(triple.algebra, a, b)) - first - second)
+
+
+def _endo_defect(s: LinearMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """s(ab) - s(a) s(b) at each pair of rows."""
+    algebra = s.codomain
+    return s.apply_rows(_products(algebra, a, b)) \
+        - _products(algebra, s.apply_rows(a), s.apply_rows(b))
+
+
+def endomorphism_residual(s: LinearMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|s(ab) - s(a) s(b)| in the algebra norm at each pair of rows of two
+    [N, n] coordinate arrays."""
+    return s.codomain.norms(_endo_defect(s, a, b))
 
 
 def _basis_endo_residual(algebra: FiniteAlgebra, s: LinearMap) -> float:
@@ -124,16 +138,14 @@ def sigma_endo_certificate(triple: DerivationTriple, samples: int = 200,
     side conditions under which a zero certificate forces sigma to be
     multiplicative (unless d = 0).
     """
+    if samples < 0:
+        raise PreconditionError("the sigma certificate needs a nonnegative sample count")
     algebra = triple.algebra
-    rng = generator(seed, "sigma-endo")
-    worst = 0.0
-    for _ in range(samples):
-        a = algebra.element(ball_point(algebra, rng, 1.0))
-        b = algebra.element(ball_point(algebra, rng, 1.0))
-        c = algebra.element(ball_point(algebra, rng, 1.0))
-        defect = triple.sigma.apply(mul(a, b)) - mul(triple.sigma.apply(a), triple.sigma.apply(b))
-        value = act_right(triple.d.apply(c), defect).norm()
-        worst = max(worst, value)
+    rows = ball_rows(algebra, generator(seed, "sigma-endo"), np.ones(3 * samples))
+    a, b, c = rows[0::3], rows[1::3], rows[2::3]
+    cancellation = np.einsum("nj,ni,jik->nk", triple.d.apply_rows(c),
+                             _endo_defect(triple.sigma, a, b), triple.module.right_action)
+    worst = np.max(triple.module.norms(cancellation), initial=0.0)
     ran = right_annihilator(algebra)
     rank = np.linalg.matrix_rank(triple.d.matrix, tol=None) if triple.d.matrix.size else 0
     return EndoCertificate(
@@ -306,9 +318,7 @@ def inner_solve(triple: DerivationTriple, tol: float = MEMBERSHIP_TOL) -> InnerS
         return InnerSolveResult(True, module.zero(), 0.0, tol)
     x_coords, *_ = np.linalg.lstsq(op, rhs, rcond=None)
     defect = (op @ x_coords - rhs).reshape(module.dim, algebra.dim)
-    residual = max(
-        (module.norm(defect[:, i]) for i in range(algebra.dim)), default=0.0
-    )
+    residual = max(module.norms(defect.T).tolist(), default=0.0)
     threshold = tol * (1.0 + triple.d.operator_norm())
     x = module.element(x_coords)
     if residual <= threshold:

@@ -68,7 +68,7 @@ class PointMap:
     case and `eval`/`__call__` the element facade.
     """
 
-    __slots__ = ("func", "_rows", "domain", "codomain")
+    __slots__ = ("_rows", "domain", "codomain")
 
     def __init__(self, func, domain: _CoordinateSpace, codomain: _CoordinateSpace):
         shape = (codomain.dim,)
@@ -79,23 +79,21 @@ class PointMap:
                 out[k] = _checked(func(coords), shape)
             return out
 
-        self._bind(func, looped, domain, codomain)
+        self._bind(looped, domain, codomain)
 
     @classmethod
     def from_rows(cls, rows, domain: _CoordinateSpace,
                   codomain: _CoordinateSpace) -> "PointMap":
         """A map given by a function of [N, n] coordinate rows."""
         pmap = cls.__new__(cls)
-        pmap._bind(lambda coords: rows(np.asarray(coords, dtype=complex)[None])[0],
-                   rows, domain, codomain)
+        pmap._bind(rows, domain, codomain)
         return pmap
 
     @classmethod
     def from_linear_map(cls, lin: LinearMap) -> "PointMap":
         return cls.from_rows(lin.apply_rows, lin.domain, lin.codomain)
 
-    def _bind(self, func, rows, domain, codomain) -> None:
-        self.func = func
+    def _bind(self, rows, domain, codomain) -> None:
         self._rows = rows
         self.domain = domain
         self.codomain = codomain
@@ -189,7 +187,7 @@ def _pointwise_limits(pmap: PointMap, rows: np.ndarray, phi: ControlFunction,
     fluctuates, so it never stops a row by itself. A row that reaches max_n
     unconverged keeps its last delta and tail.
 
-    The tail after n doublings is ControlTail(phi, row).after(n): the
+    The tail after n doublings is summed_control_tail(phi, row, n): the
     summed control's upper bound less the fsum of the first n series
     terms, where term k is phi at the step-k rows the loop already builds.
     """
@@ -221,17 +219,6 @@ def _pointwise_limits(pmap: PointMap, rows: np.ndarray, phi: ControlFunction,
         active = active[~stop]
         previous = scaled[~stop]
     return limits, iterations, deltas, tails, converged
-
-
-def _pointwise_limit(pmap: PointMap, coords: np.ndarray, phi: ControlFunction,
-                     max_n: int, tol: float):
-    """One row of _pointwise_limits: (limit coords, iterations, final delta,
-    certified tail), or ConvergenceError with the diagnostics at max_n."""
-    limits, iterations, deltas, tails, converged = _pointwise_limits(
-        pmap, np.asarray(coords, dtype=complex)[None], phi, max_n, tol)
-    if not converged[0]:
-        raise _not_converged(max_n, deltas[0], tails[0])
-    return limits[0], int(iterations[0]), float(deltas[0]), float(tails[0])
 
 
 def extract_additive(pmap: PointMap, phi: ControlFunction,
@@ -331,9 +318,8 @@ def extract_triple(approx_d: PointMap, approx_sigma: PointMap, approx_tau: Point
     triple = DerivationTriple(d_report.limit, sigma_report.limit, tau_report.limit)
     domain = approx_d.domain
     drawn = ball_rows(domain, generator(seed, "triple-leibniz"), np.ones(2 * LEIBNIZ_SAMPLES))
-    worst = 0.0
-    for a, b in zip(drawn[0::2], drawn[1::2]):
-        worst = max(worst, leibniz_residual(triple, domain.element(a), domain.element(b)))
+    residuals = leibniz_residual(triple, drawn[0::2], drawn[1::2])
+    worst = float(np.max(residuals, initial=0.0))
     if worst > LEIBNIZ_TOL:
         raise ConvergenceError(
             f"extracted triple violates the product rule (residual {worst:.3e} "

@@ -50,8 +50,11 @@ class PerturbationSpec:
         if self.mode == "clamped":
             if self.control is None:
                 raise ConstructionError("clamped mode needs a control function")
-            if not self.region_radius > 0.0:
-                raise ConstructionError("region_radius must be positive")
+            if not (np.isfinite(self.region_radius) and self.region_radius > 0.0):
+                raise ConstructionError(
+                    f"region_radius must be finite and positive, got {self.region_radius!r}")
+            if not self.cap >= 0.0:
+                raise ConstructionError(f"cap must be nonnegative or inf, got {self.cap!r}")
 
     def to_dict(self) -> dict:
         if self.mode == "annihilator":

@@ -45,7 +45,7 @@ from derivlab.algebra import regular_bimodule
 from derivlab.control import PNormControl, summed_control
 from derivlab.sampling import SCALE_GRID, ball_point, generator
 
-from test_derivation import brute_force_derivation_dim, brute_force_inner_dim
+from test_derivation import ball_pairs, brute_force_derivation_dim, brute_force_inner_dim
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -120,13 +120,9 @@ def test_criterion_3_leibniz_recovery(stability_runs):
             extraction.d.limit, extraction.sigma.limit, extraction.tau.limit
         )
         rng = generator(23, "criterion-3", fixture, str(epsilon))
-        worst_leibniz = 0.0
-        worst_tau = 0.0
-        for _ in range(500):
-            a = algebra.element(ball_point(algebra, rng, 1.0))
-            b = algebra.element(ball_point(algebra, rng, 1.0))
-            worst_leibniz = max(worst_leibniz, leibniz_residual(triple, a, b))
-            worst_tau = max(worst_tau, endomorphism_residual(triple.tau, a, b))
+        a, b = ball_pairs(algebra, rng, 500, 1.0)
+        worst_leibniz = np.max(leibniz_residual(triple, a, b), initial=0.0)
+        worst_tau = np.max(endomorphism_residual(triple.tau, a, b), initial=0.0)
         assert worst_leibniz <= 1e-9, (fixture, epsilon, worst_leibniz)
         assert worst_tau <= 1e-9, (fixture, epsilon, worst_tau)
         certificate = sigma_endo_certificate(triple, samples=500, seed=29)

@@ -189,6 +189,20 @@ MALFORMED_CONFIGS = {
     "boolean control alpha": {"pipeline": "extract",
                               "control": {"kind": "constant", "alpha": True}},
     "format key": {"pipeline": "contractibility", "format": "json"},
+    # a negative or NaN cap silently turned the noise off
+    "negative cap": {"pipeline": "hypotheses",
+                     "perturbation": {"mode": "clamped", "region_radius": 64.0, "cap": -1.0,
+                                      "control": {"kind": "constant", "alpha": 0.1}}},
+    "nan cap": {"pipeline": "hypotheses",
+                "perturbation": {"mode": "clamped", "region_radius": 64.0, "cap": float("nan"),
+                                 "control": {"kind": "constant", "alpha": 0.1}}},
+    # an infinite radius was written to the report as Infinity, not JSON
+    "infinite region radius": {"pipeline": "hypotheses",
+                               "perturbation": {"mode": "clamped", "region_radius": float("inf"),
+                                                "control": {"kind": "constant", "alpha": 0.1}}},
+    # write_report opened these as file descriptors
+    "numeric out": {"pipeline": "contractibility", "out": 7},
+    "boolean out": {"pipeline": "contractibility", "out": True},
 }
 
 
@@ -196,7 +210,9 @@ MALFORMED_CONFIGS = {
 def test_malformed_config_is_one_error_line(tmp_path, capsys, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"fixture": "matrix:2", **doc}))
-    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "report.json")])
+    # an --out flag would replace the config's own out
+    out = [] if "out" in doc else ["--out", str(tmp_path / "report.json")]
+    code = main(["run", "--config", str(cfg), *out])
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_ERROR
     assert len(err) == 1 and err[0].startswith("error:")
@@ -251,6 +267,18 @@ def test_config_file_that_is_not_an_object_is_one_error_line(tmp_path, capsys, c
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_ERROR
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("out", [7, True])
+def test_sweep_config_out_that_is_not_a_path_is_one_error_line(tmp_path, capsys, out):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fixture": "matrix:2", "samples": 5, "out": out}))
+    code = main(["sweep", "--config", str(cfg), "--grid", '{"perturbation.epsilon": [0.01]}'])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == EXIT_ERROR
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
 
 
 def test_clamped_pipelines_verify_hypotheses_once(monkeypatch):
@@ -410,3 +438,24 @@ def test_run_record_excludes_wall_time():
     record = run(ExperimentConfig(fixture="matrix:2", pipeline="contractibility"))
     assert record.wall_time > 0.0
     assert b"wall_time" not in record.report_bytes()
+
+
+@pytest.mark.parametrize("seed", [17, 23])
+@pytest.mark.parametrize("pipeline", ["extract", "roundtrip"])
+@pytest.mark.parametrize("fixture", ["dual-numbers", "matrix:2", "upper-triangular:3",
+                                     "zero-product:4"])
+def test_extraction_pipelines_invariant_under_change_of_basis(fixture, pipeline, seed):
+    from derivlab import algebra_to_dict, get_algebra
+    from test_derivation import change_of_basis
+
+    original = run(ExperimentConfig(fixture=fixture, pipeline=pipeline))
+    changed = run(ExperimentConfig(
+        fixture=algebra_to_dict(change_of_basis(get_algebra(fixture), seed)), pipeline=pipeline))
+    assert changed.exit_code == original.exit_code
+    if pipeline == "extract":
+        extraction = changed.outputs["extraction"]
+        assert extraction["leibniz_max"] <= 1e-9
+        assert all(extraction[part]["bound_ok"] for part in ("d", "sigma", "tau"))
+        assert changed.outputs["stability"]["num_violations"] == 0
+    else:
+        assert changed.outputs["roundtrip"]["feasible"] == original.outputs["roundtrip"]["feasible"]

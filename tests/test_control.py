@@ -14,10 +14,9 @@ from derivlab import (
     constant_control,
     control_from_dict,
     make_matrix_algebra,
-    partial_sum_bound,
     summed_control,
 )
-from derivlab.control import ControlTail, summed_control_tail
+from derivlab.control import summed_control_tail
 from derivlab.sampling import ball_point, generator
 
 A = make_matrix_algebra(2)
@@ -139,33 +138,44 @@ class TestSummedControl:
 
 
 class TestPartialSums:
+    """The partial sums of the doubling series: the direct sum of the series
+    oracle, and the summed control's upper bound less summed_control_tail."""
+
     def test_single_term(self):
         phi = PNormControl(0.0, 1.0, 0.5)
         a = element_of_norm(4.0)
-        assert partial_sum_bound(phi, a, 1) == pytest.approx(0.5 * phi.evaluate(a, a))
+        upper = summed_control(phi, a, a).upper
+        assert upper - summed_control_tail(phi, a, 1) == pytest.approx(0.5 * phi.evaluate(a, a))
 
     def test_constant_three_terms_geometric(self):
         a = element_of_norm(1.0)
-        assert partial_sum_bound(constant_control(1.0), a, 3) == pytest.approx(7.0 / 8.0)
+        assert 1.0 - summed_control_tail(constant_control(1.0), a, 3) == pytest.approx(7.0 / 8.0)
 
     def test_partial_sums_converge_to_closed_form(self):
         # tail after n terms is 2^(-n/2)/(1 - 2^(-1/2)) here, so n = 90
         # drives it below 1e-12
         phi = PNormControl(0.0, 1.0, 0.5)
         a = element_of_norm(1.0)
-        target = summed_control(phi, a, a).value
-        assert abs(partial_sum_bound(phi, a, 90) - target) <= 1e-12
+        total = summed_control(phi, a, a)
+        partial = series_oracle(phi, a, a, terms=90)
+        assert abs(partial - total.value) <= 1e-12
+        assert partial <= total.upper + 1e-12
+        assert 0.0 <= summed_control_tail(phi, a, 90) <= 1e-12
 
     def test_monotone_and_bounded(self):
         phi = PNormControl(1.0, 2.0, 0.75)
         a = element_of_norm(2.0)
         total = summed_control(phi, a, a)
-        previous = 0.0
+        previous_partial, previous_tail = 0.0, summed_control_tail(phi, a, 0)
+        assert previous_tail == total.upper
         for n in range(1, 40):
-            value = partial_sum_bound(phi, a, n)
-            assert value >= previous
-            assert value <= total.value + total.tail_bound + 1e-12
-            previous = value
+            partial = series_oracle(phi, a, a, terms=n)
+            tail = summed_control_tail(phi, a, n)
+            assert previous_partial <= partial <= total.upper + 1e-12
+            # the true remainder is still above 1e-3 here, far from the floor at 0
+            assert 0.0 < tail <= previous_tail
+            assert tail == pytest.approx(total.upper - partial, rel=0.0, abs=1e-12)
+            previous_partial, previous_tail = partial, tail
 
 
 class TestControlTail:
@@ -176,18 +186,43 @@ class TestControlTail:
     ], ids=["constant", "pnorm", "tabulated"])
     def test_streamed_tail_is_bit_identical_to_reference(self, phi):
         a = element_of_norm(1.5)
-        upper = summed_control(phi, a, a).upper
-        reference = [upper] + [
-            max(upper - partial_sum_bound(phi, a, n), 0.0) for n in range(1, 49)
-        ]
-        streamed = ControlTail(phi, a)
-        assert [streamed.after(n).hex() for n in range(49)] == [r.hex() for r in reference]
-        # reads out of order give the same bits
-        backwards = ControlTail(phi, a)
-        assert [backwards.after(n).hex() for n in range(48, -1, -1)] == \
-            [r.hex() for r in reversed(reference)]
-        assert [summed_control_tail(phi, a, n).hex() for n in (0, 1, 17, 48)] == \
-            [reference[n].hex() for n in (0, 1, 17, 48)]
+        reference = reference_tails(phi, a, range(71))
+        assert [summed_control_tail(phi, a, n).hex() for n in range(71)] == \
+            [r.hex() for r in reference]
+        if phi.kind != "constant":  # terms past the 64 of a truncated sum still count
+            assert 0.0 < reference[70] < reference[64]
+
+    @pytest.mark.parametrize("n", [0, 1, 17, 48, 70])
+    def test_tail_calls_a_tabulated_control_in_order(self, n):
+        # coordinates with signed zeros: the callback sees the bytes of each point
+        coords = np.array([complex(1.5, -0.0), complex(-0.0, -0.0), complex(0.0, -0.25), 0.5j])
+        a = A.element(coords)
+        ours, reference = [], []
+
+        def logged(calls):
+            def callback(x, y):
+                calls.append(x.coords.tobytes() + y.coords.tobytes())
+                return 1e-3 + 1e-2 * x.norm() ** 0.5
+            return TabulatedControl(callback, 0.5)
+
+        tail = summed_control_tail(logged(ours), a, n)
+        expected = reference_tails(logged(reference), a, [n])[0]
+        assert tail.hex() == expected.hex()
+        assert ours == reference
+        assert len(ours) == 64 + n
+
+
+def reference_tails(phi, a, counts):
+    """The summed control's upper bound less a math.fsum of the first n
+    series terms (1/2) 2^-k phi(2^k a, 2^k a), one scaled element per term,
+    for each n in counts; the element a itself is term 0."""
+    counts = list(counts)
+    upper = summed_control(phi, a, a).upper
+    terms = []
+    for k in range(max(counts, default=0)):
+        point = a if k == 0 else 2.0**k * a
+        terms.append(0.5 * 2.0**-k * phi.evaluate(point, point))
+    return [max(upper - math.fsum(terms[:n]), 0.0) for n in counts]
 
 
 class TestInvariants:

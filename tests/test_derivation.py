@@ -39,7 +39,20 @@ from derivlab.algebra import nullspace, regular_bimodule
 from derivlab.cli import _resolve_endomorphism
 from derivlab.derivation import _basis_endo_residual, leibniz_rows, leibniz_system
 from derivlab.perturb import PerturbationSpec, extend_with_annihilator, make_annihilator_perturbation
-from derivlab.sampling import ball_point, generator
+from derivlab.sampling import ball_point, ball_rows, generator
+
+
+def ball_pairs(space, rng, count, scale):
+    """count pairs (a, b) as two row arrays, drawn as 2 * count ball points
+    in stream order (the draws of count ball_point pairs)."""
+    rows = ball_rows(space, rng, np.full(2 * count, scale))
+    return rows[0::2], rows[1::2]
+
+
+def basis_pairs(space):
+    """Rows (e_i, e_j) for every pair of basis vectors, i major."""
+    eye = np.eye(space.dim, dtype=complex)
+    return np.repeat(eye, space.dim, axis=0), np.tile(eye, (space.dim, 1))
 
 
 def brute_force_derivation_dim(algebra, module, sigma, tau, tol=1e-8):
@@ -201,10 +214,8 @@ class TestResiduals:
         rng = generator(61, "inner")
         x = module.element(ball_point(module, rng, 1.0))
         triple = DerivationTriple(inner_derivation(module, sid, sid, x), sid, sid)
-        for _ in range(100):
-            u = a.element(ball_point(a, rng, 2.0))
-            v = a.element(ball_point(a, rng, 2.0))
-            assert leibniz_residual(triple, u, v) <= 1e-13
+        u, v = ball_pairs(a, rng, 100, 2.0)
+        assert np.all(leibniz_residual(triple, u, v) <= 1e-13)
 
     def test_endomorphism_is_half_half_derivation(self, m2):
         # an endomorphism phi satisfies the product rule for the pair
@@ -216,11 +227,8 @@ class TestResiduals:
         half = LinearMap(0.5 * phi.matrix, a, a)
         d_map = LinearMap(phi.matrix, a, module)
         triple = DerivationTriple(d_map, half, half)
-        rng = generator(63, "half")
-        for _ in range(100):
-            x = a.element(ball_point(a, rng, 2.0))
-            y = a.element(ball_point(a, rng, 2.0))
-            assert leibniz_residual(triple, x, y) <= 1e-13
+        x, y = ball_pairs(a, generator(63, "half"), 100, 2.0)
+        assert np.all(leibniz_residual(triple, x, y) <= 1e-13)
 
     def test_zero_map_is_a_derivation_for_anything(self, m2):
         a, module, sid = m2
@@ -231,24 +239,21 @@ class TestResiduals:
         triple = DerivationTriple(
             LinearMap(np.zeros((module.dim, a.dim)), a, module), arbitrary, sid
         )
-        u = a.element(ball_point(a, rng, 1.0))
-        v = a.element(ball_point(a, rng, 1.0))
-        assert leibniz_residual(triple, u, v) == 0.0
+        u, v = ball_pairs(a, rng, 1, 1.0)
+        assert leibniz_residual(triple, u, v).tolist() == [0.0]
 
     def test_identity_endomorphism_residual(self, m2):
         a, _, sid = m2
-        assert endomorphism_residual(sid, a.basis_element(1), a.basis_element(2)) == 0.0
+        eye = np.eye(a.dim, dtype=complex)
+        assert endomorphism_residual(sid, eye[1:2], eye[2:3]).tolist() == [0.0]
 
     def test_conjugation_endomorphism_residual(self, m2):
         a, _, _ = m2
         u = a.unit_coords.copy()
         u[1] += 1.0
         conj = conjugation_map(a, u)
-        rng = generator(67, "conj")
-        for _ in range(100):
-            x = a.element(ball_point(a, rng, 2.0))
-            y = a.element(ball_point(a, rng, 2.0))
-            assert endomorphism_residual(conj, x, y) <= 1e-13
+        x, y = ball_pairs(a, generator(67, "conj"), 100, 2.0)
+        assert np.all(endomorphism_residual(conj, x, y) <= 1e-13)
 
 
     def test_basis_endo_residual_matches_the_pairwise_loop(self, m2):
@@ -257,11 +262,7 @@ class TestResiduals:
         u[1] += 1.0
         weird = LinearMap(generator(68, "w").standard_normal((a.dim, a.dim)), a, a)
         for s in (sid, conjugation_map(a, u), weird):
-            loop = max(
-                endomorphism_residual(s, a.basis_element(i), a.basis_element(j))
-                for i in range(a.dim)
-                for j in range(a.dim)
-            )
+            loop = max(endomorphism_residual(s, *basis_pairs(a)).tolist())
             assert _basis_endo_residual(a, s) == pytest.approx(loop, rel=1e-12, abs=1e-15)
 
 
@@ -291,6 +292,13 @@ class TestSigmaCertificate:
         triple = DerivationTriple(d_map, sid, sid)
         cert = sigma_endo_certificate(triple, samples=10, seed=3)
         assert cert.d_full_row_rank
+
+    def test_negative_sample_count_rejected(self, m2):
+        # it used to certify a zero cancellation over -1 samples
+        a, module, sid = m2
+        triple = DerivationTriple(LinearMap(np.eye(a.dim, dtype=complex), a, module), sid, sid)
+        with pytest.raises(PreconditionError, match="nonnegative sample count"):
+            sigma_endo_certificate(triple, samples=-1)
 
 
 class TestSubspaces:
@@ -344,10 +352,8 @@ class TestSubspaces:
         rng = generator(71, "check")
         for idx in range(ds.dim):
             triple = DerivationTriple(ds.linear_map(idx), sid, sid)
-            for _ in range(20):
-                u = a.element(ball_point(a, rng, 1.0))
-                v = a.element(ball_point(a, rng, 1.0))
-                assert leibniz_residual(triple, u, v) <= 1e-10
+            u, v = ball_pairs(a, rng, 20, 1.0)
+            assert np.all(leibniz_residual(triple, u, v) <= 1e-10)
 
     def test_dims_invariant_under_weight_rescaling(self):
         a = make_matrix_algebra(2)
@@ -489,12 +495,7 @@ class TestInnerSolve:
         rebuilt = DerivationTriple(
             inner_derivation(module, sid, sid, result.x), sid, sid
         )
-        for i in range(a.dim):
-            for j in range(a.dim):
-                assert (
-                    leibniz_residual(rebuilt, a.basis_element(i), a.basis_element(j))
-                    <= 1e-10
-                )
+        assert np.all(leibniz_residual(rebuilt, *basis_pairs(a)) <= 1e-10)
 
 
 class TestVerdicts:

@@ -22,24 +22,32 @@ from derivlab import (
     PerturbationSpec,
     PointMap,
     TabulatedControl,
+    act_left,
+    act_right,
     constant_control,
     derivation_space,
     dual_bimodule,
+    endomorphism_residual,
     extend_with_annihilator,
     extract_additive,
     get_algebra,
     identity_map,
+    leibniz_residual,
     make_annihilator_perturbation,
     make_clamped_perturbation,
+    mul,
     regular_bimodule,
+    sigma_endo_certificate,
     verify_hypotheses,
     zero_bimodule,
 )
-from derivlab.control import ControlTail, phi_rows, summed_control, summed_control_rows
+from derivlab.control import phi_rows, summed_control, summed_control_rows, summed_control_tail
 from derivlab.hyers import ADDITIVITY_PAIRS, _pointwise_limits, lambda_grid, sampled_envelope
 from derivlab.perturb import QUANT_GRID, _smooth_cutoff
 from derivlab.sampling import (SCALE_GRID, ball_point, ball_points, ball_rows, generator,
                                hashed_unit_floats, hashed_unit_rows)
+
+from test_derivation import change_of_basis
 
 FAMILIES = ("matrix:2", "matrix:3", "upper-triangular:3", "dual-numbers", "zero-product:4")
 
@@ -52,6 +60,20 @@ def random_rows(count, dim, seed):
     if dim:
         rows[1::5, 0] = -0.0
     return rows
+
+
+LAYOUTS = ("transposed", "strided", "fortran")
+
+
+def laid_out(rows, layout):
+    """The same rows in another memory layout: not C-contiguous unless a
+    row holds at most one value."""
+    out = {"transposed": np.ascontiguousarray(rows.T).T,
+           "strided": np.repeat(rows, 2, axis=0)[::2],
+           "fortran": np.asfortranarray(rows)}[layout]
+    assert not out.flags.c_contiguous or rows.shape[1] <= 1
+    assert out.tobytes() == rows.tobytes()
+    return out
 
 
 def assert_rows_equal(rows, reference):
@@ -84,6 +106,14 @@ class TestNormsAndLinearRows:
         assert norms.shape == (count,) and norms.dtype == float
         assert_rows_equal(norms[:, None], [[space.norm(row)] for row in rows])
 
+    @pytest.mark.parametrize("kind", ["algebra", "extended", "dual", "zero"])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_norms_match_norm_in_any_memory_layout(self, family, kind, layout):
+        space = family[1][kind]
+        rows = random_rows(200, space.dim, 4)
+        assert_rows_equal(space.norms(laid_out(rows, layout))[:, None],
+                          [[space.norm(row)] for row in rows])
+
     @pytest.mark.parametrize("target", ["algebra", "extended", "dual", "zero"])
     @pytest.mark.parametrize("count", [0, 1, 300])
     def test_apply_rows_matches_apply_coords(self, family, target, count):
@@ -96,6 +126,106 @@ class TestNormsAndLinearRows:
         out = lin.apply_rows(rows)
         assert out.shape == (count, codomain.dim)
         assert_rows_equal(out, [lin.apply_coords(row) for row in rows])
+        if count > 1:
+            for layout in LAYOUTS:
+                assert lin.apply_rows(laid_out(rows, layout)).tobytes() == out.tobytes()
+
+
+# --- product-rule residuals against the per-pair element forms -----------------
+
+def random_triple(algebra, module, seed):
+    """A triple of random maps, so that every residual is nonzero."""
+    rng = np.random.default_rng(seed)
+
+    def matrix(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    return DerivationTriple(LinearMap(matrix(module.dim, algebra.dim), algebra, module),
+                            LinearMap(matrix(algebra.dim, algebra.dim), algebra, algebra),
+                            LinearMap(matrix(algebra.dim, algebra.dim), algebra, algebra))
+
+
+def reference_leibniz(triple, a, b):
+    x, y = triple.algebra.element(a), triple.algebra.element(b)
+    d, sigma, tau = triple.d, triple.sigma, triple.tau
+    return (d.apply(mul(x, y)) - act_right(d.apply(x), sigma.apply(y))
+            - act_left(tau.apply(x), d.apply(y))).norm()
+
+
+def reference_endomorphism(s, a, b):
+    x, y = s.domain.element(a), s.domain.element(b)
+    return (s.apply(mul(x, y)) - mul(s.apply(x), s.apply(y))).norm()
+
+
+RESIDUAL_FAMILIES = FAMILIES + ("matrix:4",)
+
+
+def residual_algebra(fixture, basis):
+    """The fixture, or the same algebra in a random basis, whose structure
+    constants are not 0 or 1 (so a regrouped product rounds differently)."""
+    algebra = get_algebra(fixture)
+    return algebra if basis == "standard" else change_of_basis(algebra, seed=17)
+
+
+class TestResidualRows:
+    @pytest.mark.parametrize("basis", ["standard", "changed"])
+    @pytest.mark.parametrize("module", ["regular", "extended", "dual", "zero"])
+    @pytest.mark.parametrize("count", [0, 1, 37])
+    @pytest.mark.parametrize("fixture", RESIDUAL_FAMILIES)
+    def test_leibniz_residual_matches_per_pair(self, fixture, count, module, basis):
+        algebra = residual_algebra(fixture, basis)
+        regular = regular_bimodule(algebra)
+        target = {"regular": regular, "extended": extend_with_annihilator(regular)[0],
+                  "dual": dual_bimodule(regular), "zero": zero_bimodule(algebra)}[module]
+        triple = random_triple(algebra, target, 7)
+        a, b = random_rows(count, algebra.dim, 20), random_rows(count, algebra.dim, 21)
+        residuals = leibniz_residual(triple, a, b)
+        assert residuals.shape == (count,)
+        assert_rows_equal(residuals[:, None],
+                          [[reference_leibniz(triple, x, y)] for x, y in zip(a, b)])
+
+    @pytest.mark.parametrize("basis", ["standard", "changed"])
+    @pytest.mark.parametrize("count", [0, 1, 37])
+    @pytest.mark.parametrize("fixture", RESIDUAL_FAMILIES)
+    def test_endomorphism_residual_matches_per_pair(self, fixture, count, basis):
+        algebra = residual_algebra(fixture, basis)
+        s = random_triple(algebra, algebra, 8).sigma
+        a, b = random_rows(count, algebra.dim, 22), random_rows(count, algebra.dim, 23)
+        residuals = endomorphism_residual(s, a, b)
+        assert residuals.shape == (count,)
+        assert_rows_equal(residuals[:, None],
+                          [[reference_endomorphism(s, x, y)] for x, y in zip(a, b)])
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("fixture", RESIDUAL_FAMILIES)
+    def test_residuals_match_per_pair_in_any_memory_layout(self, fixture, layout):
+        algebra = residual_algebra(fixture, "changed")
+        triple = random_triple(algebra, regular_bimodule(algebra), 7)
+        a, b = random_rows(37, algebra.dim, 20), random_rows(37, algebra.dim, 21)
+        x, y = laid_out(a, layout), laid_out(b, layout)
+        assert_rows_equal(leibniz_residual(triple, x, y)[:, None],
+                          [[reference_leibniz(triple, u, v)] for u, v in zip(a, b)])
+        assert_rows_equal(endomorphism_residual(triple.sigma, x, y)[:, None],
+                          [[reference_endomorphism(triple.sigma, u, v)] for u, v in zip(a, b)])
+
+    @pytest.mark.parametrize("basis", ["standard", "changed"])
+    @pytest.mark.parametrize("samples", [0, 1, 40])
+    @pytest.mark.parametrize("fixture", RESIDUAL_FAMILIES)
+    def test_sigma_endo_certificate_matches_per_sample_loop(self, fixture, samples, basis):
+        algebra = residual_algebra(fixture, basis)
+        triple = random_triple(algebra, regular_bimodule(algebra), 9)
+        rng = generator(6, "sigma-endo")
+        worst = 0.0
+        for _ in range(samples):
+            a, b, c = (algebra.element(ball_point(algebra, rng, 1.0)) for _ in range(3))
+            defect = triple.sigma.apply(mul(a, b)) - mul(triple.sigma.apply(a),
+                                                         triple.sigma.apply(b))
+            worst = max(worst, act_right(triple.d.apply(c), defect).norm())
+        certificate = sigma_endo_certificate(triple, samples=samples, seed=6)
+        assert certificate.max_cancellation.hex() == worst.hex()
+        assert certificate.samples == samples
+        # every product vanishes in a zero-product algebra, so its defect does too
+        assert (worst > 0.0) == (samples > 0 and not fixture.startswith("zero-product"))
 
 
 # --- per-point references of the built-in maps ---------------------------------
@@ -194,7 +324,6 @@ class TestEvalRows:
         out = maps.f.eval_rows(rows)
         assert_rows_equal(out, [reference(r) for r in rows])
         assert_rows_equal(out, [maps.f.eval_coords(r) for r in rows])
-        assert_rows_equal(out, [maps.f.func(r) for r in rows])
 
     @pytest.mark.parametrize("radius, cap", [(1.0, float("inf")), (4.0, 0.002), (64.0, 0.0)])
     @pytest.mark.parametrize("fixture", FAMILIES)
@@ -225,7 +354,7 @@ class TestEvalRows:
     def test_zero_rows(self, case):
         maps, _ = annihilator_case("matrix:2")
         pmap = {"linear": maps.g_sigma, "annihilator": maps.f,
-                "user": PointMap(maps.f.func, maps.f.domain, maps.f.codomain)}[case]
+                "user": PointMap(maps.f.eval_coords, maps.f.domain, maps.f.codomain)}[case]
         out = pmap.eval_rows(np.zeros((0, pmap.domain.dim), dtype=complex))
         assert out.shape == (0, pmap.codomain.dim)
 
@@ -240,8 +369,27 @@ class TestEvalRows:
 
 # --- extraction against the one-orbit-at-a-time loop ---------------------------
 
+class StreamedTail:
+    """The series remainder at (a, a) after n terms, for growing n: the
+    summed control's upper bound less the fsum of the terms so far, each
+    term evaluated once, when first read, on one scaled element (a itself
+    for term 0)."""
+
+    def __init__(self, phi, a):
+        self.phi, self.a = phi, a
+        self.upper = summed_control(phi, a, a).upper
+        self.terms = []
+
+    def after(self, n):
+        while len(self.terms) < n:
+            k = len(self.terms)
+            point = self.a if k == 0 else 2.0**k * self.a
+            self.terms.append(0.5 * 2.0**-k * self.phi.evaluate(point, point))
+        return self.upper if n == 0 else max(self.upper - math.fsum(self.terms[:n]), 0.0)
+
+
 def reference_orbit(pmap, coords, phi, max_n, tol):
-    certificate = ControlTail(phi, pmap.domain.element(coords))
+    certificate = StreamedTail(phi, pmap.domain.element(coords))
     current = pmap.eval_coords(coords)
     delta = np.inf
     tail = certificate.after(0)
@@ -657,7 +805,7 @@ class TestControlRows:
         _, iterations, _, tails, _ = _pointwise_limits(maps.f, rows, phi, max_n, 1e-10)
         for row, n, tail in zip(rows, iterations.tolist(), tails.tolist()):
             element = domain.element(row)
-            assert tail.hex() == ControlTail(phi, element).after(n).hex()
+            assert tail.hex() == summed_control_tail(phi, element, n).hex()
             assert tail.hex() == reference_tail(phi, element, n).hex()
 
 
@@ -681,8 +829,8 @@ class LoggedCallback:
 
 
 def reference_pointwise_limits(pmap, rows, phi, max_n, tol):
-    """The doubling loop with one ControlTail per row, read row after row."""
-    certificates = [ControlTail(phi, pmap.domain.element(c)) for c in rows]
+    """The doubling loop with one StreamedTail per row, read row after row."""
+    certificates = [StreamedTail(phi, pmap.domain.element(c)) for c in rows]
     limits = pmap.eval_rows(rows)
     count = len(rows)
     iterations, deltas = np.full(count, max_n), np.full(count, np.inf)
