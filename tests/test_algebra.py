@@ -24,7 +24,9 @@ from derivlab import (
     right_annihilator,
     zero_bimodule,
 )
-from derivlab.algebra import regular_bimodule
+from derivlab import algebra as algebra_module
+from derivlab.algebra import STRUCTURE_TOL, Bimodule, regular_bimodule
+from derivlab.perturb import extend_with_annihilator
 from derivlab.sampling import ball_point, ball_rows, generator
 
 
@@ -220,6 +222,21 @@ class TestBimodule:
                 },
             )
 
+    def test_module_document_names_a_missing_key(self):
+        with pytest.raises(ConstructionError, match="missing 'left_action'"):
+            bimodule_from_dict(make_matrix_algebra(2), {})
+
+    @pytest.mark.parametrize("dim", [3, 5, None])
+    def test_module_document_dim_must_match_the_tensors(self, dim):
+        a = make_matrix_algebra(2)
+        doc = bimodule_to_dict(regular_bimodule(a))
+        if dim is None:
+            del doc["dim"]
+        else:
+            doc["dim"] = dim
+        with pytest.raises(ConstructionError, match="dim"):
+            bimodule_from_dict(a, doc)
+
 
 class TestDualBimodule:
     def test_dual_action_is_transpose_on_dual_numbers(self):
@@ -380,3 +397,169 @@ class TestSerialization:
         doc["structure"][0][1][0] = [1.0, 0.0]  # breaks associativity
         with pytest.raises(ConstructionError):
             algebra_from_dict(doc)
+
+
+# --- certification: per-index products, and axioms inherited by derived modules
+
+INHERITANCE_FIXTURES = ("matrix:1", "matrix:2", "matrix:3", "dual-numbers",
+                        "upper-triangular:2", "upper-triangular:3", "zero-product:3")
+
+
+def reference_associativity_gap(c):
+    """|(e_i e_j) e_k - e_i (e_j e_k)| as one four-index einsum each side."""
+    return np.abs(np.einsum("ijm,mkl->ijkl", c, c) - np.einsum("jkm,iml->ijkl", c, c))
+
+
+def reference_axiom_gaps(c, l, r):
+    """The three module axioms as four-index einsums, in the order they are
+    checked."""
+    return {
+        "left associativity": np.abs(np.einsum("ijm,mkl->ijkl", c, l)
+                                     - np.einsum("jkm,iml->ijkl", l, l)),
+        "right associativity": np.abs(np.einsum("ijm,kml->ijkl", c, r)
+                                      - np.einsum("kim,mjl->ijkl", r, r)),
+        "middle associativity": np.abs(np.einsum("ikm,mjl->ijkl", l, r)
+                                       - np.einsum("kjm,iml->ijkl", r, l)),
+    }
+
+
+def fixture_in_basis(fixture, basis_seed):
+    from test_derivation import change_of_basis
+
+    algebra = get_algebra(fixture)
+    return algebra if basis_seed is None else change_of_basis(algebra, basis_seed)
+
+
+def derived_modules(algebra):
+    regular = regular_bimodule(algebra)
+    dual = dual_bimodule(regular)
+    extended = extend_with_annihilator(regular)[0]
+    return {
+        "regular": regular,
+        "dual": dual,
+        "double dual": dual_bimodule(dual),
+        "extended": extended,
+        "dual of extended": dual_bimodule(extended),
+    }
+
+
+BROKEN_FIXTURES = ("matrix:2", "dual-numbers", "upper-triangular:3", "zero-product:3")
+
+
+def broken_structure(fixture, seed, basis_seed):
+    """Structure constants of the fixture with two seeded entries moved by
+    multiples of 1/8, which keep the arithmetic exact in the own basis."""
+    c = np.array(fixture_in_basis(fixture, basis_seed).structure)
+    rng = generator(seed, "broken-algebra", fixture)
+    for _ in range(2):
+        c[tuple(rng.integers(0, len(c), 3))] += rng.integers(1, 8) / 8
+    return c
+
+
+def broken_actions(fixture, seed, basis_seed):
+    """(algebra, left, right): the regular module's actions with one seeded
+    entry of one side moved by a multiple of 1/8."""
+    algebra = fixture_in_basis(fixture, basis_seed)
+    regular = regular_bimodule(algebra)
+    left, right = np.array(regular.left_action), np.array(regular.right_action)
+    side = left if seed % 2 else right
+    rng = generator(seed, "broken-module", fixture)
+    side[tuple(rng.integers(0, len(side), 3))] += rng.integers(1, 8) / 8
+    return algebra, left, right
+
+
+class TestCertification:
+    @pytest.mark.parametrize("basis_seed", [None, 0])
+    @pytest.mark.parametrize("fixture", INHERITANCE_FIXTURES)
+    def test_derived_modules_pass_the_full_checks(self, fixture, basis_seed):
+        # the constructors skip the axiom checks; public Bimodule runs them
+        algebra = fixture_in_basis(fixture, basis_seed)
+        for name, module in derived_modules(algebra).items():
+            gaps = reference_axiom_gaps(algebra.structure, module.left_action,
+                                        module.right_action)
+            for axiom, gap in gaps.items():
+                assert gap.max(initial=0.0) <= STRUCTURE_TOL, (name, axiom)
+            rebuilt = Bimodule(algebra, module.left_action, module.right_action,
+                               weights=module.norm_weights, norm_kind=module.norm_kind)
+            assert rebuilt.tag == module.tag
+            assert rebuilt.action_bound == module.action_bound
+
+    @pytest.mark.parametrize("fixture", ["matrix:2", "dual-numbers", "upper-triangular:3"])
+    def test_sup_norm_action_bound_matches_the_matrix_form(self, fixture):
+        # the weighted row sums of the matrices of x -> e_i.x and x -> x.e_i,
+        # built here through left_matrix and right_matrix
+        algebra = fixture_in_basis(fixture, 1)
+        dual = dual_bimodule(regular_bimodule(algebra))
+        v, eye = dual.norm_weights, np.eye(algebra.dim)
+        bound = 0.0
+        for i in range(algebra.dim):
+            for mat in (dual.left_matrix(eye[i]), dual.right_matrix(eye[i])):
+                op = float(np.max((v[:, None] * np.abs(mat) / v[None, :]).sum(axis=1)))
+                bound = max(bound, op / algebra.norm_weights[i])
+        assert dual.action_bound == bound
+
+    def test_only_outside_input_is_checked_again(self, monkeypatch):
+        checked = []
+        original = algebra_module._worst_associator
+        monkeypatch.setattr(algebra_module, "_worst_associator",
+                            lambda *factors: checked.append(1) or original(*factors))
+        a = make_matrix_algebra(2)
+        assert len(checked) == 1  # associativity
+        modules = derived_modules(a)
+        assert len(checked) == 1
+        Bimodule(a, a.structure, a.structure)
+        assert len(checked) == 4
+        bimodule_from_dict(a, bimodule_to_dict(modules["dual"]))
+        assert len(checked) == 7
+
+    @pytest.mark.parametrize("basis_seed", [None, 0])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fixture", BROKEN_FIXTURES)
+    def test_broken_algebra_reports_the_reference_triple(self, fixture, seed, basis_seed):
+        c = broken_structure(fixture, seed, basis_seed)
+        gap = reference_associativity_gap(c)
+        worst = gap.max()
+        if worst <= STRUCTURE_TOL:
+            make_algebra(c)
+            return
+        with pytest.raises(ConstructionError) as info:
+            make_algebra(c)
+        head, residual = str(info.value).split(" with residual ")
+        reported = tuple(int(x) for x in head.split("(")[1].rstrip(")").split(", "))
+        first = tuple(int(x) for x in np.unravel_index(np.argmax(gap), gap.shape)[:3])
+        ties = {tuple(int(x) for x in t)
+                for t in np.argwhere(gap.max(axis=3) >= worst * (1 - 1e-12))}
+        # in the fixture's own basis the arithmetic is exact, and ties go to
+        # the first triple as np.argmax breaks them; in another basis rounding
+        # may break a tie either way
+        assert reported == first if basis_seed is None else reported in ties
+        assert float(residual) == pytest.approx(worst, rel=1e-3)
+
+    @pytest.mark.parametrize("basis_seed", [None, 0])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("fixture", BROKEN_FIXTURES)
+    def test_broken_module_reports_the_reference_axiom(self, fixture, seed, basis_seed):
+        algebra, left, right = broken_actions(fixture, seed, basis_seed)
+        failing = [(axiom, gap.max()) for axiom, gap in
+                   reference_axiom_gaps(algebra.structure, left, right).items()
+                   if gap.max() > STRUCTURE_TOL]
+        if not failing:
+            Bimodule(algebra, left, right)
+            return
+        axiom, worst = failing[0]
+        with pytest.raises(ConstructionError, match=f"module axiom '{axiom}' fails") as info:
+            Bimodule(algebra, left, right)
+        assert float(str(info.value).rsplit("(", 1)[1][:-1]) == pytest.approx(worst, rel=1e-3)
+
+    def test_seeded_breakages_mostly_break(self):
+        # the two tests above check the reported failure on these cases only
+        # where the reference finds one: most of them
+        algebras = modules = 0
+        for fixture in BROKEN_FIXTURES:
+            for seed in range(4):
+                c = broken_structure(fixture, seed, None)
+                algebras += reference_associativity_gap(c).max() > STRUCTURE_TOL
+                algebra, left, right = broken_actions(fixture, seed, None)
+                gaps = reference_axiom_gaps(algebra.structure, left, right).values()
+                modules += max(gap.max() for gap in gaps) > STRUCTURE_TOL
+        assert algebras >= 12 and modules >= 12

@@ -259,6 +259,19 @@ def test_malformed_sweep_grid_is_one_error_line(capsys, grid):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("fixture, reason", [
+    ("zero-product:40", "3.1 GiB"),  # the Leibniz system alone would be 1.6 GB
+    ("zero-product:65", "<= 64"),
+])
+def test_oversized_request_is_one_error_line(tmp_path, capsys, fixture, reason):
+    out = tmp_path / "report.json"
+    code = main(["run", "--fixture", fixture, "--pipeline", "contractibility", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_ERROR
+    assert len(err) == 1 and err[0].startswith("error:") and reason in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_config_file_that_is_not_an_object_is_one_error_line(tmp_path, capsys, command):
     cfg = tmp_path / "cfg.json"

@@ -37,7 +37,13 @@ from derivlab import (
 )
 from derivlab.algebra import nullspace, regular_bimodule
 from derivlab.cli import _resolve_endomorphism
-from derivlab.derivation import _basis_endo_residual, leibniz_rows, leibniz_system
+from derivlab import derivation as derivation_module
+from derivlab.derivation import (
+    _basis_endo_residual,
+    _system_bytes,
+    leibniz_rows,
+    leibniz_system,
+)
 from derivlab.perturb import PerturbationSpec, extend_with_annihilator, make_annihilator_perturbation
 from derivlab.sampling import ball_point, ball_rows, generator
 
@@ -432,6 +438,16 @@ class TestLeibnizSystem:
         zid = identity_map(z)
         assert np.array_equal(leibniz_rows(z, zid, zid), np.eye(4))
 
+    @pytest.mark.parametrize("fixture", ["matrix:2", "upper-triangular:3", "dual-numbers"])
+    def test_closure_grown_by_a_row_matches_the_closure_from_scratch(self, fixture):
+        # generators grows the closure one added basis row at a time
+        a = get_algebra(fixture)
+        order = generator(37, "closure", fixture).permutation(a.dim)
+        for k in range(2, a.dim + 1):
+            rows = np.eye(a.dim, dtype=complex)[order[:k]]
+            grown = a._closure(rows, a._closure(rows[:-1]))
+            assert np.abs(projector(grown) - projector(a._closure(rows))).max() <= 1e-12
+
     def test_nonmultiplicative_twist_uses_every_basis_row(self, m2):
         a, module, _ = m2
         u = a.unit_coords.copy()
@@ -441,6 +457,30 @@ class TestLeibnizSystem:
         space = derivation_space(a, module, half, half)
         full = nullspace(kron_leibniz_system(a, module, half, half), 1e-10)
         assert np.abs(projector(space.vectors) - projector(full)).max() <= 1e-10
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("shape", [(12, 5), (5, 12)])
+    def test_estimate_is_the_system_and_the_factors_nullspace_takes(self, shape):
+        system = np.ones(shape, dtype=complex)
+        u, _, vh = np.linalg.svd(system, full_matrices=shape[0] < shape[1])
+        assert _system_bytes(*shape) == system.nbytes + u.nbytes + vh.nbytes
+
+    @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
+    def test_oversized_system_refused_before_it_is_built(self, pipeline, monkeypatch):
+        built = []
+        monkeypatch.setattr(derivation_module, "leibniz_system",
+                            lambda *args: built.append(args))
+        a = get_algebra("zero-product:40")  # 64000 x 1600 complex, 1.6 GB alone
+        sid = identity_map(a)
+        with pytest.raises(PreconditionError, match=r"64000 x 1600 .* 3\.1 GiB"):
+            pipeline(a, regular_bimodule(a), sid, sid)
+        assert built == []
+
+    def test_zero_product_dimension_capped_at_64(self):
+        assert get_algebra("zero-product:64").dim == 64
+        with pytest.raises(ValueError, match="64"):
+            get_algebra("zero-product:65")
 
 
 class TestNullspace:
@@ -545,6 +585,15 @@ class TestVerdicts:
     def test_zero_module_amenable(self, m2):
         a, _, sid = m2
         assert is_amenable(a, zero_bimodule(a), sid, sid).contractible
+
+    @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
+    def test_each_endomorphism_residual_computed_once(self, m2, pipeline, monkeypatch):
+        a, module, sid = m2
+        computed = []
+        monkeypatch.setattr(derivation_module, "_basis_endo_residual",
+                            lambda algebra, s: computed.append(s) or _basis_endo_residual(algebra, s))
+        pipeline(a, module, sid, sid)
+        assert len(computed) == 2  # sigma and tau
 
 
 class TestRoundtrip:
