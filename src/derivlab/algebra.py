@@ -51,7 +51,8 @@ def _content_tag(prefix: str, *arrays) -> str:
 def _worst_associator(p: np.ndarray, q: np.ndarray, r: np.ndarray):
     """Largest entry of |p_i q - q r_i| over every index i, with the first
     index (i, a, b, c) in C order that holds it, as `np.argmax` over the whole
-    four-index tensor picks it (None when every entry is zero).
+    four-index tensor picks it (None when every entry is zero). A NaN entry,
+    as inf - inf leaves when both products overflow, is the largest.
 
     (p_i q)[a, b, c] = sum_s p[i, a, s] q[s, b, c] and
     (q r_i)[a, b, c] = sum_s q[a, b, s] r[i, s, c]: two matrix products per
@@ -65,8 +66,10 @@ def _worst_associator(p: np.ndarray, q: np.ndarray, r: np.ndarray):
         gap -= (cols @ r[i]).reshape(a, b * c)
         gap = np.abs(gap).reshape(a, b, c)
         top = float(np.max(gap, initial=0.0))
-        if top > worst:
+        if top > worst or np.isnan(top):
             worst, where = top, (i, *np.unravel_index(int(np.argmax(gap)), gap.shape))
+            if np.isnan(top):
+                break
     return worst, where
 
 
@@ -217,7 +220,7 @@ class FiniteAlgebra(_CoordinateSpace):
 
         # (e_i e_j) e_k versus e_i (e_j e_k) over all basis triples
         worst, where = _worst_associator(c, c, c)
-        if worst > STRUCTURE_TOL:
+        if not worst <= STRUCTURE_TOL:  # a NaN gap fails too
             i, j, k, _ = where
             raise ConstructionError(
                 f"associativity fails on basis triple ({i}, {j}, {k}) "
@@ -291,35 +294,98 @@ class FiniteAlgebra(_CoordinateSpace):
         rows.setflags(write=False)
         return rows
 
-    def _closure(self, rows: np.ndarray, span: np.ndarray | None = None) -> np.ndarray:
+    def _closure(self, rows: np.ndarray, span: np.ndarray | None = None, carry=None):
         """Orthonormal rows spanning every product of one or more `rows`.
 
-        Gram-Schmidt over the words: each new direction b queues the
-        products b g for every row g. A word counts as new when what is
-        left after projecting out the span exceeds SPAN_RTOL times a bound
-        on the word's size, so rounding noise of a zero product is dropped.
-        Given `span`, the closure of all rows but the last row e, the words
-        that are new start as e itself or as b e for b in `span`, so those
-        are queued and `span` grows from there.
+        Gram-Schmidt over the words, first in first out: the rows are the
+        first words, and each new direction b queues the products b g for
+        every row g, all formed in one matrix product. A word counts as new
+        when what is left after projecting out the span exceeds SPAN_RTOL
+        times a bound on the word's size, so rounding noise of a zero
+        product is dropped. Given `span`, the closure of all rows but the
+        last row e, the words that are new start as e itself or as b e for
+        b in `span`, so those are queued and `span` grows from there. The
+        loop stops once the span is the whole algebra.
+
+        `carry`, for a closure from scratch, is a pair (payloads, extend):
+        the rows' payloads, an array [k, ...], and a function giving the
+        payloads [p, k, ...] of the words b g for p rows b with their
+        payloads and every row g. Gram-Schmidt takes from a word's payload
+        the combination of span payloads it takes from the word, and scales
+        it with the word, so a payload that is linear in its word stays so.
+        Every queued word is then taken (those left once the span is the
+        whole algebra in one batch), and the result is (span, the payloads
+        of the span rows, the stacked payloads left by the words that fell
+        inside the span).
         """
-        size = np.linalg.norm(self.structure)
+        n, size = self.dim, np.linalg.norm(self.structure)
+        row_lengths = np.linalg.norm(rows, axis=1)
+        basis = np.zeros((n, n), dtype=complex)
         if span is None:
-            span = np.zeros((0, self.dim), dtype=complex)
-            queue = [(g, np.linalg.norm(g)) for g in rows]
+            count = 0
+            words, bounds = rows, row_lengths
         else:
+            count = len(span)
+            basis[:count] = span
             e, length = rows[-1], np.linalg.norm(rows[-1])
-            products = span @ self.right_mult_matrix(e).T
-            queue = [(e, length)] + [(w, size * length) for w in products]
-        while queue and span.shape[0] < self.dim:
-            word, bound = queue.pop(0)
-            for _ in range(2):  # a second pass restores orthogonality lost to rounding
-                word = word - span.T @ (span.conj() @ word)
-            length = np.linalg.norm(word)
-            if length > SPAN_RTOL * bound:
-                span = np.vstack([span, word / length])
-                products = rows @ self.left_mult_matrix(span[-1]).T
-                queue += [(w, size * np.linalg.norm(g)) for w, g in zip(products, rows)]
-        return span
+            words = np.vstack([e, span @ self.right_mult_matrix(e).T])
+            bounds = np.full(len(words), size * length)
+            bounds[0] = length
+        conj = basis.conj()
+        if carry is not None:
+            payloads, extend = carry
+            shape = payloads.shape[1:]
+            payloads = payloads.reshape(len(payloads), -1)  # flat payloads from here on
+            stack = np.zeros((n, payloads.shape[1]), dtype=complex)
+            inside = [stack[:0]]
+        row_bounds = size * row_lengths
+        queued = count  # the span row whose products are queued next
+        while True:
+            for index, (word, bound) in enumerate(zip(words, bounds)):
+                if count == n and carry is None:
+                    return basis
+                span, spanconj = basis[:count], conj[:count]
+                first = spanconj @ word
+                word = word - span.T @ first
+                second = spanconj @ word  # restores orthogonality lost to rounding
+                word = word - span.T @ second
+                length = np.linalg.norm(word)
+                new = length > SPAN_RTOL * bound
+                if new:
+                    basis[count] = word / length
+                    conj[count] = basis[count].conj()
+                if carry is not None:
+                    payload = payloads[index] - (first + second) @ stack[:count]
+                    if new:
+                        stack[count] = payload / length
+                    else:
+                        inside.append(payload[None])
+                count += new
+            if queued == count:
+                break
+            if count == n and carry is not None:
+                # every word left falls inside the span: the products of all
+                # queued rows, reduced together
+                lefts = np.einsum("bi,ijk->bjk", basis[queued:], self.structure)
+                words = (rows @ lefts).reshape(-1, n)
+                payloads = extend(basis[queued:], stack[queued:].reshape(-1, *shape))
+                payloads = payloads.reshape(len(words), -1).astype(complex, copy=False)
+                first = words @ conj.T
+                second = (words - first @ basis) @ conj.T
+                payloads -= (first + second) @ stack
+                inside.append(payloads)
+                break
+            b = basis[queued]
+            words, bounds = rows @ self.left_mult_matrix(b).T, row_bounds
+            if carry is not None:
+                payloads = extend(basis[queued:queued + 1],
+                                  stack[queued:queued + 1].reshape(1, *shape))
+                payloads = payloads.reshape(len(words), -1)
+            queued += 1
+        if carry is None:
+            return basis[:count]
+        return (basis[:count], stack[:count].reshape(count, *shape),
+                np.concatenate(inside).reshape(-1, *shape))
 
     def left_mult_matrix(self, coords) -> np.ndarray:
         """Matrix of x -> a x for a with the given coordinates."""
@@ -412,7 +478,7 @@ class Bimodule(_CoordinateSpace):
             }
             for name, factors in checks.items():
                 worst, _ = _worst_associator(*factors)
-                if worst > STRUCTURE_TOL:
+                if not worst <= STRUCTURE_TOL:  # a NaN gap fails too
                     raise ConstructionError(f"module axiom '{name}' fails ({worst:.3e})")
 
         if weights is None:
@@ -674,7 +740,8 @@ def algebra_from_dict(doc: dict) -> FiniteAlgebra:
     """Rebuild an algebra from its document, re-running all certifications."""
     what = "algebra document"
     structure = decode_complex(document_field(doc, "structure", ConstructionError, what))
-    if structure.shape != (document_field(doc, "dim", ConstructionError, what),) * 3:
+    dim = document_number(doc, "dim", ConstructionError, what, integer=True)
+    if structure.shape != (dim,) * 3:
         raise ConstructionError("document dim does not match structure tensor")
     unit = decode_complex(doc["unit"]) if doc.get("unit") is not None else None
     return make_algebra(

@@ -195,9 +195,10 @@ def _resolve_endomorphism(algebra: FiniteAlgebra, name: str) -> LinearMap:
 @dataclass
 class PerturbedExperiment:
     """The setup extract, hypotheses, roundtrip and sweep rows share: the
-    base derivation d0 is the first basis vector of the derivation space
-    (else zero) into the regular bimodule extended by one zero-action
-    direction; control is the requested one, else the maps' own."""
+    base derivation d0 is P v / |P v| (else zero) for the projection P onto
+    the derivation space into the regular bimodule extended by one
+    zero-action direction and the fixed map v keyed "base-derivation";
+    control is the requested one, else the maps' own."""
 
     algebra: FiniteAlgebra
     module: Bimodule
@@ -222,11 +223,8 @@ class PerturbedExperiment:
         sigma = _resolve_endomorphism(algebra, config.sigma)
         tau = _resolve_endomorphism(algebra, config.tau)
         space = derivation_space(algebra, module, sigma, tau)
-        if space.dim > 0:
-            d = space.linear_map(0)
-        else:
-            d = LinearMap(np.zeros((module.dim, algebra.dim), dtype=complex), algebra, module)
-        d0 = DerivationTriple(d, sigma, tau)
+        d = space.unit_projection("base-derivation").reshape(space.map_shape)
+        d0 = DerivationTriple(LinearMap(d, algebra, module), sigma, tau)
         spec = cls.perturbation(config)
         if spec.mode == "annihilator":
             maps = make_annihilator_perturbation(d0, spec, ann_basis)

@@ -2,7 +2,9 @@
 
 A linear map d : A -> X is a twisted derivation for a pair of linear maps
 (sigma, tau) on A when d(ab) = d(a).sigma(b) + tau(a).d(b). The set of such
-maps is the nullspace of an explicit linear system; the inner ones, those of
+maps is the nullspace of an explicit linear system in the values of d on the
+algebra's generators (on every basis vector when sigma or tau is not
+multiplicative); the inner ones, those of
 the form d_x(a) = x.sigma(a) - tau(a).x, form the image of an explicit
 linear map from the module. Comparing the two subspaces decides
 contractibility, and the same comparison on the dual module decides
@@ -32,11 +34,12 @@ SVD_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
 ENDO_TOL = 1e-10
 # Largest estimate (_system_bytes) derivation_space accepts. numpy's SVD
-# copies the system and LAPACK adds its workspace, so peak RSS grows by 2.1
-# to 2.8 times the estimate (measured from zero-product:16 to matrix:6); at
-# 1 GiB a run stays under about 3 GB, which an 8 GB machine shared with
-# other work can hold. matrix:7 (0.43 GiB) fits; matrix:8 (1.25 GiB) and
-# zero-product:40 (3.1 GiB) fail at once, naming their size, instead of
+# copies the system, and the words the closure reduces in one block and
+# LAPACK's workspace come on top, so peak RSS above the interpreter's grew by
+# about 2 times the estimate (measured on zero-product:20 to :28, whose
+# generators are the whole basis); at 1 GiB a run stays under about 2.3 GB,
+# which an 8 GB machine shared with other work can hold. matrix:8 needs 25 MiB and zero-product:31 0.88 GiB;
+# zero-product:40 (3.1 GiB) fails at once, naming its size, instead of
 # meeting the OOM killer minutes later.
 SYSTEM_BYTES_LIMIT = 2**30
 
@@ -189,18 +192,40 @@ class SubspaceBasis:
     def linear_map(self, index: int) -> LinearMap:
         return LinearMap(self.matrix(index), self.domain, self.codomain)
 
+    def project(self, vecs) -> np.ndarray:
+        """Orthogonal projection onto the span of a flattened map, or of each
+        row of an array of them. It depends on the span, not on the basis."""
+        return (np.asarray(vecs, dtype=complex) @ self.vectors.conj().T) @ self.vectors
+
     def projection_residual(self, vec) -> float:
         """Distance from vec (a flattened map or LinearMap) to the span."""
         if isinstance(vec, LinearMap):
             vec = vec.matrix.reshape(-1)
         v = np.asarray(vec, dtype=complex).reshape(-1)
-        if self.dim == 0:
-            return float(np.linalg.norm(v))
-        coeffs = self.vectors.conj() @ v
-        return float(np.linalg.norm(v - self.vectors.T @ coeffs))
+        return float(np.linalg.norm(v - self.project(v)))
+
+    def unit_projection(self, key: str) -> np.ndarray:
+        """P v / |P v| for the fixed map v = keyed_map(..., key), flattened:
+        a unit vector of the span chosen without regard to its basis, zero
+        when the span is {0}."""
+        vec = self.project(keyed_map(self.domain, self.codomain, key).reshape(-1))
+        return _unit(vec) if self.dim else vec
 
     def contains(self, vec, tol: float = MEMBERSHIP_TOL) -> bool:
         return self.projection_residual(vec) <= tol
+
+
+def keyed_map(algebra: FiniteAlgebra, module: Bimodule, key: str) -> np.ndarray:
+    """A fixed complex Gaussian map A -> X, a (module dim) x (algebra dim)
+    matrix drawn from generator(0, key): its projections choose vectors of a
+    subspace that do not depend on the subspace's basis or on any seed."""
+    rng = generator(0, key)
+    shape = (module.dim, algebra.dim)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _unit(vec: np.ndarray) -> np.ndarray:
+    return vec / np.linalg.norm(vec)
 
 
 def _twist_matrices(module: Bimodule, sigma: LinearMap,
@@ -212,44 +237,61 @@ def _twist_matrices(module: Bimodule, sigma: LinearMap,
     return right_sigma, left_tau
 
 
-def leibniz_rows(algebra: FiniteAlgebra, sigma: LinearMap, tau: LinearMap) -> np.ndarray:
-    """Coordinates of the elements g on which derivation_space imposes
-    D(g e_j) = D(g).sigma(e_j) + tau(g).D(e_j) for every basis vector e_j.
+def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
+                     tau: LinearMap, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Leibniz constraints on u = (D(g_1), ..., D(g_k)) for the rows g_i
+    of `rows`, shape ((n k + k - n) m, k m) when the rows generate the
+    algebra, and the matrix (m n, k m) that takes u to row-major vec(D).
 
-    When sigma and tau are multiplicative, the rule for a and for a' gives
-    it for aa' (expand D(aa'b) through sigma(a'b) = sigma(a')sigma(b) and
-    tau(aa') = tau(a)tau(a') with the bimodule axioms), so a generating set
-    of the algebra suffices. Otherwise every basis vector is needed.
+    The closure of the rows (`FiniteAlgebra._closure`) carries with each
+    word w the m x k m matrix T_w with D(w) = T_w u: the selector E_i for
+    g_i, and for b g_i the Leibniz rule R_sigma(g_i) T_b + L_tau(b) E_i,
+    where R_sigma(a) is x -> x.sigma(a) and L_tau(a) is x -> tau(a).x. A
+    word that enters the orthonormal basis q_l needs no constraint; one that
+    falls inside the span leaves its reduced T as m constraint rows. The
+    null vectors u are then the maps with the rule on every pair (q_l, g_i),
+    and D(e_j) = sum_l conj(q_l[j]) T_l u.
+
+    When sigma and tau are multiplicative, the rule on (a, g) for every a
+    and each generator g gives it on (a, b g) (expand D(a b g) through
+    sigma(b g) = sigma(b) sigma(g) and tau(a b) = tau(a) tau(b) with the
+    bimodule axioms), so on all of the algebra. With the identity rows T is
+    the identity and the constraints are the rule on every pair of basis
+    vectors.
     """
-    if all(_basis_endo_residual(algebra, m) <= ENDO_TOL for m in (sigma, tau)):
-        return algebra.generators
-    return np.eye(algebra.dim, dtype=complex)
-
-
-def leibniz_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
-                   tau: LinearMap, rows: np.ndarray) -> np.ndarray:
-    """The Leibniz constraints for each row g of `rows` and basis vector e_j,
-    acting on row-major vec(D); shape (len(rows) * n * m, m * n).
-
-    Row (g, j, r) and column (k, s) hold delta_rk (g e_j)_s
-    - (x -> x.sigma(e_j))_rk g_s - (x -> tau(g).x)_rk delta_js.
-    """
-    n, m = algebra.dim, module.dim
+    n, m, k = algebra.dim, module.dim, len(rows)
     right_sigma, left_tau = _twist_matrices(module, sigma, tau)
-    products = np.einsum("ai,ijs->ajs", rows, algebra.structure)
-    left_tau_rows = np.einsum("ai,irk->ark", rows, left_tau)
-    system = np.einsum("jrk,as->ajrks", -right_sigma, rows)
-    diag_m, diag_n = np.arange(m), np.arange(n)
-    system[:, :, diag_m, diag_m, :] += products[:, :, None, :]
-    system[:, diag_n, :, :, diag_n] -= left_tau_rows
-    return system.reshape(-1, m * n)
+    right_at_rows = np.einsum("ai,irk->ark", rows, right_sigma)
+    diagonal = np.arange(k)
+
+    def extend(b, payloads):
+        out = right_at_rows @ payloads[:, None]
+        out.reshape(-1, k, m, k, m)[:, diagonal, :, diagonal, :] += np.tensordot(b, left_tau, 1)
+        return out
+
+    selectors = np.eye(k * m, dtype=complex).reshape(k, m, k * m)
+    basis, payloads, inside = algebra._closure(rows, carry=(selectors, extend))
+    if len(basis) < n:
+        raise PreconditionError(
+            f"the {k} generator rows span {len(basis)} of {n} dimensions"
+        )
+    to_vec = np.tensordot(basis.conj(), payloads, (0, 0)).transpose(1, 0, 2)
+    return inside.reshape(-1, k * m), to_vec.reshape(m * n, k * m)
 
 
-def _system_bytes(rows: int, cols: int) -> int:
-    """Bytes of a complex rows x cols system and of the SVD factors
-    `nullspace` takes from it: U (rows x min(rows, cols)) and the full right
-    factor (cols x cols)."""
-    return 16 * (rows * cols + rows * min(rows, cols) + cols * cols)
+def _system_shape(n: int, m: int, k: int) -> tuple[int, int]:
+    """Shape of generator_system's constraints for k rows that generate an
+    n-dimensional algebra, into an m-dimensional module: every one of the
+    k + n k words but the n basis rows falls inside the span."""
+    return (n * k + k - n) * m, k * m
+
+
+def _system_bytes(n: int, m: int, k: int) -> int:
+    """Bytes of generator_system's complex constraints, of the SVD factors
+    `nullspace` takes from them (U, rows x min(rows, cols), and the right
+    factor, cols x cols) and of the n x m x k m stack of T matrices."""
+    rows, cols = _system_shape(n, m, k)
+    return 16 * (rows * cols + rows * min(rows, cols) + cols * cols + n * m * cols)
 
 
 def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
@@ -258,27 +300,32 @@ def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
     """Orthonormal basis of all maps D with D(ab) = D(a).sigma(b)
     + tau(a).D(b).
 
-    The constraint is linear in the entries of D; it is imposed on the
-    pairs (g, e_j) with g from leibniz_rows, and the basis is the SVD
-    nullspace of the stacked system with a relative singular-value cutoff.
-    A system whose estimated size exceeds SYSTEM_BYTES_LIMIT is refused
-    before it is built. The private `_endomorphisms` says the caller has
-    already certified sigma and tau as endomorphisms, so the generators are
-    the rows without their basis residuals being computed again.
+    The unknowns are the values of D on the algebra's generators when sigma
+    and tau are multiplicative (basis residual at most ENDO_TOL), else on
+    every basis vector; generator_system gives their constraints. The null
+    vectors, from an SVD with a relative singular-value cutoff, are mapped
+    to vec(D) and orthonormalized. A system whose estimated size exceeds
+    SYSTEM_BYTES_LIMIT is refused before it is built. The private
+    `_endomorphisms` says the caller has already certified sigma and tau as
+    endomorphisms, so their basis residuals are not computed again.
     """
-    if module.dim == 0:
+    n, m = algebra.dim, module.dim
+    if m == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
-    rows = algebra.generators if _endomorphisms else leibniz_rows(algebra, sigma, tau)
-    shape = (len(rows) * algebra.dim * module.dim, module.dim * algebra.dim)
-    need = _system_bytes(*shape)
+    multiplicative = _endomorphisms or all(
+        _basis_endo_residual(algebra, s) <= ENDO_TOL for s in (sigma, tau))
+    rows = algebra.generators if multiplicative else np.eye(n, dtype=complex)
+    need = _system_bytes(n, m, len(rows))
     if need > SYSTEM_BYTES_LIMIT:
+        shape = _system_shape(n, m, len(rows))
         raise PreconditionError(
-            f"the Leibniz system ({shape[0]} x {shape[1]} complex) and its SVD factors "
-            f"need about {need / 2**30:.1f} GiB, over the "
+            f"the Leibniz system ({shape[0]} x {shape[1]} complex) with its "
+            f"factorization and T matrices needs about {need / 2**30:.1f} GiB, over the "
             f"{SYSTEM_BYTES_LIMIT / 2**30:.0f} GiB limit"
         )
-    system = leibniz_system(algebra, module, sigma, tau, rows)
-    return SubspaceBasis(nullspace(system, SVD_RTOL), algebra, module)
+    system, to_vec = generator_system(algebra, module, sigma, tau, rows)
+    maps = nullspace(system, SVD_RTOL) @ to_vec.T
+    return SubspaceBasis(np.linalg.qr(maps.T)[0].T, algebra, module)
 
 
 def _inner_operator_matrix(algebra: FiniteAlgebra, module: Bimodule,
@@ -395,28 +442,30 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
                     sigma: LinearMap, tau: LinearMap) -> ContractibilityReport:
     """Decide whether every twisted derivation into the module is inner.
 
-    Computes both subspaces and tests inclusion by projection residuals of
-    the derivation basis vectors onto the inner span. The witness, when the
-    verdict is negative, is the first derivation basis vector that sticks
-    out, reshaped to a map.
+    Computes both subspaces; the residual is the largest distance from a
+    unit vector of the derivation space to the inner space, the spectral
+    norm of (I - P_Inner) on Der. The witness, when the verdict is negative,
+    is the unit vector along (P_Der - P_Inner) v for the fixed map v =
+    keyed_map(..., "contractibility-witness"): a derivation orthogonal to
+    the inner ones. Neither depends on the bases the SVDs return.
     """
     _require_endomorphisms(algebra, sigma, tau)
     derivations = derivation_space(algebra, module, sigma, tau, _endomorphisms=True)
     inners = inner_space(algebra, module, sigma, tau)
+    outside = derivations.vectors - inners.project(derivations.vectors)
+    worst = float(np.linalg.norm(outside, 2)) if derivations.dim else 0.0
     witness = None
-    worst = 0.0
-    for idx in range(derivations.dim):
-        residual = inners.projection_residual(derivations.vectors[idx])
-        worst = max(worst, residual)
-        if residual > MEMBERSHIP_TOL and witness is None:
-            witness = derivations.linear_map(idx)
+    if worst > MEMBERSHIP_TOL:
+        v = keyed_map(algebra, module, "contractibility-witness").reshape(-1)
+        vec = _unit(derivations.project(v) - inners.project(v))
+        witness = LinearMap(vec.reshape(derivations.map_shape), algebra, module)
     verdict = VERDICT_CONTRACTIBLE if witness is None else VERDICT_NOT_CONTRACTIBLE
     return ContractibilityReport(
         derivation_dim=derivations.dim,
         inner_dim=inners.dim,
         verdict=verdict,
         witness=witness,
-        max_projection_residual=float(worst),
+        max_projection_residual=worst,
     )
 
 

@@ -109,6 +109,16 @@ class TestMakeAlgebra:
         with pytest.raises(ConstructionError, match="associativity"):
             make_algebra(c)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_associator_rejected(self):
+        # not associative ((e1 e0) e1 = 3e400 e1, e1 (e0 e1) = 1e400 e1), but
+        # both sides overflow and inf - inf = nan slipped past `worst > tol`
+        c = np.zeros((2, 2, 2), dtype=complex)
+        c[0, 0, 0] = c[0, 1, 1] = c[1, 1, 0] = 1e200
+        c[1, 0, 1] = 3e200
+        with pytest.raises(ConstructionError, match="associativity fails .* nan"):
+            make_algebra(c)
+
     def test_nonpositive_weight_rejected(self):
         c = np.zeros((1, 1, 1), dtype=complex)
         with pytest.raises(ConstructionError):
@@ -221,6 +231,15 @@ class TestBimodule:
                     "weights": [1, 1, 1, 1],
                 },
             )
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_module_axiom_rejected(self):
+        # e e = 1e150 e, so e.x = 1e160 x is no module action, but (e e).x and
+        # e.(e.x) both overflow and inf - inf = nan slipped past `worst > tol`
+        a = make_algebra(np.full((1, 1, 1), 1e150))
+        left, right = np.full((1, 1, 1), 1e160), np.zeros((1, 1, 1))
+        with pytest.raises(ConstructionError, match="left associativity' fails \\(nan\\)"):
+            Bimodule(a, left, right)
 
     def test_module_document_names_a_missing_key(self):
         with pytest.raises(ConstructionError, match="missing 'left_action'"):
@@ -390,6 +409,17 @@ class TestSerialization:
         y_mod = bimodule_from_dict(a, doc)
         assert y_mod.tag == x_mod.tag
         assert y_mod.action_bound == x_mod.action_bound
+
+    @pytest.mark.parametrize("dim", [True, "1", 1.0, 2, None])
+    def test_algebra_document_dim_must_be_the_integer_dimension(self, dim):
+        # "dim": true compared equal to 1 and loaded a one-dimensional algebra
+        doc = algebra_to_dict(make_algebra(np.ones((1, 1, 1))))
+        if dim is None:
+            del doc["dim"]
+        else:
+            doc["dim"] = dim
+        with pytest.raises(ConstructionError, match="dim"):
+            algebra_from_dict(doc)
 
     def test_loader_rejects_corrupted_structure(self):
         a = make_matrix_algebra(2)

@@ -35,14 +35,15 @@ from derivlab import (
     sigma_endo_certificate,
     zero_bimodule,
 )
-from derivlab.algebra import nullspace, regular_bimodule
-from derivlab.cli import _resolve_endomorphism
+from derivlab.algebra import algebra_to_dict, nullspace, regular_bimodule
+from derivlab.cli import ExperimentConfig, PerturbedExperiment, _resolve_endomorphism
 from derivlab import derivation as derivation_module
 from derivlab.derivation import (
+    SubspaceBasis,
     _basis_endo_residual,
     _system_bytes,
-    leibniz_rows,
-    leibniz_system,
+    _system_shape,
+    generator_system,
 )
 from derivlab.perturb import PerturbationSpec, extend_with_annihilator, make_annihilator_perturbation
 from derivlab.sampling import ball_point, ball_rows, generator
@@ -130,6 +131,14 @@ def kron_leibniz_system(algebra, module, sigma, tau):
     return np.vstack(blocks)
 
 
+def kron_nullspace(algebra, module, sigma, tau):
+    """nullspace of the kron system, through the triangular factor of its QR
+    decomposition: the same singular values and right factor, without the
+    tall left factor the SVD of a tall matrix would also form."""
+    system = kron_leibniz_system(algebra, module, sigma, tau)
+    return nullspace(np.linalg.qr(system, mode="r"), 1e-10)
+
+
 def projector(rows):
     """Orthogonal projector onto the span of orthonormal rows."""
     return rows.T @ rows.conj()
@@ -167,7 +176,7 @@ def change_of_basis(algebra, seed):
         rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     ) / np.sqrt(n)
     p_inv = np.linalg.inv(p)
-    structure = np.einsum("pi,qj,pqs,ks->ijk", p, p, algebra.structure, p_inv)
+    structure = np.einsum("pi,qj,pqs,ks->ijk", p, p, algebra.structure, p_inv, optimize=True)
     unit = None if algebra.unit_coords is None else p_inv @ algebra.unit_coords
     return make_algebra(structure, unit=unit)
 
@@ -192,7 +201,7 @@ def decide(algebra, module_kind, twist):
 
 
 CLOSED_FORM_FIXTURES = (
-    "matrix:1", "matrix:2", "matrix:3", "matrix:4", "matrix:5",
+    "matrix:1", "matrix:2", "matrix:3", "matrix:4", "matrix:5", "matrix:6",
     "upper-triangular:1", "upper-triangular:2", "upper-triangular:3", "upper-triangular:4",
     "zero-product:1", "zero-product:4", "zero-product:6", "dual-numbers",
 )
@@ -399,6 +408,35 @@ class TestClosedForms:
         assert report.contractible == (der == inner)
 
 
+def recorded_rows(monkeypatch):
+    """The rows each generator_system call receives, in call order."""
+    calls = []
+    build = derivation_module.generator_system
+
+    def spy(*args):
+        calls.append(args[-1])
+        return build(*args)
+
+    monkeypatch.setattr(derivation_module, "generator_system", spy)
+    return calls
+
+
+def three_modules(algebra):
+    """The regular module, its dual and its annihilator extension."""
+    regular = regular_bimodule(algebra)
+    return regular, dual_bimodule(regular), extend_with_annihilator(regular)[0]
+
+
+ENGINE_CASES = [
+    (fixture, twist)
+    for fixture in ("matrix:1", "matrix:2", "matrix:3", "matrix:4", "upper-triangular:2",
+                    "upper-triangular:3", "upper-triangular:4", "zero-product:1",
+                    "zero-product:4", "dual-numbers")
+    for twist in ("id", "conjugation:shear")
+    if twist == "id" or not fixture.startswith("zero-product")
+]
+
+
 class TestLeibnizSystem:
     @pytest.mark.parametrize("fixture,twist", [
         ("matrix:3", "id"), ("matrix:3", "conjugation:shear"),
@@ -406,76 +444,251 @@ class TestLeibnizSystem:
         ("zero-product:4", "id"), ("dual-numbers", "id"), ("dual-numbers", "conjugation:shear"),
     ])
     def test_identity_rows_reproduce_the_kron_system(self, fixture, twist):
+        # with the identity rows u is vec(D) with its two axes swapped, and each
+        # constraint block is minus the kron block of one basis pair
         a = get_algebra(fixture)
+        n = a.dim
         sigma, tau = _resolve_endomorphism(a, twist), identity_map(a)
-        for module in (regular_bimodule(a), dual_bimodule(regular_bimodule(a)),
-                       extend_with_annihilator(regular_bimodule(a))[0]):
-            system = leibniz_system(a, module, sigma, tau, np.eye(a.dim, dtype=complex))
-            assert np.array_equal(system, kron_leibniz_system(a, module, sigma, tau))
+        for module in three_modules(a):
+            m = module.dim
+            system, to_vec = generator_system(a, module, sigma, tau, np.eye(n, dtype=complex))
+            swap = np.eye(n * m).reshape(n, m, n * m).transpose(1, 0, 2).reshape(m * n, n * m)
+            assert np.array_equal(to_vec, swap)
+            kron = kron_leibniz_system(a, module, sigma, tau)
+            assert np.abs(system @ to_vec.T + kron).max() <= 1e-15 * np.abs(kron).max()
 
-    @pytest.mark.parametrize("fixture", ["matrix:3", "upper-triangular:4", "dual-numbers"])
-    def test_generator_rows_give_the_same_space(self, fixture):
+    @pytest.mark.parametrize("fixture,twist", ENGINE_CASES)
+    def test_generator_rows_give_the_same_space(self, fixture, twist):
         a = get_algebra(fixture)
-        a_changed = change_of_basis(a, seed=23)
-        for alg in (a, a_changed):
-            sigma, tau = _resolve_endomorphism(alg, "conjugation:shear"), identity_map(alg)
-            for module in (regular_bimodule(alg), dual_bimodule(regular_bimodule(alg)),
-                           extend_with_annihilator(regular_bimodule(alg))[0]):
+        for alg in (a, change_of_basis(a, seed=23)):
+            sigma, tau = _resolve_endomorphism(alg, twist), identity_map(alg)
+            for module in three_modules(alg):
                 reduced = derivation_space(alg, module, sigma, tau)
-                full = nullspace(
-                    leibniz_system(alg, module, sigma, tau, np.eye(alg.dim)), 1e-10
-                )
-                gap = np.abs(projector(reduced.vectors) - projector(full)).max()
+                full = kron_nullspace(alg, module, sigma, tau)
+                assert reduced.dim == len(full)
+                gap = np.abs(projector(reduced.vectors) - projector(full)).max(initial=0.0)
                 assert gap <= 1e-10
 
-    def test_generators_shrink_the_system_when_the_algebra_allows(self):
+    def test_matrix5_generator_rows_give_the_same_space(self):
+        # the kron system is 15625 x 625 here, so one module, twist and basis
+        alg = change_of_basis(get_algebra("matrix:5"), seed=23)
+        sigma, tau = _resolve_endomorphism(alg, "conjugation:shear"), identity_map(alg)
+        module = regular_bimodule(alg)
+        reduced = derivation_space(alg, module, sigma, tau)
+        full = kron_nullspace(alg, module, sigma, tau)
+        assert reduced.dim == len(full) == 24
+        assert np.abs(projector(reduced.vectors) - projector(full)).max() <= 1e-10
+
+    def test_generators_shrink_the_system_when_the_algebra_allows(self, monkeypatch):
+        rows = recorded_rows(monkeypatch)
         for fixture in ("matrix:3", "upper-triangular:4"):
             a = get_algebra(fixture)
-            sid = identity_map(a)
-            assert leibniz_rows(a, sid, sid).shape == (2, a.dim)
+            sid, module = identity_map(a), regular_bimodule(a)
+            derivation_space(a, module, sid, sid)
+            assert rows[-1].shape == (2, a.dim)
+            system, _ = generator_system(a, module, sid, sid, rows[-1])
+            assert system.shape == _system_shape(a.dim, module.dim, 2)
+            assert system.shape == ((a.dim + 2) * module.dim, 2 * module.dim)
         # every product vanishes, so only the whole basis generates
         z = get_algebra("zero-product:4")
         zid = identity_map(z)
-        assert np.array_equal(leibniz_rows(z, zid, zid), np.eye(4))
+        derivation_space(z, regular_bimodule(z), zid, zid)
+        assert np.array_equal(rows[-1], np.eye(4))
 
     @pytest.mark.parametrize("fixture", ["matrix:2", "upper-triangular:3", "dual-numbers"])
     def test_closure_grown_by_a_row_matches_the_closure_from_scratch(self, fixture):
-        # generators grows the closure one added basis row at a time
+        # generators grows the closure one added basis row at a time; the
+        # engine's closure, which carries payloads, takes every word from scratch
         a = get_algebra(fixture)
         order = generator(37, "closure", fixture).permutation(a.dim)
         for k in range(2, a.dim + 1):
             rows = np.eye(a.dim, dtype=complex)[order[:k]]
             grown = a._closure(rows, a._closure(rows[:-1]))
-            assert np.abs(projector(grown) - projector(a._closure(rows))).max() <= 1e-12
+            scratch = a._closure(rows)
+            carried, _, _ = a._closure(rows, carry=(np.zeros((k, 1)), lambda b, t: np.zeros((len(b), k, 1))))
+            for other in (scratch, carried):
+                assert np.abs(projector(grown) - projector(other)).max() <= 1e-12
 
-    def test_nonmultiplicative_twist_uses_every_basis_row(self, m2):
-        a, module, _ = m2
-        u = a.unit_coords.copy()
-        u[1] += 1.0
-        half = LinearMap(0.5 * conjugation_map(a, u).matrix, a, a)
-        assert np.array_equal(leibniz_rows(a, half, half), np.eye(a.dim))
-        space = derivation_space(a, module, half, half)
-        full = nullspace(kron_leibniz_system(a, module, half, half), 1e-10)
-        assert np.abs(projector(space.vectors) - projector(full)).max() <= 1e-10
+    @pytest.mark.parametrize("fixture", ["matrix:3", "upper-triangular:4", "zero-product:4",
+                                         "dual-numbers"])
+    def test_closure_payload_follows_its_word(self, fixture):
+        # with each word as its own payload, a span row's payload is the row
+        # and a word inside the span leaves its rounding residual
+        a = change_of_basis(get_algebra(fixture), seed=29)
+        rows = a.generators
+
+        def extend(b, payloads):
+            return np.einsum("bj,is,jsk->bik", b, rows, a.structure)
+
+        span, payloads, inside = a._closure(rows, carry=(rows, extend))
+        assert len(span) == a.dim
+        assert np.abs(payloads - span).max() <= 1e-12
+        assert inside.shape == (len(rows) * (a.dim + 1) - a.dim, a.dim)
+        assert np.abs(inside).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(a.structure).max())
+
+    def test_rows_that_do_not_generate_are_refused(self, m2):
+        # one generic 2 x 2 matrix g only generates span{g, g^2} = span{g, 1}
+        a, module, sid = m2
+        with pytest.raises(PreconditionError, match="span 2 of 4 dimensions"):
+            generator_system(a, module, sid, sid, a.generators[:1])
+
+    @pytest.mark.parametrize("fixture", ["matrix:2", "upper-triangular:3", "dual-numbers"])
+    def test_nonmultiplicative_twist_uses_every_basis_row(self, fixture, monkeypatch):
+        # the G = I case: the generator-coordinate system is the kron system
+        a = get_algebra(fixture)
+        module = regular_bimodule(a)
+        rows = recorded_rows(monkeypatch)
+        weird = LinearMap(generator(41, "weird", fixture).standard_normal((a.dim, a.dim)), a, a)
+        twists = [(weird, identity_map(a)), (identity_map(a), weird)]
+        if a.unit_coords is not None:
+            u = a.unit_coords.copy()
+            u[1] += 1.0
+            half = LinearMap(0.5 * conjugation_map(a, u).matrix, a, a)
+            twists.append((half, half))
+        for sigma, tau in twists:
+            space = derivation_space(a, module, sigma, tau)
+            assert np.array_equal(rows[-1], np.eye(a.dim))
+            full = kron_nullspace(a, module, sigma, tau)
+            assert space.dim == len(full)
+            assert np.abs(projector(space.vectors) - projector(full)).max(initial=0.0) <= 1e-10
+
+
+def unitary_change_of_basis(algebra, seed):
+    """The same algebra in the basis f_i = sum_p U[p, i] e_p for a random
+    unitary U, with U: a change that orthogonal projections commute with."""
+    n = algebra.dim
+    rng = generator(seed, "unitary-change-of-basis")
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    structure = np.einsum("pi,qj,pqs,ks->ijk", u, u, algebra.structure, u.conj().T,
+                          optimize=True)
+    return make_algebra(structure, unit=u.conj().T @ algebra.unit_coords), u
+
+
+def direct_sum(a, b):
+    """A + B with componentwise products: Der is Der(A) + Der(B), so the sum
+    of dual-numbers and matrix:2 has Der (4) strictly between Inner (3) and
+    all maps."""
+    n = a.dim
+    c = np.zeros((n + b.dim,) * 3, dtype=complex)
+    c[:n, :n, :n], c[n:, n:, n:] = a.structure, b.structure
+    return make_algebra(c, unit=np.concatenate([a.unit_coords, b.unit_coords]))
+
+
+def module_change(u, module):
+    """The module's change of basis: U on the regular part, the identity on
+    an annihilator direction."""
+    p = np.eye(module.dim, dtype=complex)
+    p[:len(u), :len(u)] = u
+    return p
+
+
+class TestBasisIndependentChoices:
+    @pytest.fixture(params=["dual-numbers", "upper-triangular:3", "sum"])
+    def changed(self, request, monkeypatch):
+        """(algebra, the same algebra in a unitary changed basis, U), with
+        the keyed maps of the changed basis mapped from the original's."""
+        if request.param == "sum":
+            a = direct_sum(get_algebra("dual-numbers"), make_matrix_algebra(2))
+        else:
+            a = get_algebra(request.param)
+        b, u = unitary_change_of_basis(a, seed=43)
+        keyed = derivation_module.keyed_map
+
+        def mapped(algebra, module, key):
+            v = keyed(algebra, module, key)
+            if not np.array_equal(algebra.structure, b.structure):
+                return v
+            return module_change(u, module).conj().T @ v @ u
+
+        monkeypatch.setattr(derivation_module, "keyed_map", mapped)
+        return a, b, u
+
+    def test_base_derivation_follows_the_change_of_basis(self, changed):
+        a, b, u = changed
+        d0 = {}
+        for alg in (a, b):
+            exp = PerturbedExperiment.build(ExperimentConfig(fixture=algebra_to_dict(alg)))
+            d0[alg.tag] = exp.d0.d.matrix, exp.module
+        (d_a, _), (d_b, module_b) = d0[a.tag], d0[b.tag]
+        assert np.linalg.norm(d_a) == pytest.approx(1.0, abs=1e-12)
+        back = module_change(u, module_b) @ d_b @ u.conj().T
+        assert np.abs(back - d_a).max() <= 1e-10
+
+    def test_witness_follows_the_change_of_basis(self, changed):
+        a, b, u = changed
+        reports = [is_contractible(alg, regular_bimodule(alg), identity_map(alg),
+                                   identity_map(alg)) for alg in (a, b)]
+        assert reports[0].derivation_dim == reports[1].derivation_dim
+        assert reports[0].inner_dim == reports[1].inner_dim
+        assert reports[0].max_projection_residual == pytest.approx(
+            reports[1].max_projection_residual, abs=1e-10)
+        if reports[0].contractible:
+            assert reports[1].witness is None
+            return
+        assert reports[0].max_projection_residual == pytest.approx(1.0, abs=1e-10)
+        back = u @ reports[1].witness.matrix @ u.conj().T
+        assert np.abs(back - reports[0].witness.matrix).max() <= 1e-10
+        # a derivation that is not inner
+        witness = reports[0].witness.matrix.reshape(-1)
+        assert derivation_space(a, regular_bimodule(a), identity_map(a),
+                                identity_map(a)).projection_residual(witness) <= 1e-10
+        assert inner_space(a, regular_bimodule(a), identity_map(a),
+                           identity_map(a)).projection_residual(witness) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("fixture", ["matrix:3", "zero-product:4", "dual-numbers"])
+    def test_unit_projection_ignores_the_basis_of_the_space(self, fixture):
+        a = get_algebra(fixture)
+        module, sid = regular_bimodule(a), identity_map(a)
+        space = derivation_space(a, module, sid, sid)
+        rng = generator(47, "rotation", fixture)
+        shape = (space.dim, space.dim)
+        rotation, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        rotated = SubspaceBasis(rotation @ space.vectors, a, module)
+        assert np.abs(rotated.unit_projection("k") - space.unit_projection("k")).max() <= 1e-12
+
+    @pytest.mark.parametrize("fixture,dims", [("sum", (4, 3)), ("zero-product:4", (16, 0))])
+    def test_residual_is_the_largest_distance_from_der_to_inner(self, fixture, dims):
+        # a unit vector of Der orthogonal to Inner is at distance 1, so
+        # (I - P_Inner) on Der has norm 1 however many directions stick out:
+        # Der(duals) in Der(duals) + Der(M2) against Inner = Der(M2), and all
+        # 16 maps of zero-product:4 against Inner = 0
+        if fixture == "sum":
+            a = direct_sum(get_algebra("dual-numbers"), make_matrix_algebra(2))
+        else:
+            a = get_algebra(fixture)
+        sid = identity_map(a)
+        report = is_contractible(a, regular_bimodule(a), sid, sid)
+        assert (report.derivation_dim, report.inner_dim) == dims
+        assert report.max_projection_residual == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSizeGuard:
-    @pytest.mark.parametrize("shape", [(12, 5), (5, 12)])
-    def test_estimate_is_the_system_and_the_factors_nullspace_takes(self, shape):
-        system = np.ones(shape, dtype=complex)
-        u, _, vh = np.linalg.svd(system, full_matrices=shape[0] < shape[1])
-        assert _system_bytes(*shape) == system.nbytes + u.nbytes + vh.nbytes
+    @pytest.mark.parametrize("fixture", ["matrix:3", "zero-product:4", "dual-numbers"])
+    def test_estimate_is_the_system_and_the_factors_nullspace_takes(self, fixture):
+        a = get_algebra(fixture)
+        module = extend_with_annihilator(regular_bimodule(a))[0]
+        sid, k = identity_map(a), len(a.generators)
+        system, to_vec = generator_system(a, module, sid, sid, a.generators)
+        assert system.shape == _system_shape(a.dim, module.dim, k)
+        u, _, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
+        # to_vec has the size of the stack of T matrices it is summed from
+        assert to_vec.size == a.dim * module.dim * k * module.dim
+        assert _system_bytes(a.dim, module.dim, k) == (system.nbytes + u.nbytes + vh.nbytes
+                                                       + to_vec.nbytes)
 
     @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
     def test_oversized_system_refused_before_it_is_built(self, pipeline, monkeypatch):
-        built = []
-        monkeypatch.setattr(derivation_module, "leibniz_system",
-                            lambda *args: built.append(args))
+        built = recorded_rows(monkeypatch)
         a = get_algebra("zero-product:40")  # 64000 x 1600 complex, 1.6 GB alone
         sid = identity_map(a)
         with pytest.raises(PreconditionError, match=r"64000 x 1600 .* 3\.1 GiB"):
             pipeline(a, regular_bimodule(a), sid, sid)
         assert built == []
+
+    def test_matrix8_system_fits(self):
+        # 4224 x 128: the old system on every entry of D was 8192 x 4096
+        assert _system_shape(64, 64, 2) == (4224, 128)
+        assert _system_bytes(64, 64, 2) < 2**25
 
     def test_zero_product_dimension_capped_at_64(self):
         assert get_algebra("zero-product:64").dim == 64
