@@ -105,13 +105,23 @@ def endomorphism_residual(s: LinearMap, a: np.ndarray, b: np.ndarray) -> np.ndar
     return s.codomain.norms(_endo_defect(s, a, b))
 
 
-def _basis_endo_residual(algebra: FiniteAlgebra, s: LinearMap) -> float:
-    """Worst |s(e_i e_j) - s(e_i) s(e_j)| over all basis pairs."""
-    c, mat = algebra.structure, s.matrix
-    image_of_products = np.einsum("ks,ijs->ijk", mat, c)
-    products_of_images = np.einsum("pi,qj,pqk->ijk", mat, mat, c, optimize=True)
-    defects = np.abs(image_of_products - products_of_images) @ algebra.norm_weights
-    return float(defects.max())
+def _generator_endo_residual(algebra: FiniteAlgebra, s: LinearMap) -> float:
+    """Worst |s(e_i g) - s(e_i) s(g)| over basis vectors e_i and generator
+    rows g.
+
+    Zero exactly when s is multiplicative: the words in the generators span
+    the algebra, and s(x (w g)) = s((x w) g) = s(x w) s(g) = s(x) s(w) s(g)
+    = s(x) s(w g) by associativity and induction on the length of w g. Each
+    generator costs two n x n matrix products: with R_g the matrix whose row
+    i is e_i g, row i of R_g S^T is s(e_i g) and of S^T R_s(g) is
+    s(e_i) s(g).
+    """
+    c, rows = algebra.structure, algebra.generators
+    images = s.matrix.T
+    right = np.tensordot(rows, c, (1, 1))  # [g, i, k]: e_i g
+    right_of_images = np.tensordot(rows @ images, c, (1, 1))  # e_i s(g)
+    defects = right @ images - images @ right_of_images
+    return float((np.abs(defects) @ algebra.norm_weights).max())
 
 
 @dataclass
@@ -161,7 +171,7 @@ def sigma_endo_certificate(triple: DerivationTriple, samples: int = 200,
     rank = np.linalg.matrix_rank(triple.d.matrix, tol=None) if triple.d.matrix.size else 0
     return EndoCertificate(
         max_cancellation=float(worst),
-        tau_basis_residual=float(_basis_endo_residual(algebra, triple.tau)),
+        tau_basis_residual=_generator_endo_residual(algebra, triple.tau),
         ran_trivial=bool(ran.shape[0] == 0),
         d_full_row_rank=bool(rank == triple.module.dim),
         samples=samples,
@@ -238,7 +248,8 @@ def _twist_matrices(module: Bimodule, sigma: LinearMap,
 
 
 def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
-                     tau: LinearMap, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     tau: LinearMap, rows: np.ndarray, *,
+                     twists=None) -> tuple[np.ndarray, np.ndarray]:
     """The Leibniz constraints on u = (D(g_1), ..., D(g_k)) for the rows g_i
     of `rows`, shape ((n k + k - n) m, k m) when the rows generate the
     algebra, and the matrix (m n, k m) that takes u to row-major vec(D).
@@ -257,10 +268,11 @@ def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
     sigma(b g) = sigma(b) sigma(g) and tau(a b) = tau(a) tau(b) with the
     bimodule axioms), so on all of the algebra. With the identity rows T is
     the identity and the constraints are the rule on every pair of basis
-    vectors.
+    vectors. `twists` is `_twist_matrices(module, sigma, tau)` when the
+    caller has it already.
     """
     n, m, k = algebra.dim, module.dim, len(rows)
-    right_sigma, left_tau = _twist_matrices(module, sigma, tau)
+    right_sigma, left_tau = twists or _twist_matrices(module, sigma, tau)
     right_at_rows = np.einsum("ai,irk->ark", rows, right_sigma)
     diagonal = np.arange(k)
 
@@ -295,25 +307,27 @@ def _system_bytes(n: int, m: int, k: int) -> int:
 
 
 def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
-                     sigma: LinearMap, tau: LinearMap, *,
+                     sigma: LinearMap, tau: LinearMap, *, twists=None,
                      _endomorphisms: bool = False) -> SubspaceBasis:
     """Orthonormal basis of all maps D with D(ab) = D(a).sigma(b)
     + tau(a).D(b).
 
     The unknowns are the values of D on the algebra's generators when sigma
-    and tau are multiplicative (basis residual at most ENDO_TOL), else on
-    every basis vector; generator_system gives their constraints. The null
-    vectors, from an SVD with a relative singular-value cutoff, are mapped
-    to vec(D) and orthonormalized. A system whose estimated size exceeds
-    SYSTEM_BYTES_LIMIT is refused before it is built. The private
+    and tau are multiplicative (residual on basis-generator pairs at most
+    ENDO_TOL), else on every basis vector; generator_system gives their
+    constraints. The null vectors, from an SVD with a relative singular-value
+    cutoff, are mapped to vec(D) and orthonormalized. A system whose
+    estimated size exceeds SYSTEM_BYTES_LIMIT is refused before it is built.
+    The private
     `_endomorphisms` says the caller has already certified sigma and tau as
-    endomorphisms, so their basis residuals are not computed again.
+    endomorphisms, so their residuals are not computed again; `twists` is
+    `_twist_matrices(module, sigma, tau)` when the caller has it already.
     """
     n, m = algebra.dim, module.dim
     if m == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
     multiplicative = _endomorphisms or all(
-        _basis_endo_residual(algebra, s) <= ENDO_TOL for s in (sigma, tau))
+        _generator_endo_residual(algebra, s) <= ENDO_TOL for s in (sigma, tau))
     rows = algebra.generators if multiplicative else np.eye(n, dtype=complex)
     need = _system_bytes(n, m, len(rows))
     if need > SYSTEM_BYTES_LIMIT:
@@ -323,30 +337,32 @@ def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
             f"factorization and T matrices needs about {need / 2**30:.1f} GiB, over the "
             f"{SYSTEM_BYTES_LIMIT / 2**30:.0f} GiB limit"
         )
-    system, to_vec = generator_system(algebra, module, sigma, tau, rows)
+    system, to_vec = generator_system(algebra, module, sigma, tau, rows, twists=twists)
     maps = nullspace(system, SVD_RTOL) @ to_vec.T
     return SubspaceBasis(np.linalg.qr(maps.T)[0].T, algebra, module)
 
 
-def _inner_operator_matrix(algebra: FiniteAlgebra, module: Bimodule,
-                           sigma: LinearMap, tau: LinearMap) -> np.ndarray:
-    """Matrix of x -> vec(d_x), shape (module dim * algebra dim, module dim)."""
-    right_sigma, left_tau = _twist_matrices(module, sigma, tau)
+def _inner_operator_matrix(twists) -> np.ndarray:
+    """Matrix of x -> vec(d_x), shape (module dim * algebra dim, module dim),
+    from `_twist_matrices`."""
+    right_sigma, left_tau = twists
     # column i of d_x lands at vec indices k * n + i
-    return (right_sigma - left_tau).transpose(1, 0, 2).reshape(-1, module.dim)
+    return (right_sigma - left_tau).transpose(1, 0, 2).reshape(-1, right_sigma.shape[1])
 
 
 def inner_space(algebra: FiniteAlgebra, module: Bimodule,
-                sigma: LinearMap, tau: LinearMap) -> SubspaceBasis:
-    """Orthonormal basis of the image of x -> (a -> x.sigma(a) - tau(a).x)."""
+                sigma: LinearMap, tau: LinearMap, *, twists=None) -> SubspaceBasis:
+    """Orthonormal basis of the image of x -> (a -> x.sigma(a) - tau(a).x).
+    `twists` is `_twist_matrices(module, sigma, tau)` when the caller has it
+    already."""
     if module.dim == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
-    op = _inner_operator_matrix(algebra, module, sigma, tau)
-    u, s, _ = np.linalg.svd(op, full_matrices=False)
+    twists = twists or _twist_matrices(module, sigma, tau)
+    u, s, _ = np.linalg.svd(_inner_operator_matrix(twists), full_matrices=False)
     # the cutoff is relative to the two terms of x.sigma(a) - tau(a).x, not
     # to their difference: on a commutative algebra they cancel to rounding
     # noise, which a cutoff relative to s[0] would count as rank
-    scale = max(np.linalg.norm(t) for t in _twist_matrices(module, sigma, tau))
+    scale = max(np.linalg.norm(t) for t in twists)
     rank = int(np.sum(s > SVD_RTOL * scale))
     return SubspaceBasis(u[:, :rank].T, algebra, module)
 
@@ -355,8 +371,7 @@ def inner_derivation(module: Bimodule, sigma: LinearMap, tau: LinearMap,
                      x: ModuleElement) -> LinearMap:
     """The map a -> x.sigma(a) - tau(a).x as a LinearMap."""
     algebra = module.algebra
-    op = _inner_operator_matrix(algebra, module, sigma, tau)
-    vec = op @ x.coords
+    vec = _inner_operator_matrix(_twist_matrices(module, sigma, tau)) @ x.coords
     return LinearMap(vec.reshape(module.dim, algebra.dim), algebra, module)
 
 
@@ -387,7 +402,7 @@ def inner_solve(triple: DerivationTriple, tol: float = MEMBERSHIP_TOL) -> InnerS
     feasibility threshold scales with the operator norm of d.
     """
     algebra, module = triple.algebra, triple.module
-    op = _inner_operator_matrix(algebra, module, triple.sigma, triple.tau)
+    op = _inner_operator_matrix(_twist_matrices(module, triple.sigma, triple.tau))
     rhs = triple.d.matrix.reshape(-1)
     if module.dim == 0:
         return InnerSolveResult(True, module.zero(), 0.0, tol)
@@ -430,10 +445,10 @@ class ContractibilityReport:
 def _require_endomorphisms(algebra: FiniteAlgebra, sigma: LinearMap, tau: LinearMap,
                            tol: float = ENDO_TOL) -> None:
     for name, m in (("sigma", sigma), ("tau", tau)):
-        residual = _basis_endo_residual(algebra, m)
+        residual = _generator_endo_residual(algebra, m)
         if residual > tol:
             raise PreconditionError(
-                f"{name} is not multiplicative (basis residual {residual:.3e}); "
+                f"{name} is not multiplicative (basis-generator residual {residual:.3e}); "
                 "contractibility verdicts require endomorphisms"
             )
 
@@ -450,8 +465,10 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
     the inner ones. Neither depends on the bases the SVDs return.
     """
     _require_endomorphisms(algebra, sigma, tau)
-    derivations = derivation_space(algebra, module, sigma, tau, _endomorphisms=True)
-    inners = inner_space(algebra, module, sigma, tau)
+    twists = _twist_matrices(module, sigma, tau)
+    derivations = derivation_space(algebra, module, sigma, tau, twists=twists,
+                                   _endomorphisms=True)
+    inners = inner_space(algebra, module, sigma, tau, twists=twists)
     outside = derivations.vectors - inners.project(derivations.vectors)
     worst = float(np.linalg.norm(outside, 2)) if derivations.dim else 0.0
     witness = None

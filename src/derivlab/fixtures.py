@@ -9,6 +9,8 @@ wide margins.
 """
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .algebra import FiniteAlgebra, make_algebra, make_matrix_algebra
@@ -52,8 +54,11 @@ def make_zero_product(n: int) -> FiniteAlgebra:
     return make_algebra(np.zeros((n, n, n), dtype=complex))
 
 
+@cache
 def get_algebra(name: str) -> FiniteAlgebra:
-    """Resolve a registry name to a certified algebra."""
+    """Resolve a registry name to a certified algebra, built and certified
+    once per name: the algebra's arrays are read-only and its generators are
+    computed once, so every caller can share it."""
     if name == "dual-numbers":
         return make_dual_numbers()
     if ":" in name:

@@ -25,7 +25,7 @@ from derivlab import (
     zero_bimodule,
 )
 from derivlab import algebra as algebra_module
-from derivlab.algebra import STRUCTURE_TOL, Bimodule, regular_bimodule
+from derivlab.algebra import STRUCTURE_TOL, Bimodule, FiniteAlgebra, regular_bimodule
 from derivlab.perturb import extend_with_annihilator
 from derivlab.sampling import ball_point, ball_rows, generator
 
@@ -421,6 +421,30 @@ class TestSerialization:
         with pytest.raises(ConstructionError, match="dim"):
             algebra_from_dict(doc)
 
+    def test_rescaled_weights_survive_a_reload(self):
+        # the rescaled worst pair ratio rounded to 1 + 2^-52 on this copy, and
+        # the reload rescaled the weights again: new weights, new tag
+        from test_derivation import unitary_change_of_basis
+
+        a, _ = unitary_change_of_basis(get_algebra("upper-triangular:3"), 43)
+        assert a.rescale_factor > 1.0
+        b = algebra_from_dict(algebra_to_dict(a))
+        assert b.tag == a.tag
+        assert np.array_equal(b.norm_weights, a.norm_weights)
+        assert b.rescale_factor == 1.0
+        w = a.norm_weights
+        assert (np.einsum("k,ijk->ij", w, np.abs(a.structure)) / np.outer(w, w)).max() <= 1.0
+
+    def test_every_rescaled_copy_reloads_with_its_tag(self):
+        # 21 of these 100 copies used to get a new tag on reload
+        from test_derivation import unitary_change_of_basis
+
+        for fixture in ("matrix:2", "matrix:3", "upper-triangular:3", "upper-triangular:4",
+                        "dual-numbers"):
+            for seed in range(40, 60):
+                a, _ = unitary_change_of_basis(get_algebra(fixture), seed)
+                assert algebra_from_dict(algebra_to_dict(a)).tag == a.tag, (fixture, seed)
+
     def test_loader_rejects_corrupted_structure(self):
         a = make_matrix_algebra(2)
         doc = algebra_to_dict(a)
@@ -438,6 +462,23 @@ INHERITANCE_FIXTURES = ("matrix:1", "matrix:2", "matrix:3", "dual-numbers",
 def reference_associativity_gap(c):
     """|(e_i e_j) e_k - e_i (e_j e_k)| as one four-index einsum each side."""
     return np.abs(np.einsum("ijm,mkl->ijkl", c, c) - np.einsum("jkm,iml->ijkl", c, c))
+
+
+def reference_generator_slot_gap(c, rows):
+    """|(e_i e_j) g - e_i (e_j g)| for basis e_i, e_j and each row g, indexed
+    [i, j, g, coordinate], as one einsum each side."""
+    return np.abs(np.einsum("ijs,gp,spt->ijgt", c, rows, c)
+                  - np.einsum("gp,jps,ist->ijgt", rows, c, c))
+
+
+def certified_generators(monkeypatch):
+    """The generator rows of each FiniteAlgebra construction from here on, the
+    rows its associativity is certified against, in construction order."""
+    seen = []
+    search = FiniteAlgebra.generators.func
+    monkeypatch.setattr(FiniteAlgebra, "generators",
+                        property(lambda self: seen.append(search(self)) or seen[-1]))
+    return seen
 
 
 def reference_axiom_gaps(c, l, r):
@@ -545,25 +586,54 @@ class TestCertification:
     @pytest.mark.parametrize("basis_seed", [None, 0])
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("fixture", BROKEN_FIXTURES)
-    def test_broken_algebra_reports_the_reference_triple(self, fixture, seed, basis_seed):
+    def test_broken_algebra_reports_the_reference_triple(self, fixture, seed, basis_seed,
+                                                         monkeypatch):
         c = broken_structure(fixture, seed, basis_seed)
-        gap = reference_associativity_gap(c)
-        worst = gap.max()
-        if worst <= STRUCTURE_TOL:
+        seen = certified_generators(monkeypatch)
+        if reference_associativity_gap(c).max() <= STRUCTURE_TOL:
             make_algebra(c)
+            assert reference_generator_slot_gap(c, seen[-1]).max() <= STRUCTURE_TOL
             return
+        # every structure the full check refuses is refused
         with pytest.raises(ConstructionError) as info:
             make_algebra(c)
+        rows = seen[-1]
+        gap = reference_generator_slot_gap(c, rows)
+        worst = gap.max()
+        assert worst > STRUCTURE_TOL
         head, residual = str(info.value).split(" with residual ")
+        assert head.startswith("associativity fails on basis, basis, generator triple (")
         reported = tuple(int(x) for x in head.split("(")[1].rstrip(")").split(", "))
         first = tuple(int(x) for x in np.unravel_index(np.argmax(gap), gap.shape)[:3])
         ties = {tuple(int(x) for x in t)
                 for t in np.argwhere(gap.max(axis=3) >= worst * (1 - 1e-12))}
-        # in the fixture's own basis the arithmetic is exact, and ties go to
-        # the first triple as np.argmax breaks them; in another basis rounding
-        # may break a tie either way
-        assert reported == first if basis_seed is None else reported in ties
+        # with the basis as generators in the fixture's own basis the
+        # arithmetic is exact, and ties go to the first triple as np.argmax
+        # breaks them; with generic rows or in another basis rounding may
+        # break a tie either way
+        exact = basis_seed is None and np.array_equal(rows, np.eye(len(c)))
+        assert reported == first if exact else reported in ties
         assert float(residual) == pytest.approx(worst, rel=1e-3)
+
+    @pytest.mark.parametrize("basis_seed", [None, 0, 1])
+    @pytest.mark.parametrize("fixture", INHERITANCE_FIXTURES + ("matrix:4", "upper-triangular:4",
+                                                                "sum"))
+    def test_generator_slot_and_full_gaps_agree(self, fixture, basis_seed):
+        # both pass on every certified algebra; test_broken_algebra_reports_the_reference_triple
+        # has them fail together
+        if fixture == "sum":
+            from test_derivation import direct_sum
+
+            algebra = direct_sum(get_algebra("dual-numbers"), make_matrix_algebra(2))
+            if basis_seed is not None:
+                from test_derivation import change_of_basis
+
+                algebra = change_of_basis(algebra, basis_seed)
+        else:
+            algebra = fixture_in_basis(fixture, basis_seed)
+        c = algebra.structure
+        assert reference_associativity_gap(c).max() <= STRUCTURE_TOL
+        assert reference_generator_slot_gap(c, algebra.generators).max() <= STRUCTURE_TOL
 
     @pytest.mark.parametrize("basis_seed", [None, 0])
     @pytest.mark.parametrize("seed", range(4))

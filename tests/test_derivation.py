@@ -6,6 +6,8 @@ matrix-rank call, independently of the library's vectorized constraint
 assembly.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ from derivlab.cli import ExperimentConfig, PerturbedExperiment, _resolve_endomor
 from derivlab import derivation as derivation_module
 from derivlab.derivation import (
     SubspaceBasis,
-    _basis_endo_residual,
+    _generator_endo_residual,
     _system_bytes,
     _system_shape,
     generator_system,
@@ -271,14 +273,39 @@ class TestResiduals:
         assert np.all(endomorphism_residual(conj, x, y) <= 1e-13)
 
 
-    def test_basis_endo_residual_matches_the_pairwise_loop(self, m2):
-        a, _, sid = m2
-        u = a.unit_coords.copy()
-        u[1] += 1.0
-        weird = LinearMap(generator(68, "w").standard_normal((a.dim, a.dim)), a, a)
-        for s in (sid, conjugation_map(a, u), weird):
-            loop = max(endomorphism_residual(s, *basis_pairs(a)).tolist())
-            assert _basis_endo_residual(a, s) == pytest.approx(loop, rel=1e-12, abs=1e-15)
+    @pytest.mark.parametrize("fixture", ["matrix:2", "upper-triangular:3", "dual-numbers"])
+    def test_endo_residual_matches_the_basis_generator_loop(self, fixture):
+        a = get_algebra(fixture)
+        eye, rows = np.eye(a.dim, dtype=complex), a.generators
+        twists = [identity_map(a), LinearMap(generator(68, "w").standard_normal((a.dim, a.dim)), a, a)]
+        if a.unit_coords is not None:
+            u = a.unit_coords.copy()
+            u[1] += 1.0
+            twists.append(conjugation_map(a, u))
+        for s in twists:
+            loop = max(endomorphism_residual(s, e[None], g[None])[0] for e in eye for g in rows)
+            assert _generator_endo_residual(a, s) == pytest.approx(loop, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("fixture", ["matrix:2", "matrix:3", "upper-triangular:3",
+                                         "dual-numbers", "zero-product:3", "sum"])
+    def test_both_residuals_flag_random_maps(self, fixture, seed):
+        # the generator slot decides multiplicativity: a random map fails it
+        # exactly when it fails on some pair of basis vectors
+        if fixture == "sum":
+            a = direct_sum(get_algebra("dual-numbers"), make_matrix_algebra(2))
+        else:
+            a = get_algebra(fixture)
+        rng = generator(seed, "random-map", fixture)
+        s = LinearMap(rng.standard_normal((a.dim, a.dim)) + 1j * rng.standard_normal((a.dim, a.dim)),
+                      a, a)
+        pairs = max(endomorphism_residual(s, *basis_pairs(a)).tolist())
+        on_generators = _generator_endo_residual(a, s)
+        if fixture.startswith("zero-product"):
+            # every product vanishes, so every linear map is multiplicative
+            assert pairs == on_generators == 0.0
+        else:
+            assert pairs > 1e-3 and on_generators > 1e-3
 
 
 class TestSigmaCertificate:
@@ -413,9 +440,9 @@ def recorded_rows(monkeypatch):
     calls = []
     build = derivation_module.generator_system
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         calls.append(args[-1])
-        return build(*args)
+        return build(*args, **kwargs)
 
     monkeypatch.setattr(derivation_module, "generator_system", spy)
     return calls
@@ -596,7 +623,7 @@ class TestBasisIndependentChoices:
 
         def mapped(algebra, module, key):
             v = keyed(algebra, module, key)
-            if not np.array_equal(algebra.structure, b.structure):
+            if algebra.tag != b.tag:
                 return v
             return module_change(u, module).conj().T @ v @ u
 
@@ -660,6 +687,23 @@ class TestBasisIndependentChoices:
         report = is_contractible(a, regular_bimodule(a), sid, sid)
         assert (report.derivation_dim, report.inner_dim) == dims
         assert report.max_projection_residual == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSharedFixtures:
+    @pytest.mark.parametrize("fixture", ["matrix:2", "dual-numbers", "upper-triangular:3",
+                                         "zero-product:4"])
+    def test_one_certified_instance_per_name(self, fixture):
+        assert get_algebra(fixture) is get_algebra(fixture)
+
+    @pytest.mark.parametrize("fixture,module_kind,twist",
+                             verdict_cases(["matrix:3", "upper-triangular:3", "zero-product:4",
+                                            "dual-numbers"]))
+    def test_verdict_on_the_shared_instance_matches_a_fresh_one(self, fixture, module_kind, twist):
+        shared, fresh = get_algebra(fixture), get_algebra.__wrapped__(fixture)
+        assert fresh is not shared and fresh.tag == shared.tag
+        reports = [json.dumps(decide(alg, module_kind, twist).to_dict(), sort_keys=True)
+                   for alg in (shared, fresh)]
+        assert reports[0] == reports[1]
 
 
 class TestSizeGuard:
@@ -803,10 +847,21 @@ class TestVerdicts:
     def test_each_endomorphism_residual_computed_once(self, m2, pipeline, monkeypatch):
         a, module, sid = m2
         computed = []
-        monkeypatch.setattr(derivation_module, "_basis_endo_residual",
-                            lambda algebra, s: computed.append(s) or _basis_endo_residual(algebra, s))
+        monkeypatch.setattr(derivation_module, "_generator_endo_residual",
+                            lambda algebra, s: computed.append(s) or _generator_endo_residual(algebra, s))
         pipeline(a, module, sid, sid)
         assert len(computed) == 2  # sigma and tau
+
+    @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
+    def test_twist_stacks_built_once(self, m2, pipeline, monkeypatch):
+        # the Leibniz system, the inner operator and its scale share them
+        a, module, sid = m2
+        built = []
+        stacks = derivation_module._twist_matrices
+        monkeypatch.setattr(derivation_module, "_twist_matrices",
+                            lambda *args: built.append(1) or stacks(*args))
+        pipeline(a, module, sid, sid)
+        assert len(built) == 1
 
 
 class TestRoundtrip:
