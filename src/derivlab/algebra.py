@@ -25,8 +25,8 @@ SPAN_RTOL = 1e-10
 ANNIHILATOR_RTOL = 1e-12
 
 
-def _as_complex(data, what: str) -> np.ndarray:
-    arr = np.array(data, dtype=complex)
+def _as_complex(data, what: str, copy: bool = True) -> np.ndarray:
+    arr = np.array(data, dtype=complex) if copy else np.asarray(data, dtype=complex)
     if not np.all(np.isfinite(arr)):
         raise ConstructionError(f"{what} contains non-finite entries")
     return arr
@@ -115,11 +115,25 @@ class _CoordinateSpace:
     def element(self, coords):
         return self._element_cls(self, _as_complex(coords, "element coordinates"))
 
-    def view_element(self, coords):
-        """Element over a coordinate row, sharing its memory (the row view is
-        made read-only) and, like element arithmetic, not checked for
-        finiteness."""
-        return self._element_cls(self, coords)
+    def row_elements(self, rows):
+        """Iterator over elements viewing the rows of one read-only copy of
+        an [N, dim] coordinate array, not checked for finiteness, as element
+        arithmetic is not. The copy fixes every row's shape and its row views
+        are read-only, so the elements are made without the per-element
+        check of `__init__`."""
+        table = np.array(rows, dtype=complex)
+        if table.shape[1:] != (self.dim,):
+            raise SpaceMismatchError(
+                f"coordinate rows {table.shape} do not match dim {self.dim}")
+        table.setflags(write=False)
+        return self._row_views(table)
+
+    def _row_views(self, table):
+        cls = self._element_cls
+        for coords in table:
+            elt = cls.__new__(cls)
+            elt.space, elt.coords = self, coords
+            yield elt
 
     def basis_element(self, index: int):
         coords = np.zeros(self.dim, dtype=complex)
@@ -471,8 +485,10 @@ class Bimodule(_CoordinateSpace):
     The three module axioms are checked here, except for the modules this
     package derives from certified ones (`regular_bimodule`, `dual_bimodule`,
     `perturb.extend_with_annihilator`), whose axioms follow from what their
-    inputs already proved; they pass the private `_axioms_proven`. Shapes,
-    weights and the action bound are certified for every module.
+    inputs already proved; they pass the private `_axioms_proven` and hand
+    over their action tensors uncopied (fresh arrays, or the algebra's
+    read-only structure). Shapes, weights and the action bound are certified
+    for every module.
     """
 
     _element_cls = ModuleElement
@@ -480,8 +496,8 @@ class Bimodule(_CoordinateSpace):
     def __init__(self, algebra: FiniteAlgebra, left_action, right_action,
                  weights=None, norm_kind: str = "l1", *, _axioms_proven: bool = False):
         n = algebra.dim
-        l = _as_complex(left_action, "left action tensor")
-        r = _as_complex(right_action, "right action tensor")
+        l = _as_complex(left_action, "left action tensor", copy=not _axioms_proven)
+        r = _as_complex(right_action, "right action tensor", copy=not _axioms_proven)
         if l.ndim != 3 or l.shape[0] != n or l.shape[1] != l.shape[2]:
             raise ConstructionError("left action tensor must have shape (n, m, m)")
         m = l.shape[1]
@@ -569,8 +585,7 @@ def regular_bimodule(algebra: FiniteAlgebra) -> Bimodule:
     c = algebra.structure
     # x_j . e_i = sum_k structure[j, i, k] x_k: both tensors are the structure
     # constants, read with the module index first for the right action
-    return Bimodule(algebra, c.copy(), c.copy(), weights=algebra.norm_weights.copy(),
-                    _axioms_proven=True)
+    return Bimodule(algebra, c, c, weights=algebra.norm_weights, _axioms_proven=True)
 
 
 def zero_bimodule(algebra: FiniteAlgebra) -> Bimodule:

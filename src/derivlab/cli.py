@@ -22,10 +22,12 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -149,7 +151,56 @@ class RunRecord:
         }
 
     def report_bytes(self) -> bytes:
-        return (json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n").encode()
+        return (report_json(self.to_dict()) + "\n").encode()
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def report_json(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for
+    documents of dicts with str keys, lists, tuples, str, int, float, bool
+    and None (subclasses included, as json writes them); anything else,
+    a non-str key included, raises TypeError. With an indent, json runs its
+    pure-Python encoder; this writer takes fewer steps per value and joins
+    a list of plain floats in one call.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _json_float(value)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = sep.join(map(float.__repr__, value)) \
+            if all(type(x) is float for x in value) else ""
+        if not body or "n" in body:  # not all floats, or a nan or an inf among them
+            body = sep.join([report_json(x, inner) for x in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{encode_basestring_ascii(key)}: {report_json(item, inner)}"
+                         for key, item in sorted(value.items())])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _resolve_algebra(fixture) -> FiniteAlgebra:

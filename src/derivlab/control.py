@@ -12,7 +12,7 @@ doublings, the summed control less the first n terms, certifies the
 direct-method iteration stopped there.
 
 phi and the sums are evaluated on [N, dim] coordinate rows (`phi_rows`,
-`summed_control_rows`, `diagonal_terms`); a power-norm control reads the
+`summed_control_rows`, `diagonal_series`); a power-norm control reads the
 row norms, any other control is called once per row. The element forms
 (`evaluate`, `summed_control`, `summed_control_tail`) are their one-row
 cases.
@@ -187,38 +187,55 @@ def phi_rows(phi: ControlFunction, space, a_rows, b_rows) -> np.ndarray:
     """phi(a_k, b_k) for the rows of two [N, dim] coordinate arrays.
 
     A power-norm control reads the row norms (PNormControl.at_norms); any
-    other control is called once per row, in row order, on elements viewing
-    the rows. When b_rows is a_rows one element serves as both arguments.
+    other control is called once per row, in row order, through `evaluate`,
+    on elements over a read-only copy of the rows (`row_elements`). When
+    b_rows is a_rows one element serves as both arguments.
     """
     diagonal = b_rows is a_rows
     if isinstance(phi, PNormControl):
         ta = space.norms(a_rows)
         return phi.at_norms(ta, ta if diagonal else space.norms(b_rows))
-    out = np.empty(len(a_rows))
-    for k in range(len(a_rows)):
-        a = space.view_element(a_rows[k])
-        out[k] = phi.evaluate(a, a if diagonal else space.view_element(b_rows[k]))
-    return out
+    evaluate = phi.evaluate
+    a = space.row_elements(a_rows)
+    if diagonal:
+        return np.array([evaluate(x, x) for x in a], dtype=float)
+    return np.array([evaluate(x, y) for x, y in zip(a, space.row_elements(b_rows))], dtype=float)
 
 
-# 2^n and the series weight (1/2) 2^{-n} of each truncated term
-_DOUBLINGS = np.array([2.0**n for n in range(DEFAULT_TRUNCATION)])
-_TERM_WEIGHTS = np.array([0.5 * 2.0**-n for n in range(DEFAULT_TRUNCATION)])
+def _doubling_rows(rows, count: int) -> np.ndarray:
+    """The scaled rows 2^k a for k < count of each row a of an [N, dim]
+    array, row after row: an [N * count, dim] array."""
+    rows = np.asarray(rows)
+    scaled = np.ldexp(1.0, np.arange(count))[None, :, None] * rows[:, None, :]
+    return scaled.reshape(len(rows) * count, rows.shape[1])
 
 
-def summed_control_rows(phi: ControlFunction, space, a_rows, b_rows):
-    """The doubling-series sum (1/2) sum 2^{-n} phi(2^n a, 2^n b) at each pair
-    of rows: (values, tail bounds), the tail bounds None in closed form.
+_TABLE_ROWS = 1024  # scaled rows held at once while a tabulated control is called
 
-    Power-norm controls evaluate in closed form from the row norms;
-    tabulated controls are summed to DEFAULT_TRUNCATION terms, one table
-    of the scaled rows 2^n a per row, with a geometric tail bound from the
-    asserted growth exponent.
-    """
+
+def _doubling_table(phi: ControlFunction, space, a_rows, b_rows, count: int) -> np.ndarray:
+    """phi(2^k a, 2^k b) for k < count at each pair of rows: an [N, count]
+    table, the callback called row after row (every k of a row before the
+    next row). The scaled rows are built for a few rows at a time."""
     diagonal = b_rows is a_rows
-    if isinstance(phi, PNormControl):
-        ta = space.norms(a_rows)
-        return phi.at_norms(ta, ta if diagonal else space.norms(b_rows), summed=True), None
+    a_rows = np.asarray(a_rows)
+    step = max(1, _TABLE_ROWS // count)
+    table = np.empty((len(a_rows), count))
+    for s in range(0, len(a_rows), step):
+        a = _doubling_rows(a_rows[s:s + step], count)
+        b = a if diagonal else _doubling_rows(b_rows[s:s + step], count)
+        table[s:s + step] = phi_rows(phi, space, a, b).reshape(-1, count)
+    return table
+
+
+def _term_weights(count: int) -> np.ndarray:
+    """The series weight (1/2) 2^{-k} of each term k < count."""
+    return np.ldexp(0.5, -np.arange(count))
+
+
+def _growth_steps(phi: ControlFunction) -> list[float]:
+    """2^(n q) for the DEFAULT_TRUNCATION terms of a tabulated control,
+    checked before its callback is first called."""
     if not isinstance(phi, TabulatedControl):
         raise ControlError(f"unsupported control type {type(phi).__name__}")
     q = phi.growth_exponent
@@ -227,12 +244,14 @@ def summed_control_rows(phi: ControlFunction, space, a_rows, b_rows):
     growth_steps = [2.0 ** (n * q) for n in range(DEFAULT_TRUNCATION)]
     if 0.0 in growth_steps:
         raise _tail_underflow(q)
-    values = np.empty((len(a_rows), DEFAULT_TRUNCATION))
-    for k in range(len(a_rows)):
-        table = _DOUBLINGS[:, None] * a_rows[k]
-        values[k] = phi_rows(phi, space, table,
-                             table if diagonal else _DOUBLINGS[:, None] * b_rows[k])
-    sums = np.array([math.fsum(row) for row in (_TERM_WEIGHTS * values).tolist()])
+    return growth_steps
+
+
+def _truncated_sums(q: float, growth_steps, values: np.ndarray):
+    """fsum of the DEFAULT_TRUNCATION series terms of each row of phi values,
+    and the geometric tail bound from the row's largest value / 2^(n q)."""
+    terms = _term_weights(DEFAULT_TRUNCATION) * values
+    sums = np.array([math.fsum(row) for row in terms.tolist()])
     with np.errstate(over="ignore", invalid="ignore"):
         growth = np.array([max(0.0, m) for m in (values / growth_steps).max(axis=1).tolist()])
         tails = (0.5 * growth * 2.0 ** (-DEFAULT_TRUNCATION * (1.0 - q))
@@ -242,6 +261,49 @@ def summed_control_rows(phi: ControlFunction, space, a_rows, b_rows):
         # that underflowed to 0 gives nan, which no bound check would flag
         raise _tail_underflow(q)
     return sums, tails
+
+
+def summed_control_rows(phi: ControlFunction, space, a_rows, b_rows):
+    """The doubling-series sum (1/2) sum 2^{-n} phi(2^n a, 2^n b) at each pair
+    of rows: (values, tail bounds), the tail bounds None in closed form.
+
+    Power-norm controls evaluate in closed form from the row norms;
+    tabulated controls are summed to DEFAULT_TRUNCATION terms from one
+    phi_rows table of the scaled rows 2^n a, row after row, with a
+    geometric tail bound from the asserted growth exponent.
+    """
+    diagonal = b_rows is a_rows
+    if isinstance(phi, PNormControl):
+        ta = space.norms(a_rows)
+        return phi.at_norms(ta, ta if diagonal else space.norms(b_rows), summed=True), None
+    growth_steps = _growth_steps(phi)
+    values = _doubling_table(phi, space, a_rows, b_rows, DEFAULT_TRUNCATION)
+    return _truncated_sums(phi.growth_exponent, growth_steps, values)
+
+
+def diagonal_series(phi: ControlFunction, space, rows, count: int):
+    """The doubling series at (a, a) for each row a of an [N, dim] array:
+    (upper, terms), where upper is the summed control's upper bound
+    (ControlSum.upper) and terms[:, k] = (1/2) 2^{-k} phi(2^k a, 2^k a) for
+    at least the first count terms.
+
+    A tabulated control's table is the one summed_control_rows builds,
+    widened to max(DEFAULT_TRUNCATION, count) terms: the callback is called
+    once per (row, term), row after row, and the truncated sum reads the
+    first DEFAULT_TRUNCATION terms. A power-norm control sums in closed form
+    and reads count terms from the norms of the scaled rows.
+    """
+    if isinstance(phi, PNormControl):
+        ta = space.norms(rows)
+        norms = space.norms(_doubling_rows(rows, count))
+        values = phi.at_norms(norms, norms).reshape(len(rows), count)
+        return phi.at_norms(ta, ta, summed=True) + 0.0, _term_weights(count) * values
+    growth_steps = _growth_steps(phi)
+    width = max(DEFAULT_TRUNCATION, count)
+    values = _doubling_table(phi, space, rows, rows, width)
+    sums, tails = _truncated_sums(phi.growth_exponent, growth_steps,
+                                  values[:, :DEFAULT_TRUNCATION])
+    return sums + tails, _term_weights(width) * values
 
 
 def _tail_underflow(q: float) -> ControlError:
@@ -259,12 +321,6 @@ def summed_control(phi: ControlFunction, a, b) -> ControlSum:
     return ControlSum(float(values[0]), DEFAULT_TRUNCATION, float(tails[0]))
 
 
-def diagonal_terms(phi: ControlFunction, space, rows, k: int) -> np.ndarray:
-    """Term k of the doubling series, (1/2) 2^{-k} phi(r, r), at each row r
-    of an [N, dim] array that already holds the scaled points 2^k a."""
-    return 0.5 * 2.0**-k * phi_rows(phi, space, rows, rows)
-
-
 def series_remainder(upper: float, terms) -> float:
     """The summed control's upper bound less the fsum of the first terms,
     floored at 0: the certified tail after len(terms) doublings."""
@@ -274,11 +330,10 @@ def series_remainder(upper: float, terms) -> float:
 def summed_control_tail(phi: ControlFunction, a, n: int) -> float:
     """Upper bound on the series remainder after the first n terms at (a, a):
     the summed control's upper bound less the fsum of the terms k < n, read
-    from one phi_rows table of the scaled rows 2^k a (row 0 is a itself, as
-    in the doubling loop)."""
+    from one phi_rows table of the scaled rows 2^k a (row 0 is a itself)."""
     upper = summed_control(phi, a, a).upper
     count = max(int(n), 0)
     table = np.array([a.coords if k == 0 else 2.0**k * a.coords for k in range(count)])
     table = table.reshape(count, a.space.dim)
-    weights = np.array([0.5 * 2.0**-k for k in range(count)])
-    return series_remainder(upper, (weights * phi_rows(phi, a.space, table, table)).tolist())
+    terms = _term_weights(count) * phi_rows(phi, a.space, table, table)
+    return series_remainder(upper, terms.tolist())

@@ -8,12 +8,13 @@ distance |f(a) - d(a)| is bounded by the summed control at (a, a).
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import LinearMap, _CoordinateSpace, _SpaceElement
-from .control import ControlFunction, diagonal_terms, series_remainder, summed_control_rows
+from .control import ControlFunction, diagonal_series, series_remainder, summed_control_rows
 from .encoding import encode_complex
 from .errors import ConstructionError, ConvergenceError, PreconditionError, SpaceMismatchError
 from .sampling import ball_points, ball_rows, generator
@@ -176,48 +177,73 @@ def _not_converged(max_n: int, delta: float, tail: float) -> ConvergenceError:
 
 def _pointwise_limits(pmap: PointMap, rows: np.ndarray, phi: ControlFunction,
                       max_n: int, tol: float):
-    """Iterate the doubling sequence at every row at once.
+    """Iterate the doubling sequence L_n = f(2^n a) / 2^n at every row at once.
 
     Returns arrays (limits, iterations, final deltas, certified tails,
-    converged). Each row stops on its own rule: the a-priori series tail
-    at or below tol, which for a controlled map rigorously bounds the
-    distance to the limit, or a step delta of exactly zero (a map that is
-    linear along the doubling orbit is its own limit after one step). A
-    small but nonzero delta proves nothing, since the defect magnitude
-    fluctuates, so it never stops a row by itself. A row that reaches max_n
-    unconverged keeps its last delta and tail.
+    converged). Each row stops at the first n that meets one of two rules:
+    the a-priori series tail at or below tol, which for a controlled map
+    rigorously bounds the distance to the limit, or a step delta
+    |L_n - L_{n-1}| of exactly zero (a map that is linear along the doubling
+    orbit is its own limit after one step). A small but nonzero delta proves
+    nothing, since the defect magnitude fluctuates, so it never stops a row
+    by itself. A row that reaches max_n unconverged keeps its last delta and
+    tail.
 
     The tail after n doublings is summed_control_tail(phi, row, n): the
-    summed control's upper bound less the fsum of the first n series
-    terms, where term k is phi at the step-k rows the loop already builds.
+    summed control's upper bound less the fsum of the first n series terms,
+    all read from one diagonal_series table per row. Every term is >= 0 and
+    fsum is correctly rounded, so the fsum never decreases with n, and
+    neither rounded subtraction nor the floor at 0 reverses that order: the
+    tail never increases with n, and each row's tail stop (its first n with
+    tail <= tol) is found by bisection.
+
+    f is evaluated in three calls: at the rows, at the rows doubled once,
+    and at every orbit point 2^n a with 2 <= n <= tail stop of the rows
+    whose first delta is not zero, one orbit after another. A row may thus
+    be evaluated past its first zero delta; those values are checked like
+    every other and never read.
     """
-    domain = pmap.domain
-    values, bounds = summed_control_rows(phi, domain, rows, rows)
-    upper = (values + (0.0 if bounds is None else bounds)).tolist()  # ControlSum.upper
-    limits = pmap.eval_rows(rows)
     count = len(rows)
+    upper, terms = diagonal_series(phi, pmap.domain, rows, max(max_n, 0))
+    upper, terms = upper.tolist(), terms.tolist()
+
+    def tail(r: int, n: int) -> float:
+        return series_remainder(upper[r], terms[r][:n])
+
+    limits = pmap.eval_rows(rows)
     iterations = np.full(count, max_n)
     deltas = np.full(count, np.inf)
-    tails = np.array(upper)
-    terms: list[list[float]] = [[] for _ in range(count)]
+    tails = np.array(upper, dtype=float)
     converged = np.zeros(count, dtype=bool)
-    active = np.arange(count)
-    previous = rows  # the active rows at the step before
-    for n in range(1, max_n + 1):
-        if not len(active):
-            break
-        scaled = 2.0**n * rows[active]
-        nxt = pmap.eval_rows(scaled) / 2.0**n
-        deltas[active] = pmap.codomain.norms(nxt - limits[active])
-        limits[active] = nxt
-        for r, term in zip(active.tolist(), diagonal_terms(phi, domain, previous, n - 1).tolist()):
-            terms[r].append(term)
-            tails[r] = series_remainder(upper[r], terms[r])
-        stop = (tails[active] <= tol) | (deltas[active] == 0.0)
-        iterations[active[stop]] = n
-        converged[active[stop]] = True
-        active = active[~stop]
-        previous = scaled[~stop]
+    if max_n < 1:
+        return limits, iterations, deltas, tails, converged
+    doublings = range(1, max_n + 1)
+    # the last n each row may need: its tail stop, or 1 after a zero first delta
+    stops = np.array([min(1 + bisect_left(doublings, True, key=lambda n: tail(r, n) <= tol),
+                          max_n) for r in range(count)], dtype=int)
+    once = pmap.eval_rows(2.0 * rows) / 2.0
+    stops[pmap.codomain.norms(once - limits) == 0.0] = 1
+    # L_n for 1 <= n <= stop, one row's orbit after another, and L_{n-1}
+    starts = np.cumsum(stops) - stops
+    owner = np.repeat(np.arange(count), stops)
+    orbit_n = np.arange(len(owner)) - np.repeat(starts, stops) + 1
+    later = np.flatnonzero(orbit_n > 1)
+    path = np.empty((len(owner), pmap.codomain.dim), dtype=complex)
+    path[starts] = once
+    if len(later):
+        scale = np.ldexp(1.0, orbit_n[later])[:, None]
+        path[later] = pmap.eval_rows(scale * rows[owner[later]]) / scale
+    previous = np.empty_like(path)
+    previous[starts] = limits
+    previous[later] = path[later - 1]
+    steps = pmap.codomain.norms(path - previous)
+    zero = (steps == 0.0).tolist()
+    for r, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
+        n = next((k for k in range(1, stop) if zero[start + k - 1]), stop)
+        at = start + n - 1
+        limits[r], deltas[r], tails[r] = path[at], steps[at], tail(r, n)
+        iterations[r] = n
+        converged[r] = tails[r] <= tol or deltas[r] == 0.0
     return limits, iterations, deltas, tails, converged
 
 

@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from derivlab.cli import EXIT_ERROR, EXIT_OK, EXIT_UNSATISFIED, ExperimentConfig, main, run, sweep
+from derivlab.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNSATISFIED, PIPELINES, ExperimentConfig,
+                          main, report_json, run, sweep)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -472,3 +474,56 @@ def test_extraction_pipelines_invariant_under_change_of_basis(fixture, pipeline,
         assert changed.outputs["stability"]["num_violations"] == 0
     else:
         assert changed.outputs["roundtrip"]["feasible"] == original.outputs["roundtrip"]["feasible"]
+
+
+# --- the report writer against json.dumps -----------------------------------------
+
+def json_dumps_report(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    @pytest.mark.parametrize("fixture", ["matrix:2", "dual-numbers"])
+    def test_every_pipeline_report_is_json_dumps(self, fixture, pipeline):
+        record = run(ExperimentConfig(fixture=fixture, pipeline=pipeline, samples=50, seed=7))
+        expected = json_dumps_report(record.to_dict())
+        assert report_json(record.to_dict()) == expected
+        assert record.report_bytes() == (expected + "\n").encode()
+
+    def test_clamped_and_envelope_reports_are_json_dumps(self):
+        clamped = {"mode": "clamped", "control": {"kind": "constant", "alpha": 0.1},
+                   "region_radius": 64.0, "seed": 3}
+        envelope = {"kind": "pnorm", "alpha": 3e-3, "beta": 1e-2, "p": 0.5}
+        for config in (ExperimentConfig(pipeline="hypotheses", perturbation=clamped, samples=50),
+                       ExperimentConfig(pipeline="extract", control=envelope)):
+            doc = run(config).to_dict()
+            assert report_json(doc) == json_dumps_report(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"), "zero": -0.0},
+        [1.5, float("nan"), -2.0],
+        [float("inf"), float("-inf")],
+        [[1.0, -0.0], [5e-324, 1.7976931348623157e308], [0.1, 1e16]],
+        {"empty list": [], "empty dict": {}, "nested": [[], {}, [[]], {"x": {}}, [{}]]},
+        [],
+        {},
+        {"é ": "caf\xe9 ÿ \U0001f600 \"quoted\" back\\slash", "ctl": "\x00\x01\n\t\x7f\x1f"},
+        {"np": np.float64(0.1), "list": [np.float64(1.5), 2.0], "nan64": np.float64("nan")},
+        {"bools": [True, False], "true": True, "none": None, "nones": [None]},
+        {"big": 2**53 + 1, "huge": -(2**100), "ints": [1, 2, 3], "mixed": [1, 2.0, "3"]},
+        {"tuple": (1.0, 2.0), "nested tuple": ((), (0.5, "a"), [(None,)])},
+        {"b": 1, "a": 2, "B": 3, "_": 4, "aa": 5, "": 6},
+        "top-level string",
+        3.25,
+        None,
+    ], ids=lambda doc: type(doc).__name__)
+    def test_edge_documents(self, doc):
+        assert report_json(doc) == json_dumps_report(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"x": np.int64(3)}, [np.bool_(True)], {"x": {1, 2}}, {1: "int key"}, object(),
+    ], ids=["np.int64", "np.bool_", "set", "int key", "object"])
+    def test_anything_else_raises_type_error(self, doc):
+        with pytest.raises(TypeError):
+            report_json(doc)

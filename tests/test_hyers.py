@@ -432,6 +432,7 @@ def test_one_phi_pass_per_doubling_orbit(setup):
     assert converged.tolist() == [True]
     doublings = int(iterations[0])
     # a constant budget of ~3e-3 needs 25 doublings to certify 1e-10; the
-    # per-step recomputation used to cost 1989 phi calls on this orbit
+    # per-step recomputation used to cost 1989 phi calls on this orbit, and
+    # every term now comes from the summed control's one table
     assert doublings == 25
-    assert len(calls) <= DEFAULT_TRUNCATION + doublings
+    assert len(calls) == DEFAULT_TRUNCATION

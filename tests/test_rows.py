@@ -41,8 +41,10 @@ from derivlab import (
     verify_hypotheses,
     zero_bimodule,
 )
-from derivlab.control import phi_rows, summed_control, summed_control_rows, summed_control_tail
-from derivlab.hyers import ADDITIVITY_PAIRS, _pointwise_limits, lambda_grid, sampled_envelope
+from derivlab.control import (DEFAULT_TRUNCATION, phi_rows, summed_control, summed_control_rows,
+                              summed_control_tail)
+from derivlab.hyers import (ADDITIVITY_PAIRS, _not_converged, _pointwise_limits, lambda_grid,
+                            sampled_envelope)
 from derivlab.perturb import QUANT_GRID, _smooth_cutoff
 from derivlab.sampling import (SCALE_GRID, ball_point, ball_points, ball_rows, generator,
                                hashed_unit_floats, hashed_unit_rows)
@@ -425,6 +427,13 @@ def reference_extraction(pmap, phi, max_n=48, tol=1e-10, seed=0):
     return columns, its, deltas, tails
 
 
+def sublinear_map(algebra, module):
+    """A map that grows like |a|^0.9: its doubling sequence tends to 0 but no
+    summed control of exponent < 0.9 certifies it, so rows stay unconverged."""
+    direction = module.basis_element(0).coords
+    return PointMap(lambda x: algebra.norm(x) ** 0.9 * direction, algebra, module)
+
+
 EXTRACTION_CONTROLS = {
     "constant": lambda maps: maps.control,
     "pnorm": lambda maps: PNormControl(maps.control.alpha, 1e-3, 0.25),
@@ -446,21 +455,22 @@ class TestExtractionRows:
         assert report.per_basis_tail_bound == tails
         assert all(type(n) is int for n in report.per_basis_iterations)
 
-    def test_nonconvergence_diagnostics_match(self):
+    @pytest.mark.parametrize("max_n", [1, 3, 25, 48, 70])
+    @pytest.mark.parametrize("control", ["pnorm", "tabulated"])
+    def test_nonconvergence_diagnostics_match(self, control, max_n):
         algebra, module, _, _ = base_triple("matrix:2")
-        direction = module.basis_element(0).coords
-
-        def func(x):
-            return algebra.norm(x) ** 0.9 * direction
-
-        pmap = PointMap(func, algebra, module)
-        phi = PNormControl(0.0, 1.0, 0.9)
+        pmap = sublinear_map(algebra, module)
+        phi = {"pnorm": PNormControl(0.0, 1.0, 0.9),
+               "tabulated": TabulatedControl(
+                   lambda a, b: a.norm() ** 0.9 + b.norm() ** 0.9, 0.9)}[control]
         with pytest.raises(ConvergenceError) as ours:
-            extract_additive(pmap, phi, max_n=30, tol=1e-10)
+            extract_additive(pmap, phi, max_n=max_n, tol=1e-10)
         with pytest.raises(ConvergenceError) as reference:
-            reference_orbit(pmap, algebra.basis_element(0).coords, phi, 30, 1e-10)
+            reference_orbit(pmap, algebra.basis_element(0).coords, phi, max_n, 1e-10)
         assert ours.value.diagnostics == reference.value.diagnostics
-        assert ours.value.diagnostics["iterations"] == 30
+        assert str(ours.value) == str(_not_converged(max_n, **{
+            key: reference.value.diagnostics[key] for key in ("delta", "tail")}))
+        assert ours.value.diagnostics["iterations"] == max_n
         delta, tail = ours.value.diagnostics["delta"], ours.value.diagnostics["tail"]
         assert f"delta={delta:.3e}, tail={tail:.3e}" in str(ours.value)
 
@@ -809,6 +819,74 @@ class TestControlRows:
             assert tail.hex() == reference_tail(phi, element, n).hex()
 
 
+# --- the batched doubling engine against the step-major loop -------------------
+
+def engine_case(kind):
+    """(map, rows): basis vectors, random rows across scales and the same
+    rows scaled into the clamped region."""
+    algebra, module, _, triple = base_triple("matrix:2")
+    pmap = {
+        "annihilator": lambda: annihilator_case("matrix:2", epsilon=1e-3)[0].f,
+        "linear": lambda: PointMap.from_linear_map(triple.d),
+        "clamped": lambda: clamped_case("matrix:2", radius=1.0)[0].f,
+        "sublinear": lambda: sublinear_map(algebra, module),
+    }[kind]()
+    small = control_rows(algebra.dim, 21) * 2.0**-8
+    rows = np.vstack([np.eye(algebra.dim, dtype=complex), control_rows(algebra.dim, 22), small])
+    return pmap, rows
+
+
+ENGINE_CASES = ("annihilator", "linear", "clamped", "sublinear")
+ENGINE_MAX_N = (1, 3, 25, 48, 70)
+
+
+class TestDoublingEngine:
+    @pytest.mark.parametrize("max_n", ENGINE_MAX_N)
+    @pytest.mark.parametrize("control", ROW_CONTROLS)
+    @pytest.mark.parametrize("kind", ENGINE_CASES)
+    def test_matches_the_step_major_loop(self, kind, control, max_n):
+        pmap, rows = engine_case(kind)
+        phi = ROW_CONTROLS[control]
+        got = _pointwise_limits(pmap, rows, phi, max_n, 1e-10)
+        expected = reference_pointwise_limits(pmap, rows, phi, max_n, 1e-10)
+        for x, y in zip(got, expected):
+            assert x.dtype == y.dtype
+            assert x.tobytes() == y.tobytes()
+
+    def test_cases_cover_every_stopping_rule(self):
+        # linear maps stop at n = 1; clamped noise leaves exact-zero deltas
+        # at n >= 2; sublinear rows never converge; noisy rows stop on the tail
+        def run(kind, control):
+            return _pointwise_limits(*engine_case(kind), ROW_CONTROLS[control], 48, 1e-10)
+
+        _, iterations, _, _, converged = run("linear", "pnorm")
+        assert set(iterations.tolist()) == {1} and converged.all()
+        _, iterations, deltas, _, _ = run("clamped", "pnorm")
+        assert np.any((iterations >= 2) & (deltas == 0.0))
+        _, iterations, _, _, converged = run("sublinear", "pnorm")
+        assert not converged.all() and np.all(iterations[~converged] == 48)
+        _, iterations, deltas, tails, converged = run("annihilator", "constant")
+        noisy = deltas > 0.0
+        assert converged.all() and noisy.any() and np.all(tails[noisy] <= 1e-10)
+
+    def test_looped_map_sees_each_orbit_in_order(self):
+        maps, _ = annihilator_case("matrix:2", epsilon=1e-3)
+        seen = []
+
+        def func(x):
+            seen.append(x.tobytes())
+            return maps.f.eval_coords(x)
+
+        pmap = PointMap(func, maps.f.domain, maps.f.codomain)
+        dim = pmap.domain.dim
+        rows = np.vstack([np.eye(dim, dtype=complex), control_rows(dim, 23)])
+        seen.clear()
+        _, iterations, _, _, _ = _pointwise_limits(pmap, rows, ROW_CONTROLS["pnorm"], 48, 1e-10)
+        orbits = [(2.0**n * row).tobytes()
+                  for row, stop in zip(rows, iterations.tolist()) for n in range(2, stop + 1)]
+        assert seen == [r.tobytes() for r in rows] + [(2.0 * r).tobytes() for r in rows] + orbits
+
+
 # --- invalid tabulated values: the same error from the same first (row, term) ---
 
 class LoggedCallback:
@@ -851,6 +929,13 @@ def reference_pointwise_limits(pmap, rows, phi, max_n, tol):
     return limits, iterations, deltas, tails, converged
 
 
+def table_queries(space, rows, width):
+    """The log of one diagonal query per (row, term k < width), row after
+    row, of the scaled points 2^k a."""
+    return [2 * (2.0**k * space.element(row)).coords.tobytes()
+            for row in rows for k in range(width)]
+
+
 def outcome(run, callback):
     try:
         result = run()
@@ -876,35 +961,40 @@ class TestInvalidTabulatedValues:
 
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.6, 0.9, 1.0])
     def test_doubling_loop_fails_at_the_same_call(self, fraction):
+        # the loop reads the summed control's table: a failure at any call
+        # is the one summed_control_rows meets at the same (row, term)
         maps, _ = annihilator_case("matrix:2", epsilon=1e-3)
         domain = maps.f.domain
         rows = np.vstack([np.eye(domain.dim, dtype=complex), control_rows(domain.dim, 16)])
-        counting = LoggedCallback()
-        reference_pointwise_limits(maps.f, rows, TabulatedControl(counting, 0.5), 48, 1e-10)
-        total = len(counting.calls)
-        assert total > 64 * len(rows)  # the tail terms are evaluated too
-        fail_at = 1 + int(fraction * (total - 1))
+        fail_at = 1 + int(fraction * (DEFAULT_TRUNCATION * len(rows) - 1))
         ours, reference = LoggedCallback(fail_at), LoggedCallback(fail_at)
         message, calls = outcome(lambda: _pointwise_limits(
             maps.f, rows, TabulatedControl(ours, 0.5), 48, 1e-10), ours)
-        expected = outcome(lambda: reference_pointwise_limits(
-            maps.f, rows, TabulatedControl(reference, 0.5), 48, 1e-10), reference)
+        expected = outcome(lambda: summed_control_rows(
+            TabulatedControl(reference, 0.5), domain, rows, rows), reference)
         assert message == expected[0]
         assert message == f"control callback returned invalid value {-float(fail_at)!r}"
         assert calls == expected[1]
+        assert calls == table_queries(domain, rows, DEFAULT_TRUNCATION)[:fail_at]
 
     def test_doubling_loop_without_failure_matches(self):
+        # each (row, k) is queried once, in the summed control's row-major
+        # order; past DEFAULT_TRUNCATION terms each row's table grows to max_n
         maps, _ = annihilator_case("upper-triangular:3", epsilon=1e-3)
         domain = maps.f.domain
         rows = np.vstack([np.eye(domain.dim, dtype=complex), control_rows(domain.dim, 17)])
-        ours, reference = LoggedCallback(), LoggedCallback()
-        for max_n in (5, 48):
+        for max_n in (5, 48, 70):
+            ours, reference = LoggedCallback(), LoggedCallback()
             got = _pointwise_limits(maps.f, rows, TabulatedControl(ours, 0.5), max_n, 1e-10)
             expected = reference_pointwise_limits(maps.f, rows, TabulatedControl(reference, 0.5),
                                                   max_n, 1e-10)
             for x, y in zip(got, expected):
                 assert x.tobytes() == y.tobytes()
-        assert ours.calls == reference.calls
+            assert ours.calls == table_queries(domain, rows, max(DEFAULT_TRUNCATION, max_n))
+            if max_n <= DEFAULT_TRUNCATION:
+                logged = LoggedCallback()
+                summed_control_rows(TabulatedControl(logged, 0.5), domain, rows, rows)
+                assert ours.calls == logged.calls
 
     def test_hypothesis_budgets_fail_at_the_first_sample(self):
         maps, _ = annihilator_case("matrix:2", epsilon=1e-3)
