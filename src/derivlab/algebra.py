@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .blas import single_blas_thread
 from .encoding import decode_complex, document_field, document_number, encode_complex
 from .errors import ConstructionError, SpaceMismatchError
 from .sampling import generator
@@ -245,6 +246,7 @@ class FiniteAlgebra(_CoordinateSpace):
 
     _element_cls = AlgebraElement
 
+    @single_blas_thread
     def __init__(self, structure, weights=None, unit_index=None, unit=None):
         c = _as_complex(structure, "structure tensor")
         if c.ndim != 3 or len(set(c.shape)) != 1:
@@ -493,6 +495,7 @@ class Bimodule(_CoordinateSpace):
 
     _element_cls = ModuleElement
 
+    @single_blas_thread
     def __init__(self, algebra: FiniteAlgebra, left_action, right_action,
                  weights=None, norm_kind: str = "l1", *, _axioms_proven: bool = False):
         n = algebra.dim
@@ -641,6 +644,7 @@ def dual_bimodule(module: Bimodule) -> Bimodule:
                     _axioms_proven=True)
 
 
+@single_blas_thread
 def nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
     """Rows form an orthonormal basis of the nullspace of `mat`.
 
@@ -710,6 +714,7 @@ class LinearMap:
     def codomain_tag(self) -> str:
         return self.codomain.tag
 
+    @single_blas_thread
     def apply(self, elt: _SpaceElement) -> _SpaceElement:
         if not self.domain.same_space(elt.space):
             raise SpaceMismatchError("element is not in the map's domain")
@@ -717,9 +722,11 @@ class LinearMap:
 
     __call__ = apply
 
+    @single_blas_thread
     def apply_coords(self, coords) -> np.ndarray:
         return self.matrix @ np.asarray(coords, dtype=complex)
 
+    @single_blas_thread
     def apply_rows(self, rows) -> np.ndarray:
         """`apply_coords` of each row of an [N, n] array, bit for bit, in any
         memory layout: one stacked matrix-vector product per row, never
@@ -750,6 +757,7 @@ def identity_map(space: _CoordinateSpace) -> LinearMap:
     return LinearMap(np.eye(space.dim, dtype=complex), space, space)
 
 
+@single_blas_thread
 def conjugation_map(algebra: FiniteAlgebra, u_coords) -> LinearMap:
     """The inner automorphism a -> u a u^{-1} of a unital algebra."""
     if algebra.unit_coords is None:

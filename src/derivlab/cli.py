@@ -2,10 +2,12 @@
 
 Loads a fixture and a pipeline configuration, orchestrates the
 perturb -> extract -> decide chain, and writes machine-readable reports.
-Reports are byte-identical for identical (config, seed) on the same machine
-and BLAS thread count: all randomness is counter-based and keyed by the
-seed, and volatile quantities such as wall time go to stderr, never into
-the report.
+Reports are byte-identical for identical (config, seed) on the same machine:
+all randomness is counter-based and keyed by the seed, derivlab's own linear
+algebra runs in one OpenBLAS thread whatever the process's thread count
+(`blas.single_blas_thread`; where numpy's OpenBLAS has no thread-count
+setter, identity holds at a fixed thread count), and volatile quantities
+such as wall time go to stderr, never into the report.
 
 Exit codes: 0 for satisfied/feasible/contractible outcomes, 2 for violated,
 infeasible or not-contractible outcomes (still successful runs), 1 for
@@ -61,7 +63,7 @@ from .perturb import (
     make_clamped_perturbation,
     verify_hypotheses,
 )
-from .sampling import generator, sphere_point
+from .sampling import generator, sphere_rows
 
 PIPELINES = ("extract", "contractibility", "amenability", "roundtrip", "hypotheses")
 SEED_ENV_VAR = "DERIVLAB_SEED"
@@ -446,8 +448,7 @@ def _sweep_point(config: ExperimentConfig) -> tuple[dict, int]:
     config.validate()
     exp = PerturbedExperiment.build(config)
     report = extract_additive(exp.maps.f, exp.maps.control, seed=config.seed)
-    rng = generator(config.seed, "sweep-bound")
-    points = [sphere_point(exp.algebra, rng, 1.0) for _ in range(config.samples)]
+    points = sphere_rows(exp.algebra, generator(config.seed, "sweep-bound"), config.samples)
     lhs, rhs = sampled_envelope(exp.maps.f, report.limit, points, exp.control)
     return {
         "max_error": float(np.max(lhs, initial=0.0)),

@@ -204,10 +204,15 @@ def phi_rows(phi: ControlFunction, space, a_rows, b_rows) -> np.ndarray:
 
 def _doubling_rows(rows, count: int) -> np.ndarray:
     """The scaled rows 2^k a for k < count of each row a of an [N, dim]
-    array, row after row: an [N * count, dim] array."""
-    rows = np.asarray(rows)
-    scaled = np.ldexp(1.0, np.arange(count))[None, :, None] * rows[:, None, :]
-    return scaled.reshape(len(rows) * count, rows.shape[1])
+    array, row after row: an [N * count, dim] array.
+
+    The real and imaginary parts are scaled apart, so every zero keeps its
+    sign; a complex product with 2^k + 0j would turn a -0.0 imaginary part,
+    or a -0.0 real part beside a negative imaginary one, into +0.0.
+    """
+    parts = np.ascontiguousarray(rows, dtype=complex).view(float)
+    scaled = np.ldexp(parts[:, None, :], np.arange(count)[None, :, None])
+    return scaled.view(complex).reshape(len(parts) * count, parts.shape[1] // 2)
 
 
 _TABLE_ROWS = 1024  # scaled rows held at once while a tabulated control is called
@@ -333,7 +338,6 @@ def summed_control_tail(phi: ControlFunction, a, n: int) -> float:
     from one phi_rows table of the scaled rows 2^k a (row 0 is a itself)."""
     upper = summed_control(phi, a, a).upper
     count = max(int(n), 0)
-    table = np.array([a.coords if k == 0 else 2.0**k * a.coords for k in range(count)])
-    table = table.reshape(count, a.space.dim)
+    table = _doubling_rows(a.coords[None], count)
     terms = _term_weights(count) * phi_rows(phi, a.space, table, table)
     return series_remainder(upper, terms.tolist())

@@ -25,6 +25,7 @@ from .algebra import (
     nullspace,
     right_annihilator,
 )
+from .blas import single_blas_thread
 from .control import ControlFunction
 from .encoding import encode_complex
 from .errors import PreconditionError, SpaceMismatchError
@@ -150,6 +151,7 @@ class EndoCertificate:
         }
 
 
+@single_blas_thread
 def sigma_endo_certificate(triple: DerivationTriple, samples: int = 200,
                            seed: int = 0) -> EndoCertificate:
     """Evaluate |d(c).(sigma(ab) - sigma(a)sigma(b))| on sampled triples.
@@ -202,6 +204,7 @@ class SubspaceBasis:
     def linear_map(self, index: int) -> LinearMap:
         return LinearMap(self.matrix(index), self.domain, self.codomain)
 
+    @single_blas_thread
     def project(self, vecs) -> np.ndarray:
         """Orthogonal projection onto the span of a flattened map, or of each
         row of an array of them. It depends on the span, not on the basis."""
@@ -247,6 +250,7 @@ def _twist_matrices(module: Bimodule, sigma: LinearMap,
     return right_sigma, left_tau
 
 
+@single_blas_thread
 def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
                      tau: LinearMap, rows: np.ndarray, *,
                      twists=None) -> tuple[np.ndarray, np.ndarray]:
@@ -306,6 +310,7 @@ def _system_bytes(n: int, m: int, k: int) -> int:
     return 16 * (rows * cols + rows * min(rows, cols) + cols * cols + n * m * cols)
 
 
+@single_blas_thread
 def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
                      sigma: LinearMap, tau: LinearMap, *, twists=None,
                      _endomorphisms: bool = False) -> SubspaceBasis:
@@ -350,6 +355,7 @@ def _inner_operator_matrix(twists) -> np.ndarray:
     return (right_sigma - left_tau).transpose(1, 0, 2).reshape(-1, right_sigma.shape[1])
 
 
+@single_blas_thread
 def inner_space(algebra: FiniteAlgebra, module: Bimodule,
                 sigma: LinearMap, tau: LinearMap, *, twists=None) -> SubspaceBasis:
     """Orthonormal basis of the image of x -> (a -> x.sigma(a) - tau(a).x).
@@ -367,6 +373,7 @@ def inner_space(algebra: FiniteAlgebra, module: Bimodule,
     return SubspaceBasis(u[:, :rank].T, algebra, module)
 
 
+@single_blas_thread
 def inner_derivation(module: Bimodule, sigma: LinearMap, tau: LinearMap,
                      x: ModuleElement) -> LinearMap:
     """The map a -> x.sigma(a) - tau(a).x as a LinearMap."""
@@ -393,6 +400,7 @@ class InnerSolveResult:
         }
 
 
+@single_blas_thread
 def inner_solve(triple: DerivationTriple, tol: float = MEMBERSHIP_TOL) -> InnerSolveResult:
     """Find x with d_x = d, or report infeasibility.
 
@@ -453,6 +461,7 @@ def _require_endomorphisms(algebra: FiniteAlgebra, sigma: LinearMap, tau: Linear
             )
 
 
+@single_blas_thread
 def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
                     sigma: LinearMap, tau: LinearMap) -> ContractibilityReport:
     """Decide whether every twisted derivation into the module is inner.
@@ -486,6 +495,7 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
     )
 
 
+@single_blas_thread
 def is_amenable(algebra: FiniteAlgebra, module: Bimodule,
                 sigma: LinearMap, tau: LinearMap) -> ContractibilityReport:
     """Contractibility computed over the dual module."""

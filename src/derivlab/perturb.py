@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Bimodule, module_annihilator
+from .blas import single_blas_thread
 from .control import ControlFunction, constant_control, control_from_dict, phi_rows
 from .encoding import document_field, document_number, encode_complex
 from .errors import ConstructionError, PreconditionError
@@ -171,6 +172,7 @@ def _check_annihilator_basis(module: Bimodule, basis: np.ndarray, tol: float = 1
                 )
 
 
+@single_blas_thread
 def make_annihilator_perturbation(d0, spec: PerturbationSpec, annihilator_basis=None):
     """Perturb a derivation triple by noise valued in a killed subspace.
 
@@ -362,6 +364,7 @@ def _defect_ratios(f: PointMap, g_sigma: PointMap, g_tau: PointMap, a: np.ndarra
     return np.stack([_ratios(d, budgets, dust) for d in defects], axis=1)
 
 
+@single_blas_thread
 def verify_hypotheses(f: PointMap, g_sigma: PointMap, g_tau: PointMap,
                       phi: ControlFunction, lambda_mode: str = LAMBDA_FULL,
                       samples: int = 2000, seed: int = 0,

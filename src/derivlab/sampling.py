@@ -10,9 +10,10 @@ normals and radius fraction in stream order, one row after another: the
 ziggurat normal sampler consumes a variable number of stream words, so
 drawing the whole block at once would change every point after the
 first. The norms and the scaling then run on all rows at once.
-`hashed_unit_rows` keys one hash stream per row. `ball_point`,
-`ball_points` and `hashed_unit_floats` are their one-row and fixed-radius
-cases.
+`sphere_rows` draws the normals of all its points in one call, as a
+sphere point draws nothing between them. `hashed_unit_rows` keys one hash
+stream per row. `ball_point`, `ball_points` and `hashed_unit_floats` are
+their one-row and fixed-radius cases.
 """
 from __future__ import annotations
 
@@ -104,6 +105,28 @@ def sphere_point(space, rng: np.random.Generator, scale: float = 1.0) -> np.ndar
         nv = space.norm(v)
         if nv > 0.0:
             return v * (scale / nv)
+
+
+def sphere_rows(space, rng: np.random.Generator, count: int, scale: float = 1.0) -> np.ndarray:
+    """[count, dim] coordinates of the points `count` sphere_point calls
+    draw, in one draw.
+
+    A point takes exactly 2 dim normals unless all of them are 0.0, so all
+    points are drawn by one standard_normal call and scaled in sphere_point's
+    expressions. When some row's norm is 0 the generator's state is restored
+    and the points are drawn again one sphere_point call at a time.
+    """
+    dim = space.dim
+    if dim == 0 or count == 0:
+        return np.zeros((count, dim), dtype=complex)
+    state = rng.bit_generator.state
+    normals = rng.standard_normal((count, 2, dim))
+    v = normals[:, 0] + 1j * normals[:, 1]
+    norms = space.norms(v)
+    if np.all(norms > 0.0):
+        return v * (scale / norms)[:, None]
+    rng.bit_generator.state = state
+    return np.array([sphere_point(space, rng, scale) for _ in range(count)])
 
 
 SCALE_GRID = (0.25, 1.0, 4.0, 16.0)

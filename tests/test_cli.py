@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from derivlab.blas import blas_threads
 from derivlab.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNSATISFIED, PIPELINES, ExperimentConfig,
                           main, report_json, run, sweep)
 
@@ -348,7 +349,38 @@ class TestConfigPrecedence:
         assert json.loads(out.read_text())["seed"] == 9
 
 
+# every pipeline at the sizes whose reports change with the OpenBLAS thread
+# count when derivlab's linear algebra runs at the process's count (8 of these
+# 15 at seed 3)
+THREAD_COUNT_CHILD = """
+import json, sys
+from derivlab.cli import PIPELINES, ExperimentConfig, run
+reports = {}
+for fixture in ("matrix:4", "matrix:5", "zero-product:6"):
+    for pipeline in PIPELINES:
+        record = run(ExperimentConfig(fixture=fixture, pipeline=pipeline, seed=3))
+        reports[f"{fixture} {pipeline}"] = record.report_bytes().decode()
+json.dump(reports, sys.stdout)
+"""
+
+
 class TestDeterminism:
+    @pytest.mark.skipif(blas_threads() is None,
+                        reason="numpy's OpenBLAS has no thread-count setter")
+    def test_reports_do_not_depend_on_the_blas_thread_count(self):
+        children = [
+            subprocess.Popen([sys.executable, "-c", THREAD_COUNT_CHILD],
+                             env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for threads in ("1", "2")
+        ]
+        outputs = [child.communicate(timeout=300) for child in children]
+        for child, (_, err) in zip(children, outputs):
+            assert child.returncode == 0, err
+        one, two = (json.loads(out) for out, _ in outputs)
+        assert len(one) == 15
+        assert [name for name in one if one[name] != two[name]] == []
+
     def test_repeat_runs_byte_identical_in_subprocesses(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=SRC)
         payloads = []

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 from derivlab import (
     ControlError,
     PNormControl,
+    PointMap,
     TabulatedControl,
     constant_control,
     control_from_dict,
+    identity_map,
     make_matrix_algebra,
     summed_control,
 )
-from derivlab.control import summed_control_tail
+from derivlab.control import DEFAULT_TRUNCATION, summed_control_rows, summed_control_tail
+from derivlab.hyers import _pointwise_limits
 from derivlab.sampling import ball_point, generator
 
 A = make_matrix_algebra(2)
@@ -212,6 +215,12 @@ class TestControlTail:
         assert len(ours) == 64 + n
 
 
+def doubled(a, k):
+    """2^k a with the real and imaginary parts scaled apart: every zero keeps
+    its sign, as it does in the doubling tables."""
+    return a.space.element(np.ldexp(a.coords.view(float), k).view(complex))
+
+
 def reference_tails(phi, a, counts):
     """The summed control's upper bound less a math.fsum of the first n
     series terms (1/2) 2^-k phi(2^k a, 2^k a), one scaled element per term,
@@ -220,9 +229,53 @@ def reference_tails(phi, a, counts):
     upper = summed_control(phi, a, a).upper
     terms = []
     for k in range(max(counts, default=0)):
-        point = a if k == 0 else 2.0**k * a
+        point = doubled(a, k)
         terms.append(0.5 * 2.0**-k * phi.evaluate(point, point))
     return [max(upper - math.fsum(terms[:n]), 0.0) for n in counts]
+
+
+# every zero a complex product with 2^k + 0j would flip, and ones it keeps
+SIGNED_ZERO_ROWS = np.array([
+    [complex(-0.0, -1.0), complex(1.0, -0.0), complex(-0.0, -0.0), complex(-0.0, 2.0)],
+    [complex(0.0, -0.5), complex(-4.0, 0.0), complex(0.0, 0.0), complex(-0.0, -0.0)],
+])
+
+
+class TestDoublingZeroSigns:
+    """A tabulated callback sees the bytes of 2^k a, every zero keeping its
+    sign, in the summed control's table and in the extraction's."""
+
+    @staticmethod
+    def logged():
+        calls = []
+
+        def callback(x, y):
+            calls.append(x.coords.tobytes() + y.coords.tobytes())
+            return 1e-3 + 1e-2 * x.norm() ** 0.5
+
+        return TabulatedControl(callback, 0.5), calls
+
+    @staticmethod
+    def scaled_rows(width):
+        return [2 * np.ldexp(row.view(float), k).tobytes()
+                for row in SIGNED_ZERO_ROWS for k in range(width)]
+
+    def test_the_rows_tell_the_scalings_apart(self):
+        row = SIGNED_ZERO_ROWS[0]
+        assert (2.0 * row).tobytes() != np.ldexp(row.view(float), 1).tobytes()
+        assert np.array_equal(np.signbit(np.ldexp(row.view(float), 5)),
+                              np.signbit(row.view(float)))
+
+    def test_summed_control(self):
+        phi, calls = self.logged()
+        summed_control_rows(phi, A, SIGNED_ZERO_ROWS, SIGNED_ZERO_ROWS)
+        assert calls == self.scaled_rows(DEFAULT_TRUNCATION)
+
+    def test_extraction(self):
+        phi, calls = self.logged()
+        _pointwise_limits(PointMap.from_linear_map(identity_map(A)), SIGNED_ZERO_ROWS, phi,
+                          48, 1e-10)
+        assert calls == self.scaled_rows(DEFAULT_TRUNCATION)
 
 
 class TestInvariants:

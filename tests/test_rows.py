@@ -47,7 +47,7 @@ from derivlab.hyers import (ADDITIVITY_PAIRS, _not_converged, _pointwise_limits,
                             sampled_envelope)
 from derivlab.perturb import QUANT_GRID, _smooth_cutoff
 from derivlab.sampling import (SCALE_GRID, ball_point, ball_points, ball_rows, generator,
-                               hashed_unit_floats, hashed_unit_rows)
+                               hashed_unit_floats, hashed_unit_rows, sphere_point, sphere_rows)
 
 from test_derivation import change_of_basis
 
@@ -612,14 +612,14 @@ class ZeroingRng:
         self.uniforms = 0
 
     def standard_normal(self, size=None, out=None):
-        count = out.size if out is not None else size
+        shape = out.shape if out is not None else size
         values = []
-        for _ in range(count):
+        for _ in range(int(np.prod(shape))):
             zero = self.normals // self.per_point in self.zero_points
             values.append(0.0 if zero else self.inner.standard_normal())
             self.normals += 1
         if out is None:
-            return np.array(values)
+            return np.reshape(values, shape)
         out[...] = np.reshape(values, out.shape)
         return out
 
@@ -628,6 +628,18 @@ class ZeroingRng:
         return self.inner.uniform()
 
     random = uniform
+
+    @property
+    def bit_generator(self):
+        return self
+
+    @property
+    def state(self):
+        return self.inner.bit_generator.state, self.normals, self.uniforms
+
+    @state.setter
+    def state(self, value):
+        self.inner.bit_generator.state, self.normals, self.uniforms = value
 
 
 RADII = [0.25, 1.0, 4.0, 16.0, 0.0, 3.5, 1e-300, 2.0**40]
@@ -671,6 +683,32 @@ class TestSamplingRows:
         assert ours.uniforms == len(radii) - len(zero_points)
         for k in zero_points:
             assert rows[k].tobytes() == np.zeros(space.dim, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("kind", ["algebra", "extended", "dual", "zero"])
+    @pytest.mark.parametrize("count", [0, 1, 37])
+    def test_sphere_rows_match_point_loops(self, family, kind, count):
+        space = family[1][kind]
+        rows = sphere_rows(space, generator(5, "sphere"), count, 2.5)
+        assert rows.shape == (count, space.dim) and rows.dtype == complex
+        rng = generator(5, "sphere")
+        assert_rows_equal(rows, [sphere_point(space, rng, 2.5) for _ in range(count)])
+        # the same stream was consumed: the next draws agree
+        consumed = generator(5, "sphere")
+        sphere_rows(space, consumed, count, 2.5)
+        assert consumed.random() == rng.random()
+
+    @pytest.mark.parametrize("zero_points", [(0,), (2, 5), range(3), ()])
+    def test_sphere_rows_replay_zero_draws_point_by_point(self, family, zero_points):
+        # a point whose normals are all zero is drawn again, so the points
+        # after it start later in the stream
+        space = family[1]["algebra"]
+        ours = ZeroingRng(space.dim, zero_points)
+        rows = sphere_rows(space, ours, 6, 1.0)
+        reference = ZeroingRng(space.dim, zero_points)
+        assert_rows_equal(rows, [sphere_point(space, reference, 1.0) for _ in range(6)])
+        assert ours.normals == reference.normals == 2 * space.dim * (6 + len(zero_points))
+        assert ours.inner.random() == reference.inner.random()
+        assert np.all(space.norms(rows) > 0.0)
 
     def test_ball_points_cycle_the_scale_grid(self):
         space = get_algebra("matrix:3")
