@@ -81,6 +81,80 @@ def _worst_pair_ratio(weights: np.ndarray, mags: np.ndarray) -> float:
     return float(np.max(np.einsum("k,ijk->ij", weights, mags) / np.outer(weights, weights)))
 
 
+def kept(owner, key, build):
+    """build(), made once per owner and key and kept on the owner, for the
+    read-only objects derived from a read-only algebra or module (its
+    regular and dual modules, named twists, closure plans), which live as
+    long as it does. Threads that miss together may each build; the entry
+    stored first is the one every caller gets."""
+    store = owner.__dict__.setdefault("_kept", {})
+    try:
+        return store[key]
+    except KeyError:
+        return store.setdefault(key, build())
+
+
+class ClosurePlan:
+    """What `FiniteAlgebra._closure` did with each word of the closure of
+    some rows from scratch, to be replayed on payloads linear in the words.
+
+    `basis` holds the orthonormal span rows. Each of `batches` is the span
+    row whose products with the rows are its words (None for the rows
+    themselves) and, per word, the Gram-Schmidt combination of span rows
+    taken from it (first + second), its length once reduced and whether it
+    entered the span. `final` is the first span row of the words left once
+    the span is the whole algebra and their combinations, all reduced in
+    one batch; it is None when the rows do not generate the algebra.
+    """
+
+    __slots__ = ("basis", "batches", "final", "inside_count")
+
+    def __init__(self, basis: np.ndarray, batches: list, final):
+        basis.setflags(write=False)
+        self.basis, self.batches, self.final = basis, batches, final
+        self.inside_count = sum(not new for _, steps in batches for _, _, new in steps) \
+            + (0 if final is None else len(final[1]))
+
+    def replay(self, payloads: np.ndarray, extend) -> tuple[np.ndarray, np.ndarray]:
+        """(the payloads of the span rows, the stacked payloads left by the
+        words that fell inside the span), for the rows' payloads [k, ...]
+        and `extend(b, t)` giving the payloads [p, k, ...] of the words b g
+        for p span rows b with payloads t and every row g.
+
+        Gram-Schmidt takes from a word's payload the combination of span
+        payloads it took from the word, and scales it with the word, so a
+        payload that is linear in its word stays so. Each step is the
+        operation the closure loop would make on the payload beside its
+        word, with the same operands in the same order, so the payloads
+        come out bit for bit.
+        """
+        basis = self.basis
+        shape = payloads.shape[1:]
+        payloads = payloads.reshape(len(payloads), -1)  # flat payloads from here on
+        stack = np.zeros((len(basis), payloads.shape[1]), dtype=complex)
+        inside = np.empty((self.inside_count, payloads.shape[1]), dtype=complex)
+        count = row = 0
+        for queued, steps in self.batches:
+            if queued is not None:
+                payloads = extend(basis[queued:queued + 1],
+                                  stack[queued:queued + 1].reshape(1, *shape))
+                payloads = payloads.reshape(len(steps), -1)
+            for payload, (combination, length, new) in zip(payloads, steps):
+                payload = payload - combination @ stack[:count]
+                if new:
+                    stack[count] = payload / length
+                    count += 1
+                else:
+                    inside[row] = payload
+                    row += 1
+        if self.final is not None:
+            queued, combinations = self.final
+            payloads = extend(basis[queued:], stack[queued:].reshape(-1, *shape))
+            payloads = payloads.reshape(len(combinations), -1).astype(complex, copy=False)
+            np.subtract(payloads, combinations @ stack, out=inside[row:])
+        return stack.reshape(count, *shape), inside.reshape(-1, *shape)
+
+
 class _CoordinateSpace:
     """Shared weighted-norm behaviour of algebras and modules."""
 
@@ -336,7 +410,20 @@ class FiniteAlgebra(_CoordinateSpace):
         rows.setflags(write=False)
         return rows
 
-    def _closure(self, rows: np.ndarray, span: np.ndarray | None = None, carry=None):
+    def closure_plan(self, rows: np.ndarray) -> "ClosurePlan":
+        """The `ClosurePlan` of the closure of `rows` from scratch, made once
+        and kept on the algebra for its generators and for the identity
+        rows, and made afresh for any other rows."""
+        if np.array_equal(rows, self.generators):
+            key = "closure plan: generators"
+        elif np.array_equal(rows, np.eye(self.dim)):
+            key = "closure plan: identity"
+        else:
+            return self._closure(rows, record=True)
+        return kept(self, key, lambda: self._closure(rows, record=True))
+
+    def _closure(self, rows: np.ndarray, span: np.ndarray | None = None,
+                 record: bool = False):
         """Orthonormal rows spanning every product of one or more `rows`.
 
         Gram-Schmidt over the words, first in first out: the rows are the
@@ -349,16 +436,9 @@ class FiniteAlgebra(_CoordinateSpace):
         b in `span`, so those are queued and `span` grows from there. The
         loop stops once the span is the whole algebra.
 
-        `carry`, for a closure from scratch, is a pair (payloads, extend):
-        the rows' payloads, an array [k, ...], and a function giving the
-        payloads [p, k, ...] of the words b g for p rows b with their
-        payloads and every row g. Gram-Schmidt takes from a word's payload
-        the combination of span payloads it takes from the word, and scales
-        it with the word, so a payload that is linear in its word stays so.
-        Every queued word is then taken (those left once the span is the
-        whole algebra in one batch), and the result is (span, the payloads
-        of the span rows, the stacked payloads left by the words that fell
-        inside the span).
+        With `record`, for a closure from scratch, every queued word is
+        taken (those left once the span is the whole algebra in one batch)
+        and the result is the `ClosurePlan` of what was done with each word.
         """
         n, size = self.dim, np.linalg.norm(self.structure)
         row_lengths = np.linalg.norm(rows, axis=1)
@@ -374,17 +454,13 @@ class FiniteAlgebra(_CoordinateSpace):
             bounds = np.full(len(words), size * length)
             bounds[0] = length
         conj = basis.conj()
-        if carry is not None:
-            payloads, extend = carry
-            shape = payloads.shape[1:]
-            payloads = payloads.reshape(len(payloads), -1)  # flat payloads from here on
-            stack = np.zeros((n, payloads.shape[1]), dtype=complex)
-            inside = [stack[:0]]
         row_bounds = size * row_lengths
         queued = count  # the span row whose products are queued next
+        steps = []
+        batches, final = [(None, steps)], None
         while True:
-            for index, (word, bound) in enumerate(zip(words, bounds)):
-                if count == n and carry is None:
+            for word, bound in zip(words, bounds):
+                if count == n and not record:
                     return basis
                 span, spanconj = basis[:count], conj[:count]
                 first = spanconj @ word
@@ -396,38 +472,28 @@ class FiniteAlgebra(_CoordinateSpace):
                 if new:
                     basis[count] = word / length
                     conj[count] = basis[count].conj()
-                if carry is not None:
-                    payload = payloads[index] - (first + second) @ stack[:count]
-                    if new:
-                        stack[count] = payload / length
-                    else:
-                        inside.append(payload[None])
+                if record:
+                    steps.append((first + second, length, new))
                 count += new
             if queued == count:
                 break
-            if count == n and carry is not None:
+            if count == n and record:
                 # every word left falls inside the span: the products of all
                 # queued rows, reduced together
                 lefts = np.einsum("bi,ijk->bjk", basis[queued:], self.structure)
                 words = (rows @ lefts).reshape(-1, n)
-                payloads = extend(basis[queued:], stack[queued:].reshape(-1, *shape))
-                payloads = payloads.reshape(len(words), -1).astype(complex, copy=False)
                 first = words @ conj.T
                 second = (words - first @ basis) @ conj.T
-                payloads -= (first + second) @ stack
-                inside.append(payloads)
+                final = (queued, first + second)
                 break
             b = basis[queued]
             words, bounds = rows @ self.left_mult_matrix(b).T, row_bounds
-            if carry is not None:
-                payloads = extend(basis[queued:queued + 1],
-                                  stack[queued:queued + 1].reshape(1, *shape))
-                payloads = payloads.reshape(len(words), -1)
+            steps = []
+            batches.append((queued, steps))
             queued += 1
-        if carry is None:
+        if not record:
             return basis[:count]
-        return (basis[:count], stack[:count].reshape(count, *shape),
-                np.concatenate(inside).reshape(-1, *shape))
+        return ClosurePlan(basis[:count], batches, final)
 
     def left_mult_matrix(self, coords) -> np.ndarray:
         """Matrix of x -> a x for a with the given coordinates."""
@@ -584,11 +650,13 @@ def regular_bimodule(algebra: FiniteAlgebra) -> Bimodule:
 
     Its left, right and middle module axioms are associativity of the
     algebra, which FiniteAlgebra certified, so they are not checked again.
+    One read-only module is made per algebra and kept on it.
     """
     c = algebra.structure
     # x_j . e_i = sum_k structure[j, i, k] x_k: both tensors are the structure
     # constants, read with the module index first for the right action
-    return Bimodule(algebra, c, c, weights=algebra.norm_weights, _axioms_proven=True)
+    return kept(algebra, "regular bimodule", lambda: Bimodule(
+        algebra, c, c, weights=algebra.norm_weights, _axioms_proven=True))
 
 
 def zero_bimodule(algebra: FiniteAlgebra) -> Bimodule:
@@ -631,8 +699,13 @@ def dual_bimodule(module: Bimodule) -> Bimodule:
     a weighted sup norm (and back again for the double dual). Each module
     axiom of the dual is a transpose of one the certified module satisfies
     (left of the dual is right of the module, and the other way round;
-    middle is middle), so they are not checked again.
+    middle is middle), so they are not checked again. One read-only dual is
+    made per module and kept on it.
     """
+    return kept(module, "dual bimodule", lambda: _dual_bimodule(module))
+
+
+def _dual_bimodule(module: Bimodule) -> Bimodule:
     left = np.transpose(module.right_action, (1, 2, 0)).copy()
     right = np.transpose(module.left_action, (2, 0, 1)).copy()
     if module.dim == 0:
@@ -692,7 +765,9 @@ def module_annihilator(module: Bimodule) -> np.ndarray:
 class LinearMap:
     """Dense complex matrix with domain and codomain space tags."""
 
-    __slots__ = ("matrix", "domain", "codomain")
+    # _endo_residual: (algebra, matrix, residual) once derivation's
+    # `_endo_residual` has computed the map's residual on that algebra
+    __slots__ = ("matrix", "domain", "codomain", "_endo_residual")
 
     def __init__(self, matrix, domain: _CoordinateSpace, codomain: _CoordinateSpace):
         mat = _as_complex(matrix, "linear map matrix")
@@ -705,6 +780,7 @@ class LinearMap:
         self.matrix = mat
         self.domain = domain
         self.codomain = codomain
+        self._endo_residual = None
 
     @property
     def domain_tag(self) -> str:
@@ -763,6 +839,9 @@ def conjugation_map(algebra: FiniteAlgebra, u_coords) -> LinearMap:
     if algebra.unit_coords is None:
         raise ConstructionError("conjugation requires a unital algebra")
     u = _as_complex(u_coords, "conjugating element")
+    if u.shape != (algebra.dim,):
+        raise ConstructionError(
+            f"conjugating element must have {algebra.dim} coordinates, got shape {u.shape}")
     lu = algebra.left_mult_matrix(u)
     try:
         u_inv = np.linalg.solve(lu, algebra.unit_coords)

@@ -41,6 +41,7 @@ from .algebra import (
     algebra_from_dict,
     conjugation_map,
     identity_map,
+    kept,
     regular_bimodule,
 )
 from .control import ControlFunction, control_from_dict
@@ -214,23 +215,14 @@ def _resolve_algebra(fixture) -> FiniteAlgebra:
 
 
 def _resolve_endomorphism(algebra: FiniteAlgebra, name: str) -> LinearMap:
+    """The twist `name` names; `id` and `conjugation:shear` are made once per
+    algebra and kept on it, and a file is read and certified on every call."""
     if name == "id":
-        return identity_map(algebra)
+        return kept(algebra, "twist: id", lambda: identity_map(algebra))
+    if name == "conjugation:shear":
+        return kept(algebra, "twist: conjugation:shear", lambda: _shear(algebra))
     if name.startswith("conjugation:"):
         arg = name.split(":", 1)[1]
-        if arg == "shear":
-            if algebra.unit_coords is None:
-                raise DerivlabError("conjugation:shear needs a unital algebra")
-            u = algebra.unit_coords.copy()
-            # first basis direction that keeps u invertible
-            for k in range(algebra.dim):
-                candidate = u.copy()
-                candidate[k] += 1.0
-                try:
-                    return conjugation_map(algebra, candidate)
-                except DerivlabError:
-                    continue
-            raise DerivlabError("no invertible shear found")
         with open(arg, encoding="utf-8") as fh:
             u = document_field(json.load(fh), "coords", ConstructionError, f"document {arg}")
         return conjugation_map(algebra, decode_complex(u))
@@ -243,6 +235,22 @@ def _resolve_endomorphism(algebra: FiniteAlgebra, name: str) -> LinearMap:
         f"unknown endomorphism {name!r}; use 'id', 'conjugation:shear', "
         "'conjugation:<coords.json>' or 'file:<matrix.json>'"
     )
+
+
+def _shear(algebra: FiniteAlgebra) -> LinearMap:
+    """Conjugation by the unit plus the first basis vector that keeps it
+    invertible."""
+    if algebra.unit_coords is None:
+        raise DerivlabError("conjugation:shear needs a unital algebra")
+    u = algebra.unit_coords.copy()
+    for k in range(algebra.dim):
+        candidate = u.copy()
+        candidate[k] += 1.0
+        try:
+            return conjugation_map(algebra, candidate)
+        except DerivlabError:
+            continue
+    raise DerivlabError("no invertible shear found")
 
 
 @dataclass

@@ -13,6 +13,7 @@ amenability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -125,6 +126,15 @@ def _generator_endo_residual(algebra: FiniteAlgebra, s: LinearMap) -> float:
     return float((np.abs(defects) @ algebra.norm_weights).max())
 
 
+def _endo_residual(algebra: FiniteAlgebra, s: LinearMap) -> float:
+    """`_generator_endo_residual(algebra, s)`, computed once per map, matrix
+    and algebra and kept on the map."""
+    memo = s._endo_residual
+    if memo is None or memo[0] is not algebra or memo[1] is not s.matrix:
+        memo = s._endo_residual = (algebra, s.matrix, _generator_endo_residual(algebra, s))
+    return memo[2]
+
+
 @dataclass
 class EndoCertificate:
     """Sampled evidence that the first twisting map multiplies correctly.
@@ -173,7 +183,7 @@ def sigma_endo_certificate(triple: DerivationTriple, samples: int = 200,
     rank = np.linalg.matrix_rank(triple.d.matrix, tol=None) if triple.d.matrix.size else 0
     return EndoCertificate(
         max_cancellation=float(worst),
-        tau_basis_residual=_generator_endo_residual(algebra, triple.tau),
+        tau_basis_residual=_endo_residual(algebra, triple.tau),
         ran_trivial=bool(ran.shape[0] == 0),
         d_full_row_rank=bool(rank == triple.module.dim),
         samples=samples,
@@ -231,10 +241,17 @@ class SubspaceBasis:
 def keyed_map(algebra: FiniteAlgebra, module: Bimodule, key: str) -> np.ndarray:
     """A fixed complex Gaussian map A -> X, a (module dim) x (algebra dim)
     matrix drawn from generator(0, key): its projections choose vectors of a
-    subspace that do not depend on the subspace's basis or on any seed."""
+    subspace that do not depend on the subspace's basis or on any seed. One
+    read-only array is drawn per shape and key."""
+    return _keyed_array(module.dim, algebra.dim, key)
+
+
+@cache
+def _keyed_array(rows: int, cols: int, key: str) -> np.ndarray:
     rng = generator(0, key)
-    shape = (module.dim, algebra.dim)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    out.setflags(write=False)
+    return out
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -250,6 +267,27 @@ def _twist_matrices(module: Bimodule, sigma: LinearMap,
     return right_sigma, left_tau
 
 
+def _leibniz_payloads(module: Bimodule, rows: np.ndarray, twists):
+    """The payloads `ClosurePlan.replay` carries through the closure of
+    `rows` for `generator_system`, as (the rows' T matrices, extend)."""
+    m, k = module.dim, len(rows)
+    right_sigma, left_tau = twists
+    right_at_rows = np.einsum("ai,irk->ark", rows, right_sigma)
+    left_flat = left_tau.reshape(len(left_tau), -1)
+
+    def extend(b, payloads):
+        out = right_at_rows @ payloads[:, None]
+        # L_tau(b) for each row b, through the np.dot np.tensordot(b, left_tau, 1)
+        # makes, so its bits stay
+        left = np.dot(b, left_flat).reshape(len(b), m, m)
+        blocks = out.reshape(-1, k, m, k, m)
+        for i in range(k):
+            blocks[:, i, :, i, :] += left
+        return out
+
+    return np.eye(k * m, dtype=complex).reshape(k, m, k * m), extend
+
+
 @single_blas_thread
 def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
                      tau: LinearMap, rows: np.ndarray, *,
@@ -258,9 +296,9 @@ def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
     of `rows`, shape ((n k + k - n) m, k m) when the rows generate the
     algebra, and the matrix (m n, k m) that takes u to row-major vec(D).
 
-    The closure of the rows (`FiniteAlgebra._closure`) carries with each
-    word w the m x k m matrix T_w with D(w) = T_w u: the selector E_i for
-    g_i, and for b g_i the Leibniz rule R_sigma(g_i) T_b + L_tau(b) E_i,
+    The closure of the rows (`FiniteAlgebra.closure_plan`, replayed) carries
+    with each word w the m x k m matrix T_w with D(w) = T_w u: the selector
+    E_i for g_i, and for b g_i the Leibniz rule R_sigma(g_i) T_b + L_tau(b) E_i,
     where R_sigma(a) is x -> x.sigma(a) and L_tau(a) is x -> tau(a).x. A
     word that enters the orthonormal basis q_l needs no constraint; one that
     falls inside the span leaves its reduced T as m constraint rows. The
@@ -276,23 +314,15 @@ def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
     caller has it already.
     """
     n, m, k = algebra.dim, module.dim, len(rows)
-    right_sigma, left_tau = twists or _twist_matrices(module, sigma, tau)
-    right_at_rows = np.einsum("ai,irk->ark", rows, right_sigma)
-    diagonal = np.arange(k)
-
-    def extend(b, payloads):
-        out = right_at_rows @ payloads[:, None]
-        out.reshape(-1, k, m, k, m)[:, diagonal, :, diagonal, :] += np.tensordot(b, left_tau, 1)
-        return out
-
-    selectors = np.eye(k * m, dtype=complex).reshape(k, m, k * m)
-    basis, payloads, inside = algebra._closure(rows, carry=(selectors, extend))
-    if len(basis) < n:
+    plan = algebra.closure_plan(rows)
+    if len(plan.basis) < n:
         raise PreconditionError(
-            f"the {k} generator rows span {len(basis)} of {n} dimensions"
+            f"the {k} generator rows span {len(plan.basis)} of {n} dimensions"
         )
-    to_vec = np.tensordot(basis.conj(), payloads, (0, 0)).transpose(1, 0, 2)
-    return inside.reshape(-1, k * m), to_vec.reshape(m * n, k * m)
+    twists = twists or _twist_matrices(module, sigma, tau)
+    payloads, inside = plan.replay(*_leibniz_payloads(module, rows, twists))
+    to_vec = np.dot(plan.basis.conj().T, payloads.reshape(n, -1)).reshape(n, m, k * m)
+    return inside.reshape(-1, k * m), to_vec.transpose(1, 0, 2).reshape(m * n, k * m)
 
 
 def _system_shape(n: int, m: int, k: int) -> tuple[int, int]:
@@ -312,8 +342,7 @@ def _system_bytes(n: int, m: int, k: int) -> int:
 
 @single_blas_thread
 def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
-                     sigma: LinearMap, tau: LinearMap, *, twists=None,
-                     _endomorphisms: bool = False) -> SubspaceBasis:
+                     sigma: LinearMap, tau: LinearMap, *, twists=None) -> SubspaceBasis:
     """Orthonormal basis of all maps D with D(ab) = D(a).sigma(b)
     + tau(a).D(b).
 
@@ -323,16 +352,13 @@ def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
     constraints. The null vectors, from an SVD with a relative singular-value
     cutoff, are mapped to vec(D) and orthonormalized. A system whose
     estimated size exceeds SYSTEM_BYTES_LIMIT is refused before it is built.
-    The private
-    `_endomorphisms` says the caller has already certified sigma and tau as
-    endomorphisms, so their residuals are not computed again; `twists` is
-    `_twist_matrices(module, sigma, tau)` when the caller has it already.
+    `twists` is `_twist_matrices(module, sigma, tau)` when the caller has it
+    already.
     """
     n, m = algebra.dim, module.dim
     if m == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
-    multiplicative = _endomorphisms or all(
-        _generator_endo_residual(algebra, s) <= ENDO_TOL for s in (sigma, tau))
+    multiplicative = all(_endo_residual(algebra, s) <= ENDO_TOL for s in (sigma, tau))
     rows = algebra.generators if multiplicative else np.eye(n, dtype=complex)
     need = _system_bytes(n, m, len(rows))
     if need > SYSTEM_BYTES_LIMIT:
@@ -453,7 +479,7 @@ class ContractibilityReport:
 def _require_endomorphisms(algebra: FiniteAlgebra, sigma: LinearMap, tau: LinearMap,
                            tol: float = ENDO_TOL) -> None:
     for name, m in (("sigma", sigma), ("tau", tau)):
-        residual = _generator_endo_residual(algebra, m)
+        residual = _endo_residual(algebra, m)
         if residual > tol:
             raise PreconditionError(
                 f"{name} is not multiplicative (basis-generator residual {residual:.3e}); "
@@ -475,8 +501,7 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
     """
     _require_endomorphisms(algebra, sigma, tau)
     twists = _twist_matrices(module, sigma, tau)
-    derivations = derivation_space(algebra, module, sigma, tau, twists=twists,
-                                   _endomorphisms=True)
+    derivations = derivation_space(algebra, module, sigma, tau, twists=twists)
     inners = inner_space(algebra, module, sigma, tau, twists=twists)
     outside = derivations.vectors - inners.project(derivations.vectors)
     worst = float(np.linalg.norm(outside, 2)) if derivations.dim else 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Bimodule, module_annihilator
+from .algebra import Bimodule, kept, module_annihilator
 from .blas import single_blas_thread
 from .control import ControlFunction, constant_control, control_from_dict, phi_rows
 from .encoding import document_field, document_number, encode_complex
@@ -139,12 +139,17 @@ def extend_with_annihilator(module: Bimodule, k: int = 1):
     appended annihilator directions. Standard fixture: every bimodule can
     host certified annihilator noise after this extension. The module
     axioms hold on the zero-padded tensors because they hold on the
-    module's own, so they are not checked again.
+    module's own, so they are not checked again. One read-only pair is made
+    per module and k and kept on the module.
     """
     if module.norm_kind != "l1":
         raise ConstructionError("only weighted-l1 modules can be extended")
     if k < 1:
         raise ConstructionError("extension dimension must be at least 1")
+    return kept(module, ("annihilator extension", k), lambda: _extend(module, k))
+
+
+def _extend(module: Bimodule, k: int):
     n, m = module.algebra.dim, module.dim
     left = np.zeros((n, m + k, m + k), dtype=complex)
     right = np.zeros((m + k, n, m + k), dtype=complex)
@@ -155,6 +160,7 @@ def extend_with_annihilator(module: Bimodule, k: int = 1):
     basis = np.zeros((k, m + k), dtype=complex)
     for j in range(k):
         basis[j, m + j] = 1.0
+    basis.setflags(write=False)
     return extended, basis
 
 

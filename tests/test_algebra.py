@@ -392,6 +392,12 @@ class TestLinearMap:
         rows = ball_rows(a, generator(15, "conj"), np.full(100, 2.0))
         assert np.all(endomorphism_residual(conj, rows[0::2], rows[1::2]) <= 1e-13)
 
+    @pytest.mark.parametrize("coords", [np.ones(3), np.array(1 + 2j), np.ones((4, 1))],
+                             ids=["too few", "scalar", "column"])
+    def test_conjugating_element_of_the_wrong_shape_is_refused(self, coords):
+        with pytest.raises(ConstructionError, match="must have 4 coordinates"):
+            conjugation_map(make_matrix_algebra(2), coords)
+
 
 class TestSerialization:
     def test_algebra_roundtrip_recertifies(self):

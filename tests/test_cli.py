@@ -6,14 +6,19 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from derivlab import cli as cli_module
+from derivlab import get_algebra
+from derivlab.algebra import regular_bimodule
 from derivlab.blas import blas_threads
 from derivlab.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNSATISFIED, PIPELINES, ExperimentConfig,
-                          main, report_json, run, sweep)
+                          _resolve_endomorphism, main, report_json, run, sweep)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -244,6 +249,20 @@ def test_document_without_its_key_is_one_error_line(tmp_path, capsys, flag, valu
     assert f"missing {key!r}" in err[0]
 
 
+@pytest.mark.parametrize("coords", [[[1, 0], [0, 0], [0, 0]], [1, 2]],
+                         ids=["three coordinates", "one scalar"])
+def test_conjugating_element_of_the_wrong_shape_is_one_error_line(tmp_path, capsys, coords):
+    doc = tmp_path / "u.json"
+    doc.write_text(json.dumps({"coords": coords}))
+    code = main(["run", "--fixture", "matrix:2", "--pipeline", "contractibility",
+                 "--sigma", f"conjugation:{doc}", "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_ERROR
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "must have 4 coordinates" in err[0]
+    assert not (tmp_path / "report.json").exists()
+
+
 MALFORMED_GRIDS = {
     "value not a list": '{"perturbation.epsilon": 0.1}',
     "dotted key through a number": '{"perturbation.epsilon.x": [0.1]}',
@@ -410,6 +429,87 @@ class TestDeterminism:
             )
             docs.append(doc)
         assert docs[0]["outputs"]["stability"] != docs[1]["outputs"]["stability"]
+
+
+REUSE_FIXTURES = ("matrix:3", "upper-triangular:4", "zero-product:6", "dual-numbers")
+
+
+def reuse_configs(pipelines=PIPELINES):
+    """Each pipeline on each reuse fixture, with conjugation:shear beside id
+    on the unital ones."""
+    return [ExperimentConfig(fixture=fixture, pipeline=pipeline, sigma=sigma, seed=11,
+                             samples=200)
+            for fixture in REUSE_FIXTURES
+            for pipeline in pipelines
+            for sigma in ("id", "conjugation:shear")
+            if sigma == "id" or not fixture.startswith("zero-product")]
+
+
+@pytest.fixture(scope="module")
+def fresh_reports():
+    """Report bytes of every reuse config, each run on a fresh algebra
+    instance with nothing derived from it yet."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli_module, "get_algebra", get_algebra.__wrapped__)
+        return {config.hash(): run(config).report_bytes() for config in reuse_configs()}
+
+
+class TestReuse:
+    """What is built once per algebra or module (closure plans, derived
+    modules, named twists and their certificates, keyed maps) changes no
+    report byte, however often and from however many threads it is reused."""
+
+    def test_repeated_runs_on_the_shared_fixtures_give_the_fresh_bytes(self, fresh_reports):
+        for _ in range(2):
+            for config in reuse_configs():
+                assert run(config).report_bytes() == fresh_reports[config.hash()], config
+
+    @pytest.mark.parametrize("fixture", REUSE_FIXTURES)
+    def test_threads_on_one_cold_algebra_give_the_fresh_bytes(self, fresh_reports,
+                                                              monkeypatch, fixture):
+        # more threads than cores, switching often, all missing the same
+        # entries at once: every thread must get the bytes of a fresh run
+        # and the one instance of each object kept on the algebra
+        shared = get_algebra.__wrapped__(fixture)
+        monkeypatch.setattr(cli_module, "get_algebra", lambda name: shared)
+        configs = [config for config in reuse_configs(("contractibility", "amenability"))
+                   if config.fixture == fixture]
+        workers = 4
+        start = threading.Barrier(workers)
+
+        def verdicts(_):
+            start.wait(timeout=60)
+            reports = [run(config).report_bytes() for config in configs]
+            kept = (regular_bimodule(shared), shared.closure_plan(shared.generators),
+                    _resolve_endomorphism(shared, "id"))
+            return reports, kept
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(verdicts, i) for i in range(workers)]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        want = [fresh_reports[config.hash()] for config in configs]
+        assert [reports for reports, _ in results] == [want] * workers
+        for _, kept in results:
+            assert all(mine is first for mine, first in zip(kept, results[0][1]))
+
+    def test_non_multiplicative_file_twist_refused_on_every_run(self, tmp_path, capsys):
+        doc = tmp_path / "half.json"
+        doc.write_text(json.dumps({"matrix": [[[0.5 * (i == j), 0.0] for j in range(9)]
+                                              for i in range(9)]}))
+        for sigma in (f"file:{doc}", "id", f"file:{doc}"):
+            code = main(["run", "--fixture", "matrix:3", "--pipeline", "contractibility",
+                         "--sigma", sigma, "--out", str(tmp_path / "report.json")])
+            err = capsys.readouterr().err.splitlines()
+            if sigma == "id":
+                assert code == EXIT_OK
+                continue
+            assert code == EXIT_ERROR
+            assert len(err) == 1 and "sigma is not multiplicative" in err[0]
 
 
 class TestSweep:

@@ -37,15 +37,18 @@ from derivlab import (
     sigma_endo_certificate,
     zero_bimodule,
 )
-from derivlab.algebra import algebra_to_dict, nullspace, regular_bimodule
+from derivlab.algebra import SPAN_RTOL, algebra_to_dict, nullspace, regular_bimodule
 from derivlab.cli import ExperimentConfig, PerturbedExperiment, _resolve_endomorphism
 from derivlab import derivation as derivation_module
 from derivlab.derivation import (
     SubspaceBasis,
     _generator_endo_residual,
+    _leibniz_payloads,
     _system_bytes,
     _system_shape,
+    _twist_matrices,
     generator_system,
+    keyed_map,
 )
 from derivlab.perturb import PerturbationSpec, extend_with_annihilator, make_annihilator_perturbation
 from derivlab.sampling import ball_point, ball_rows, generator
@@ -525,14 +528,14 @@ class TestLeibnizSystem:
     @pytest.mark.parametrize("fixture", ["matrix:2", "upper-triangular:3", "dual-numbers"])
     def test_closure_grown_by_a_row_matches_the_closure_from_scratch(self, fixture):
         # generators grows the closure one added basis row at a time; the
-        # engine's closure, which carries payloads, takes every word from scratch
+        # engine's closure plan, which payloads replay, takes every word from scratch
         a = get_algebra(fixture)
         order = generator(37, "closure", fixture).permutation(a.dim)
         for k in range(2, a.dim + 1):
             rows = np.eye(a.dim, dtype=complex)[order[:k]]
             grown = a._closure(rows, a._closure(rows[:-1]))
             scratch = a._closure(rows)
-            carried, _, _ = a._closure(rows, carry=(np.zeros((k, 1)), lambda b, t: np.zeros((len(b), k, 1))))
+            carried = a.closure_plan(rows).basis
             for other in (scratch, carried):
                 assert np.abs(projector(grown) - projector(other)).max() <= 1e-12
 
@@ -547,7 +550,9 @@ class TestLeibnizSystem:
         def extend(b, payloads):
             return np.einsum("bj,is,jsk->bik", b, rows, a.structure)
 
-        span, payloads, inside = a._closure(rows, carry=(rows, extend))
+        plan = a.closure_plan(rows)
+        span = plan.basis
+        payloads, inside = plan.replay(rows, extend)
         assert len(span) == a.dim
         assert np.abs(payloads - span).max() <= 1e-12
         assert inside.shape == (len(rows) * (a.dim + 1) - a.dim, a.dim)
@@ -687,6 +692,145 @@ class TestBasisIndependentChoices:
         report = is_contractible(a, regular_bimodule(a), sid, sid)
         assert (report.derivation_dim, report.inner_dim) == dims
         assert report.max_projection_residual == pytest.approx(1.0, abs=1e-12)
+
+
+def fused_closure(algebra, rows, payloads, extend):
+    """The closure with its payloads carried beside the words in one loop,
+    as FiniteAlgebra._closure ran it before the word side was recorded once
+    per algebra: the reference the replayed plan must match bit for bit.
+    Returns (span, the span rows' payloads, the stacked payloads left by the
+    words that fell inside the span)."""
+    n, size = algebra.dim, np.linalg.norm(algebra.structure)
+    row_lengths = np.linalg.norm(rows, axis=1)
+    basis = np.zeros((n, n), dtype=complex)
+    count = 0
+    words, bounds = rows, row_lengths
+    conj = basis.conj()
+    shape = payloads.shape[1:]
+    payloads = payloads.reshape(len(payloads), -1)
+    stack = np.zeros((n, payloads.shape[1]), dtype=complex)
+    inside = [stack[:0]]
+    row_bounds = size * row_lengths
+    queued = count
+    while True:
+        for index, (word, bound) in enumerate(zip(words, bounds)):
+            span, spanconj = basis[:count], conj[:count]
+            first = spanconj @ word
+            word = word - span.T @ first
+            second = spanconj @ word
+            word = word - span.T @ second
+            length = np.linalg.norm(word)
+            new = length > SPAN_RTOL * bound
+            if new:
+                basis[count] = word / length
+                conj[count] = basis[count].conj()
+            payload = payloads[index] - (first + second) @ stack[:count]
+            if new:
+                stack[count] = payload / length
+            else:
+                inside.append(payload[None])
+            count += new
+        if queued == count:
+            break
+        if count == n:
+            lefts = np.einsum("bi,ijk->bjk", basis[queued:], algebra.structure)
+            words = (rows @ lefts).reshape(-1, n)
+            payloads = extend(basis[queued:], stack[queued:].reshape(-1, *shape))
+            payloads = payloads.reshape(len(words), -1).astype(complex, copy=False)
+            first = words @ conj.T
+            second = (words - first @ basis) @ conj.T
+            payloads -= (first + second) @ stack
+            inside.append(payloads)
+            break
+        b = basis[queued]
+        words, bounds = rows @ algebra.left_mult_matrix(b).T, row_bounds
+        payloads = extend(basis[queued:queued + 1], stack[queued:queued + 1].reshape(1, *shape))
+        payloads = payloads.reshape(len(words), -1)
+        queued += 1
+    return (basis[:count], stack[:count].reshape(count, *shape),
+            np.concatenate(inside).reshape(-1, *shape))
+
+
+def replay_cases():
+    """(fixture, basis, rows, twist) over every fixture family, in the
+    standard and a changed basis, with generator and identity rows."""
+    return [
+        (fixture, basis, rows, twist)
+        for fixture in ("matrix:3", "upper-triangular:3", "zero-product:4", "dual-numbers")
+        for basis in ("standard", "changed")
+        for rows in ("generators", "identity")
+        for twist in ("id", "conjugation:shear", "not multiplicative")
+        if twist != "conjugation:shear" or not fixture.startswith("zero-product")
+    ]
+
+
+class TestClosurePlan:
+    @pytest.mark.parametrize("fixture,basis,rows,twist", replay_cases())
+    def test_replay_matches_the_fused_loop_bit_for_bit(self, fixture, basis, rows, twist):
+        a = get_algebra(fixture)
+        if basis == "changed":
+            a = change_of_basis(a, seed=53)
+        rows = a.generators if rows == "generators" else np.eye(a.dim, dtype=complex)
+        if twist == "not multiplicative":
+            sigma = LinearMap(generator(59, "weird", fixture).standard_normal((a.dim, a.dim)), a, a)
+        else:
+            sigma = _resolve_endomorphism(a, twist)
+        module = regular_bimodule(a)
+        payloads, extend = _leibniz_payloads(module, rows,
+                                             _twist_matrices(module, sigma, identity_map(a)))
+        span, stack, inside = fused_closure(a, rows, payloads, extend)
+        plan = a.closure_plan(rows)
+        replayed = plan.replay(payloads, extend)
+        assert len(span) == a.dim
+        for want, got in ((span, plan.basis), (stack, replayed[0]), (inside, replayed[1])):
+            assert want.shape == got.shape
+            assert np.array_equal(want.view(float), got.view(float))
+
+    @pytest.mark.parametrize("fixture", ["matrix:3", "zero-product:4"])
+    def test_plan_kept_for_generators_and_identity_rows_only(self, fixture):
+        a = get_algebra.__wrapped__(fixture)
+        eye = np.eye(a.dim, dtype=complex)
+        assert a.closure_plan(a.generators) is a.closure_plan(a.generators.copy())
+        assert a.closure_plan(eye) is a.closure_plan(eye.copy())
+        assert a.closure_plan(eye[::-1]) is not a.closure_plan(eye[::-1])
+        with pytest.raises(ValueError, match="read-only"):
+            a.closure_plan(eye).basis[0, 0] = 2.0
+
+
+class TestBuiltOnce:
+    def test_derived_modules_named_twists_and_keyed_maps_are_kept(self):
+        a = get_algebra.__wrapped__("matrix:2")
+        regular = regular_bimodule(a)
+        assert regular_bimodule(a) is regular
+        assert dual_bimodule(regular) is dual_bimodule(regular)
+        assert extend_with_annihilator(regular) is extend_with_annihilator(regular)
+        assert extend_with_annihilator(regular, 2) is not extend_with_annihilator(regular)
+        for name in ("id", "conjugation:shear"):
+            assert _resolve_endomorphism(a, name) is _resolve_endomorphism(a, name)
+        assert keyed_map(a, regular, "k") is keyed_map(a, regular, "k")
+        # one per object: a fresh instance of the same algebra gets its own
+        assert regular_bimodule(get_algebra.__wrapped__("matrix:2")) is not regular
+
+    def test_kept_objects_raise_on_write(self):
+        a = get_algebra.__wrapped__("upper-triangular:3")
+        regular = regular_bimodule(a)
+        extended, basis = extend_with_annihilator(regular)
+        arrays = [basis, keyed_map(a, regular, "k")]
+        for module in (regular, dual_bimodule(regular), extended):
+            arrays += [module.left_action, module.right_action, module.norm_weights]
+        for name in ("id", "conjugation:shear"):
+            arrays.append(_resolve_endomorphism(a, name).matrix)
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 2.0
+
+    def test_a_map_whose_matrix_is_replaced_is_certified_again(self):
+        a = get_algebra("matrix:2")
+        sid = identity_map(a)
+        assert is_contractible(a, regular_bimodule(a), sid, sid).contractible
+        sid.matrix = 0.5 * sid.matrix
+        with pytest.raises(PreconditionError, match="sigma is not multiplicative"):
+            is_contractible(a, regular_bimodule(a), sid, sid)
 
 
 class TestSharedFixtures:
@@ -845,12 +989,18 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
     def test_each_endomorphism_residual_computed_once(self, m2, pipeline, monkeypatch):
-        a, module, sid = m2
+        # the residual is kept on the map: a second verdict with the same
+        # map objects computes none
+        a, module, _ = m2
+        sigma, tau = identity_map(a), identity_map(a)
         computed = []
         monkeypatch.setattr(derivation_module, "_generator_endo_residual",
                             lambda algebra, s: computed.append(s) or _generator_endo_residual(algebra, s))
-        pipeline(a, module, sid, sid)
-        assert len(computed) == 2  # sigma and tau
+        first = pipeline(a, module, sigma, tau)
+        assert computed == [sigma, tau]
+        second = pipeline(a, module, sigma, tau)
+        assert computed == [sigma, tau]
+        assert first.to_dict() == second.to_dict()
 
     @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
     def test_twist_stacks_built_once(self, m2, pipeline, monkeypatch):
