@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -92,6 +93,11 @@ def kept(owner, key, build):
         return store[key]
     except KeyError:
         return store.setdefault(key, build())
+
+
+def kept_entry(owner, key):
+    """What kept(owner, key, ...) has stored, or None; stores nothing."""
+    return owner.__dict__.get("_kept", {}).get(key)
 
 
 class ClosurePlan:
@@ -190,25 +196,35 @@ class _CoordinateSpace:
     def element(self, coords):
         return self._element_cls(self, _as_complex(coords, "element coordinates"))
 
-    def row_elements(self, rows):
-        """Iterator over elements viewing the rows of one read-only copy of
-        an [N, dim] coordinate array, not checked for finiteness, as element
-        arithmetic is not. The copy fixes every row's shape and its row views
-        are read-only, so the elements are made without the per-element
-        check of `__init__`."""
+    def call_on_rows(self, func, a_rows, b_rows=None) -> list:
+        """[func(x_k, y_k)] in row order, for elements x_k and y_k viewing
+        row k of read-only copies of two [N, dim] coordinate arrays; y_k is
+        x_k when b_rows is None. The copies fix every row's shape and their
+        row views are read-only, so the elements are made in the loop
+        without the per-element check of `__init__`; they are not checked
+        for finiteness, as element arithmetic is not."""
+        cls, out = self._element_cls, []
+        new = cls.__new__
+        a_table = self._read_only_rows(a_rows)
+        b_table = repeat(None) if b_rows is None else self._read_only_rows(b_rows)
+        for a, b in zip(a_table, b_table):
+            x = new(cls)
+            x.space, x.coords = self, a
+            if b is None:
+                y = x
+            else:
+                y = new(cls)
+                y.space, y.coords = self, b
+            out.append(func(x, y))
+        return out
+
+    def _read_only_rows(self, rows) -> np.ndarray:
         table = np.array(rows, dtype=complex)
         if table.shape[1:] != (self.dim,):
             raise SpaceMismatchError(
                 f"coordinate rows {table.shape} do not match dim {self.dim}")
         table.setflags(write=False)
-        return self._row_views(table)
-
-    def _row_views(self, table):
-        cls = self._element_cls
-        for coords in table:
-            elt = cls.__new__(cls)
-            elt.space, elt.coords = self, coords
-            yield elt
+        return table
 
     def basis_element(self, index: int):
         coords = np.zeros(self.dim, dtype=complex)

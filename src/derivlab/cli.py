@@ -173,7 +173,8 @@ def report_json(value, indent: str = "") -> str:
     and None (subclasses included, as json writes them); anything else,
     a non-str key included, raises TypeError. With an indent, json runs its
     pure-Python encoder; this writer takes fewer steps per value and joins
-    a list of plain floats in one call.
+    a list of plain floats, or of [re, im] lists of two plain floats, in one
+    call.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -192,9 +193,15 @@ def report_json(value, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        body = sep.join(map(float.__repr__, value)) \
-            if all(type(x) is float for x in value) else ""
-        if not body or "n" in body:  # not all floats, or a nan or an inf among them
+        body = ""
+        if all(type(x) is float for x in value):
+            body = sep.join(map(float.__repr__, value))
+        elif all(type(x) is list and len(x) == 2 and type(x[0]) is float
+                 and type(x[1]) is float for x in value):  # [re, im] pairs
+            deeper = inner + "  "
+            body = sep.join([f"[\n{deeper}{re!r},\n{deeper}{im!r}\n{inner}]"
+                             for re, im in value])
+        if not body or "n" in body:  # other items, or a nan or an inf among the floats
             body = sep.join([report_json(x, inner) for x in value])
         return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, dict):

@@ -133,6 +133,8 @@ class TabulatedControl(ControlFunction):
 
     def evaluate(self, a, b) -> float:
         value = self.func(a, b)
+        if type(value) is float and 0.0 <= value < math.inf:
+            return value  # nearly every callback: a finite nonnegative float
         # any real number but a bool; float first, as the abstract check is slow
         real = type(value) is float or (
             not isinstance(value, bool) and isinstance(value, numbers.Real))
@@ -188,18 +190,16 @@ def phi_rows(phi: ControlFunction, space, a_rows, b_rows) -> np.ndarray:
 
     A power-norm control reads the row norms (PNormControl.at_norms); any
     other control is called once per row, in row order, through `evaluate`,
-    on elements over a read-only copy of the rows (`row_elements`). When
-    b_rows is a_rows one element serves as both arguments.
+    in one loop that makes the elements over a read-only copy of the rows
+    as it goes (`call_on_rows`). When b_rows is a_rows one element serves
+    as both arguments.
     """
     diagonal = b_rows is a_rows
     if isinstance(phi, PNormControl):
         ta = space.norms(a_rows)
         return phi.at_norms(ta, ta if diagonal else space.norms(b_rows))
-    evaluate = phi.evaluate
-    a = space.row_elements(a_rows)
-    if diagonal:
-        return np.array([evaluate(x, x) for x in a], dtype=float)
-    return np.array([evaluate(x, y) for x, y in zip(a, space.row_elements(b_rows))], dtype=float)
+    return np.array(space.call_on_rows(phi.evaluate, a_rows, None if diagonal else b_rows),
+                    dtype=float)
 
 
 def _doubling_rows(rows, count: int) -> np.ndarray:
@@ -208,10 +208,15 @@ def _doubling_rows(rows, count: int) -> np.ndarray:
 
     The real and imaginary parts are scaled apart, so every zero keeps its
     sign; a complex product with 2^k + 0j would turn a -0.0 imaginary part,
-    or a -0.0 real part beside a negative imaginary one, into +0.0.
+    or a -0.0 real part beside a negative imaginary one, into +0.0. Each
+    part is multiplied by the double 2^k, which gives ldexp's bits, an
+    overflow to inf included; from k = 1024 on 2^k is no double, and ldexp
+    scales those columns.
     """
     parts = np.ascontiguousarray(rows, dtype=complex).view(float)
-    scaled = np.ldexp(parts[:, None, :], np.arange(count)[None, :, None])
+    powers = np.arange(count)
+    scaled = parts[:, None, :] * np.ldexp(1.0, np.minimum(powers, 1023))[:, None]
+    scaled[:, 1024:] = np.ldexp(parts[:, None, :], powers[1024:, None])
     return scaled.view(complex).reshape(len(parts) * count, parts.shape[1] // 2)
 
 

@@ -23,6 +23,7 @@ from .algebra import (
     LinearMap,
     ModuleElement,
     dual_bimodule,
+    kept,
     nullspace,
     right_annihilator,
 )
@@ -135,6 +136,17 @@ def _endo_residual(algebra: FiniteAlgebra, s: LinearMap) -> float:
     return memo[2]
 
 
+def _kept_right_annihilator(algebra: FiniteAlgebra) -> np.ndarray:
+    """`right_annihilator(algebra)`, computed once per algebra and kept on it
+    read-only."""
+    def build():
+        ran = right_annihilator(algebra)
+        ran.setflags(write=False)
+        return ran
+
+    return kept(algebra, "right annihilator", build)
+
+
 @dataclass
 class EndoCertificate:
     """Sampled evidence that the first twisting map multiplies correctly.
@@ -169,7 +181,8 @@ def sigma_endo_certificate(triple: DerivationTriple, samples: int = 200,
     Also reports whether the right annihilator of the algebra is trivial
     and whether d has full row rank (surjectivity onto the module), the two
     side conditions under which a zero certificate forces sigma to be
-    multiplicative (unless d = 0).
+    multiplicative (unless d = 0). The right annihilator depends only on
+    the algebra: it is computed once per algebra and kept on it, read-only.
     """
     if samples < 0:
         raise PreconditionError("the sigma certificate needs a nonnegative sample count")
@@ -179,7 +192,7 @@ def sigma_endo_certificate(triple: DerivationTriple, samples: int = 200,
     cancellation = np.einsum("nj,ni,jik->nk", triple.d.apply_rows(c),
                              _endo_defect(triple.sigma, a, b), triple.module.right_action)
     worst = np.max(triple.module.norms(cancellation), initial=0.0)
-    ran = right_annihilator(algebra)
+    ran = _kept_right_annihilator(algebra)
     rank = np.linalg.matrix_rank(triple.d.matrix, tol=None) if triple.d.matrix.size else 0
     return EndoCertificate(
         max_cancellation=float(worst),

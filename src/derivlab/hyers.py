@@ -194,14 +194,18 @@ def _pointwise_limits(pmap: PointMap, rows: np.ndarray, phi: ControlFunction,
     all read from one diagonal_series table per row. Every term is >= 0 and
     fsum is correctly rounded, so the fsum never decreases with n, and
     neither rounded subtraction nor the floor at 0 reverses that order: the
-    tail never increases with n, and each row's tail stop (its first n with
-    tail <= tol) is found by bisection.
+    tail never increases with n, and the tail stop (the first n with
+    tail <= tol) of each row whose first delta is not zero is found by
+    bisection. A row whose first delta is zero stops at n = 1 and is not
+    bisected: every row of a linear map's extraction is one.
 
     f is evaluated in three calls: at the rows, at the rows doubled once,
     and at every orbit point 2^n a with 2 <= n <= tail stop of the rows
     whose first delta is not zero, one orbit after another. A row may thus
     be evaluated past its first zero delta; those values are checked like
-    every other and never read.
+    every other and never read. Each row's stop, its first zero delta
+    before its tail stop or else the tail stop, is picked on all orbits at
+    once; only the final tails are summed row by row.
     """
     count = len(rows)
     upper, terms = diagonal_series(phi, pmap.domain, rows, max(max_n, 0))
@@ -211,18 +215,15 @@ def _pointwise_limits(pmap: PointMap, rows: np.ndarray, phi: ControlFunction,
         return series_remainder(upper[r], terms[r][:n])
 
     limits = pmap.eval_rows(rows)
-    iterations = np.full(count, max_n)
-    deltas = np.full(count, np.inf)
-    tails = np.array(upper, dtype=float)
-    converged = np.zeros(count, dtype=bool)
     if max_n < 1:
-        return limits, iterations, deltas, tails, converged
-    doublings = range(1, max_n + 1)
-    # the last n each row may need: its tail stop, or 1 after a zero first delta
-    stops = np.array([min(1 + bisect_left(doublings, True, key=lambda n: tail(r, n) <= tol),
-                          max_n) for r in range(count)], dtype=int)
+        return (limits, np.full(count, max_n), np.full(count, np.inf),
+                np.array(upper, dtype=float), np.zeros(count, dtype=bool))
     once = pmap.eval_rows(2.0 * rows) / 2.0
-    stops[pmap.codomain.norms(once - limits) == 0.0] = 1
+    # the last n each row may need: 1 after a zero first delta, else its tail stop
+    stops = np.ones(count, dtype=int)
+    doublings = range(1, max_n + 1)
+    for r in np.flatnonzero(pmap.codomain.norms(once - limits) != 0.0).tolist():
+        stops[r] = min(1 + bisect_left(doublings, True, key=lambda n: tail(r, n) <= tol), max_n)
     # L_n for 1 <= n <= stop, one row's orbit after another, and L_{n-1}
     starts = np.cumsum(stops) - stops
     owner = np.repeat(np.arange(count), stops)
@@ -237,14 +238,14 @@ def _pointwise_limits(pmap: PointMap, rows: np.ndarray, phi: ControlFunction,
     previous[starts] = limits
     previous[later] = path[later - 1]
     steps = pmap.codomain.norms(path - previous)
-    zero = (steps == 0.0).tolist()
-    for r, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
-        n = next((k for k in range(1, stop) if zero[start + k - 1]), stop)
-        at = start + n - 1
-        limits[r], deltas[r], tails[r] = path[at], steps[at], tail(r, n)
-        iterations[r] = n
-        converged[r] = tails[r] <= tol or deltas[r] == 0.0
-    return limits, iterations, deltas, tails, converged
+    # each row ends at its first zero step before its stop, else at its stop
+    ends = starts + stops - 1
+    zero = np.flatnonzero((steps == 0.0) & (orbit_n < stops[owner]))
+    np.minimum.at(ends, owner[zero], zero)
+    iterations = orbit_n[ends]
+    deltas = steps[ends]
+    tails = np.array([tail(r, n) for r, n in enumerate(iterations.tolist())], dtype=float)
+    return path[ends], iterations, deltas, tails, (tails <= tol) | (deltas == 0.0)
 
 
 def extract_additive(pmap: PointMap, phi: ControlFunction,
@@ -264,8 +265,10 @@ def extract_additive(pmap: PointMap, phi: ControlFunction,
     against inputs whose defect is not actually controlled), and sampled
     points are recorded as (point, |f(a) - d(a)|, summed control) triples.
     The pairs are drawn first, and the basis orbits and the orbits of
-    a, b and a + b for each pair run in one doubling loop; the checks then
-    read the rows in the order of one orbit after another.
+    a, b and a + b for each pair run in one doubling loop. The checks run
+    on all rows at once and raise the error a row-by-row reading meets
+    first: an unconverged basis row, then per pair an unconverged a, b or
+    a + b, non-additive limits, or a limit off the matrix.
     """
     domain, codomain = pmap.domain, pmap.codomain
     n_dim = domain.dim
@@ -275,27 +278,30 @@ def extract_additive(pmap: PointMap, phi: ControlFunction,
     rows = np.vstack([np.eye(n_dim, dtype=complex), pairs])
     limits, iterations, deltas, tails, converged = _pointwise_limits(
         pmap, rows, phi, max_n, tol)
-
-    def limit_at(r):
-        if not converged[r]:
-            raise _not_converged(max_n, deltas[r], tails[r])
-        return limits[r]
-
-    for i in range(n_dim):
-        limit_at(i)
+    unconverged = np.flatnonzero(~converged[:n_dim])
+    if len(unconverged):
+        raise _not_converged(max_n, deltas[unconverged[0]], tails[unconverged[0]])
     limit_map = LinearMap(np.ascontiguousarray(limits[:n_dim].T), domain, codomain)
 
-    for k in range(ADDITIVITY_PAIRS):
-        la, lb, lab = (limit_at(n_dim + 3 * k + j) for j in range(3))
-        if codomain.norm(lab - la - lb) > 10.0 * tol:
+    # per pair, in the order they are read: a, b and a + b converge, their
+    # limits are additive, and a's limit is the matrix's
+    la, lb, lab = limits[n_dim::3], limits[n_dim + 1::3], limits[n_dim + 2::3]
+    failed = np.column_stack([
+        ~converged[n_dim:].reshape(ADDITIVITY_PAIRS, 3),
+        codomain.norms(lab - la - lb) > 10.0 * tol,
+        codomain.norms(la - limit_map.apply_rows(pairs[0::3])) > 10.0 * tol,
+    ]).ravel()
+    if failed.any():
+        pair, check = divmod(int(np.argmax(failed)), 5)
+        if check < 3:
+            r = n_dim + 3 * pair + check
+            raise _not_converged(max_n, deltas[r], tails[r])
+        if check == 3:
             raise ConvergenceError(
                 "pointwise limits are not additive; the defect of the input "
                 "map is not controlled by the declared control function"
             )
-        if codomain.norm(la - limit_map.apply_coords(pairs[3 * k])) > 10.0 * tol:
-            raise ConvergenceError(
-                "pointwise limit disagrees with the assembled matrix"
-            )
+        raise ConvergenceError("pointwise limit disagrees with the assembled matrix")
 
     points = ball_points(domain, generator(seed, "extract-bound"), BOUND_SAMPLES)
     lhs, rhs = sampled_envelope(pmap, limit_map, points, phi)
@@ -330,16 +336,21 @@ def extract_triple(approx_d: PointMap, approx_sigma: PointMap, approx_tau: Point
                    tol: float = DEFAULT_TOL, *, seed: int = 0) -> TripleExtraction:
     """Extract (d, sigma, tau) limits and verify the product rule they inherit.
 
-    The three extractions are independent; afterwards the twisted product
-    rule d(ab) = d(a).sigma(b) + tau(a).d(b) is sampled on LEIBNIZ_SAMPLES
-    unit-ball pairs and must hold to LEIBNIZ_TOL, which is what the doubling
-    of the product defect guarantees for controlled inputs.
+    The three extractions are independent. When approx_tau is approx_sigma,
+    tau's report is sigma's: an extraction is a function of the map, phi,
+    max_n, tol and seed, so a second one would give the same report (and
+    call a tabulated control's callback again for each of its queries).
+    Afterwards the twisted product rule d(ab) = d(a).sigma(b) + tau(a).d(b)
+    is sampled on LEIBNIZ_SAMPLES unit-ball pairs and must hold to
+    LEIBNIZ_TOL, which is what the doubling of the product defect
+    guarantees for controlled inputs.
     """
     from .derivation import DerivationTriple, leibniz_residual
 
     d_report = extract_additive(approx_d, phi, max_n, tol, seed=seed)
     sigma_report = extract_additive(approx_sigma, phi, max_n, tol, seed=seed)
-    tau_report = extract_additive(approx_tau, phi, max_n, tol, seed=seed)
+    tau_report = sigma_report if approx_tau is approx_sigma else extract_additive(
+        approx_tau, phi, max_n, tol, seed=seed)
 
     triple = DerivationTriple(d_report.limit, sigma_report.limit, tau_report.limit)
     domain = approx_d.domain

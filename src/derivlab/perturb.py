@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Bimodule, kept, module_annihilator
+from .algebra import Bimodule, kept, kept_entry, module_annihilator
 from .blas import single_blas_thread
 from .control import ControlFunction, constant_control, control_from_dict, phi_rows
 from .encoding import document_field, document_number, encode_complex
@@ -124,12 +124,17 @@ def _add_noise(space, values: np.ndarray, index: np.ndarray, sizes: np.ndarray,
 
 @dataclass
 class PerturbedMaps:
-    """An approximate derivation with its two approximate twisting maps."""
+    """An approximate derivation with its two approximate twisting maps
+    (one map, g_tau is g_sigma, when the triple's tau is its sigma)."""
 
     f: PointMap
     g_sigma: PointMap
     g_tau: PointMap
     control: ControlFunction
+
+
+# the key under which an extended module keeps the basis made with it
+_OWN_BASIS = "annihilator basis"
 
 
 def extend_with_annihilator(module: Bimodule, k: int = 1):
@@ -140,7 +145,8 @@ def extend_with_annihilator(module: Bimodule, k: int = 1):
     host certified annihilator noise after this extension. The module
     axioms hold on the zero-padded tensors because they hold on the
     module's own, so they are not checked again. One read-only pair is made
-    per module and k and kept on the module.
+    per module and k and kept on the module; the extended module keeps its
+    basis too, which the annihilator perturbation then does not check again.
     """
     if module.norm_kind != "l1":
         raise ConstructionError("only weighted-l1 modules can be extended")
@@ -161,7 +167,14 @@ def _extend(module: Bimodule, k: int):
     for j in range(k):
         basis[j, m + j] = 1.0
     basis.setflags(write=False)
+    kept(extended, _OWN_BASIS, lambda: basis)
     return extended, basis
+
+
+def _twists(d0):
+    """PointMaps of the twisting maps of d0: one map when tau is sigma."""
+    g_sigma = PointMap.from_linear_map(d0.sigma)
+    return g_sigma, g_sigma if d0.tau is d0.sigma else PointMap.from_linear_map(d0.tau)
 
 
 def _check_annihilator_basis(module: Bimodule, basis: np.ndarray, tol: float = 1e-12):
@@ -201,7 +214,9 @@ def make_annihilator_perturbation(d0, spec: PerturbationSpec, annihilator_basis=
             "the module has no killed directions to host the noise; "
             "extend it first (extend_with_annihilator)"
         )
-    if basis.shape[0]:
+    # the basis extend_with_annihilator made for this module is annihilated
+    # by construction; any other is checked
+    if basis.shape[0] and basis is not kept_entry(module, _OWN_BASIS):
         _check_annihilator_basis(module, basis)
     epsilon = spec.epsilon
     seed = spec.seed
@@ -216,9 +231,7 @@ def make_annihilator_perturbation(d0, spec: PerturbationSpec, annihilator_basis=
         return values
 
     f = PointMap.from_rows(f_rows, d0.algebra, module)
-    g_sigma = PointMap.from_linear_map(d0.sigma)
-    g_tau = PointMap.from_linear_map(d0.tau)
-    return PerturbedMaps(f, g_sigma, g_tau, constant_control(3.0 * epsilon))
+    return PerturbedMaps(f, *_twists(d0), constant_control(3.0 * epsilon))
 
 
 def _smooth_cutoff(t: float, radius: float) -> float:
@@ -266,9 +279,7 @@ def make_clamped_perturbation(d0, spec: PerturbationSpec):
         return values
 
     f = PointMap.from_rows(f_rows, algebra, module)
-    g_sigma = PointMap.from_linear_map(d0.sigma)
-    g_tau = PointMap.from_linear_map(d0.tau)
-    return PerturbedMaps(f, g_sigma, g_tau, phi)
+    return PerturbedMaps(f, *_twists(d0), phi)
 
 
 @dataclass
