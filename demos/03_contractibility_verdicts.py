@@ -1,10 +1,12 @@
 """Deciding whether every twisted derivation is inner.
 
-The derivation space is a nullspace, the inner space is an image, and the
-verdict is a subspace inclusion test. A full matrix algebra passes, the
-dual-number plane fails with an explicit witness, and the same machinery
-on the dual module decides amenability. The round trip shows the verdicts
-surviving bounded noise. Run with
+Every inner map is a derivation, so H^1 into a module vanishes exactly when
+the derivation space (a nullspace) and the inner maps (the image of x ->
+d_x, whose kernel is the twisted center) have the same dimension: two
+ranks. Into the regular module of a full matrix algebra H^1 vanishes; for
+the dual-number plane it is nonzero, with an explicit witness; the same
+count on the dual module answers the `amenability` pipeline. The round trip
+shows the verdicts surviving bounded noise. Run with
 
     python3 demos/03_contractibility_verdicts.py
 """

@@ -733,7 +733,22 @@ def _dual_bimodule(module: Bimodule) -> Bimodule:
                     _axioms_proven=True)
 
 
-@single_blas_thread
+def rank_margin(s: np.ndarray, cols: int, rtol: float, scale: float) -> dict:
+    """The numerical rank of a matrix with `cols` columns and singular
+    values `s` (descending; any further ones are zero), counting those above
+    `rtol * scale`, and how near the cutoff came to changing it: the
+    smallest kept and the largest dropped singular value, each relative to
+    `scale` (None where none is kept or none dropped). A matrix of scale 0
+    has rank 0, and its dropped value is 0.0."""
+    rank = int(np.count_nonzero(s > rtol * scale))
+    if rank == cols:
+        dropped = None
+    else:
+        dropped = float(s[rank] / scale) if rank < len(s) and scale else 0.0
+    return {"rank": rank, "kept": float(s[rank - 1] / scale) if rank else None,
+            "dropped": dropped}
+
+
 def nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
     """Rows form an orthonormal basis of the nullspace of `mat`.
 
@@ -742,12 +757,19 @@ def nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
     gets the full right factor, whose extra rows span the rest of the
     nullspace.
     """
+    return nullspace_margin(mat, rtol)[0]
+
+
+@single_blas_thread
+def nullspace_margin(mat: np.ndarray, rtol: float) -> tuple[np.ndarray, dict]:
+    """`nullspace(mat, rtol)` with the `rank_margin` of its cutoff, from the
+    same SVD."""
     rows, cols = mat.shape
     if mat.size == 0:
-        return np.eye(cols, dtype=complex)
+        return np.eye(cols, dtype=complex), rank_margin(np.zeros(0), cols, rtol, 0.0)
     _, s, vh = np.linalg.svd(mat, full_matrices=rows < cols)
-    rank = int(np.sum(s > rtol * s[0]))
-    return vh[rank:].conj()
+    margin = rank_margin(s, cols, rtol, s[0])
+    return vh[margin["rank"]:].conj(), margin
 
 
 def right_annihilator(algebra: FiniteAlgebra) -> np.ndarray:

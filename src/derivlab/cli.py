@@ -9,9 +9,10 @@ algebra runs in one OpenBLAS thread whatever the process's thread count
 setter, identity holds at a fixed thread count), and volatile quantities
 such as wall time go to stderr, never into the report.
 
-Exit codes: 0 for satisfied/feasible/contractible outcomes, 2 for violated,
-infeasible or not-contractible outcomes (still successful runs), 1 for
-errors.
+Exit codes: 0 for satisfied/feasible outcomes and verdicts that H^1
+vanishes, 2 for violated or infeasible outcomes and verdicts that H^1 is
+nonzero (still successful runs), 3 for an indeterminate verdict (a rank
+margin inside the band around the cutoff), 1 for errors.
 
 Flag precedence: values from --config are defaults; explicit command-line
 flags override them.
@@ -46,6 +47,7 @@ from .algebra import (
 )
 from .control import ControlFunction, control_from_dict
 from .derivation import (
+    VERDICT_INDETERMINATE,
     DerivationTriple,
     approx_contractibility_roundtrip,
     derivation_space,
@@ -72,6 +74,7 @@ SEED_ENV_VAR = "DERIVLAB_SEED"
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNSATISFIED = 2
+EXIT_INDETERMINATE = 3
 
 
 @dataclass
@@ -173,44 +176,81 @@ def report_json(value, indent: str = "") -> str:
     and None (subclasses included, as json writes them); anything else,
     a non-str key included, raises TypeError. With an indent, json runs its
     pure-Python encoder; this writer takes fewer steps per value and joins
-    a list of plain floats, or of [re, im] lists of two plain floats, in one
-    call.
+    a list of plain floats, or of [re, im] lists of two plain floats, in
+    one call. A dict that is the value of more than one key in the
+    document, as an extraction's sigma and tau part are when the two are
+    one map, is rendered once per indent.
     """
+    memo: dict = {}
+    if isinstance(value, dict):
+        _repeated_dicts(value, set(), memo)
+    return _render(value, indent, memo)
+
+
+def _repeated_dicts(doc: dict, seen: set, memo: dict) -> None:
+    """Give `memo` an empty entry for the id of each dict met more than once
+    among the values of `doc` and of the dicts below it."""
+    for item in doc.values():
+        if isinstance(item, dict):
+            if id(item) in seen:
+                memo[id(item)] = {}
+            else:
+                seen.add(id(item))
+                _repeated_dicts(item, seen, memo)
+
+
+_PLAIN_SCALARS = {
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+    bool: lambda value: "true" if value else "false",
+    int: int.__repr__,
+    float: _json_float,
+}
+
+
+def _render(value, indent: str, memo: dict) -> str:
+    """report_json(value, indent); `memo` holds the text of each repeated
+    dict by indent, once it is rendered."""
+    plain = _PLAIN_SCALARS.get(type(value))
+    if plain is not None:
+        return plain(value)
+    if isinstance(value, (list, tuple, dict)):
+        if not value:
+            return "{}" if isinstance(value, dict) else "[]"
+        texts = memo.get(id(value))
+        if texts is None:
+            return _render_container(value, indent, memo)
+        if indent not in texts:
+            texts[indent] = _render_container(value, indent, memo)
+        return texts[indent]
+    # subclasses of the scalar types, as json writes them
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
         return _json_float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _render_container(value, indent: str, memo: dict) -> str:
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        body = ""
-        if all(type(x) is float for x in value):
-            body = sep.join(map(float.__repr__, value))
-        elif all(type(x) is list and len(x) == 2 and type(x[0]) is float
-                 and type(x[1]) is float for x in value):  # [re, im] pairs
-            deeper = inner + "  "
-            body = sep.join([f"[\n{deeper}{re!r},\n{deeper}{im!r}\n{inner}]"
-                             for re, im in value])
-        if not body or "n" in body:  # other items, or a nan or an inf among the floats
-            body = sep.join([report_json(x, inner) for x in value])
-        return f"[\n{inner}{body}\n{indent}]"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = sep.join([f"{encode_basestring_ascii(key)}: {report_json(item, inner)}"
+        body = sep.join([f"{encode_basestring_ascii(key)}: {_render(item, inner, memo)}"
                          for key, item in sorted(value.items())])
         return f"{{\n{inner}{body}\n{indent}}}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    body = ""
+    if all(type(x) is float for x in value):
+        body = sep.join(map(float.__repr__, value))
+    elif all(type(x) is list and len(x) == 2 and type(x[0]) is float
+             and type(x[1]) is float for x in value):  # [re, im] pairs
+        deeper = inner + "  "
+        body = sep.join([f"[\n{deeper}{re!r},\n{deeper}{im!r}\n{inner}]"
+                         for re, im in value])
+    if not body or "n" in body:  # other items, or a nan or an inf among the floats
+        body = sep.join([_render(x, inner, memo) for x in value])
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 def _resolve_algebra(fixture) -> FiniteAlgebra:
@@ -344,9 +384,11 @@ def _pipeline_verdict(config: ExperimentConfig) -> tuple[dict, int]:
     tau = _resolve_endomorphism(algebra, config.tau)
     decide = is_amenable if config.pipeline == "amenability" else is_contractible
     report = decide(algebra, module, sigma, tau)
-    return {report.kind: report.to_dict()}, (
-        EXIT_OK if report.contractible else EXIT_UNSATISFIED
-    )
+    if report.verdict == VERDICT_INDETERMINATE:
+        code = EXIT_INDETERMINATE
+    else:
+        code = EXIT_OK if report.h1_vanishes else EXIT_UNSATISFIED
+    return {report.kind: report.to_dict()}, code
 
 
 def _pipeline_roundtrip(config: ExperimentConfig) -> tuple[dict, int]:
@@ -487,9 +529,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    exit_codes = ("exit codes: 0 satisfied, feasible or H^1 vanishes; 1 error; 2 violated, "
+                  "infeasible or H^1 nonzero; 3 indeterminate verdict (a rank margin "
+                  "inside the band around the cutoff)")
     parser = _Parser(
         prog="derivlab",
         description="Twisted-derivation experiments: extraction, stability, verdicts.",
+        epilog=exit_codes,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -506,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda-mode", choices=("full", "one-i"), dest="lambda_mode")
         p.add_argument("--out", help="report path (default stdout)")
 
-    run_p = sub.add_parser("run", help="execute one pipeline")
+    run_p = sub.add_parser("run", help="execute one pipeline", epilog=exit_codes)
     add_common(run_p)
 
     sweep_p = sub.add_parser("sweep", help="run the extract pipeline over a grid")

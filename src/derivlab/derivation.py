@@ -6,9 +6,11 @@ maps is the nullspace of an explicit linear system in the values of d on the
 algebra's generators (on every basis vector when sigma or tau is not
 multiplicative); the inner ones, those of
 the form d_x(a) = x.sigma(a) - tau(a).x, form the image of an explicit
-linear map from the module. Comparing the two subspaces decides
-contractibility, and the same comparison on the dual module decides
-amenability.
+linear map from the module, whose kernel is the twisted center. When sigma
+and tau are endomorphisms every inner map is a derivation, so the first
+cohomology H^1 into the module vanishes exactly when dim Der + dim Z equals
+the module's dimension: two ranks decide it, for the regular module and for
+its dual.
 """
 from __future__ import annotations
 
@@ -24,7 +26,10 @@ from .algebra import (
     ModuleElement,
     dual_bimodule,
     kept,
+    kept_entry,
     nullspace,
+    nullspace_margin,
+    rank_margin,
     right_annihilator,
 )
 from .blas import single_blas_thread
@@ -46,8 +51,13 @@ ENDO_TOL = 1e-10
 # meeting the OOM killer minutes later.
 SYSTEM_BYTES_LIMIT = 2**30
 
-VERDICT_CONTRACTIBLE = "contractible"
-VERDICT_NOT_CONTRACTIBLE = "not_contractible"
+VERDICT_VANISHES = "h1_vanishes"
+VERDICT_NONZERO = "h1_nonzero"
+VERDICT_INDETERMINATE = "indeterminate"
+# A verdict whose system or center has a kept or a dropped singular value
+# in this band, relative to its scale, is indeterminate: the cutoff
+# SVD_RTOL sits inside it, so rounding of the inputs could move the rank
+INDETERMINATE_BAND = (1e-12, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -275,9 +285,19 @@ def _twist_matrices(module: Bimodule, sigma: LinearMap,
                     tau: LinearMap) -> tuple[np.ndarray, np.ndarray]:
     """Per-basis matrices of x -> x.sigma(e_i) and of x -> tau(e_i).x,
     each stacked along the first axis."""
-    right_sigma = np.einsum("ij,kir->jrk", sigma.matrix, module.right_action)
-    left_tau = np.einsum("pi,pkr->irk", tau.matrix, module.left_action)
+    right_sigma = _twist_stack("ij,kir->jrk", sigma.matrix, module.right_action, (1, 2, 0))
+    left_tau = _twist_stack("pi,pkr->irk", tau.matrix, module.left_action, (0, 2, 1))
     return right_sigma, left_tau
+
+
+def _twist_stack(spec: str, twist: np.ndarray, action: np.ndarray, axes) -> np.ndarray:
+    """np.einsum(spec, twist, action), bit for bit. For the identity twist
+    that is the action reordered by `axes`, plus 0.0: each entry's sum has
+    one term 1 * x and zeros besides, and starts from +0, so x comes out
+    exactly and a zero as +0."""
+    if np.array_equal(twist, np.eye(len(twist))):
+        return np.add(action.transpose(axes), 0.0, order="C")
+    return np.einsum(spec, twist, action)
 
 
 def _leibniz_payloads(module: Bimodule, rows: np.ndarray, twists):
@@ -326,6 +346,14 @@ def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
     vectors. `twists` is `_twist_matrices(module, sigma, tau)` when the
     caller has it already.
     """
+    system, span = _leibniz_constraints(algebra, module, sigma, tau, rows, twists=twists)
+    return system, _vec_map(span)
+
+
+def _leibniz_constraints(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
+                         tau: LinearMap, rows: np.ndarray, *, twists=None):
+    """`generator_system`'s constraints, and in place of the map to vec(D)
+    what `_vec_map` makes it from: the span rows q_l with their T matrices."""
     n, m, k = algebra.dim, module.dim, len(rows)
     plan = algebra.closure_plan(rows)
     if len(plan.basis) < n:
@@ -334,8 +362,16 @@ def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
         )
     twists = twists or _twist_matrices(module, sigma, tau)
     payloads, inside = plan.replay(*_leibniz_payloads(module, rows, twists))
-    to_vec = np.dot(plan.basis.conj().T, payloads.reshape(n, -1)).reshape(n, m, k * m)
-    return inside.reshape(-1, k * m), to_vec.transpose(1, 0, 2).reshape(m * n, k * m)
+    return inside.reshape(-1, k * m), (plan.basis, payloads)
+
+
+def _vec_map(span) -> np.ndarray:
+    """The (m n, k m) matrix taking u to row-major vec(D), from the span rows
+    q_l and their T matrices: D(e_j) = sum_l conj(q_l[j]) T_l u."""
+    basis, payloads = span
+    n, m, cols = payloads.shape
+    to_vec = np.dot(basis.conj().T, payloads.reshape(n, -1)).reshape(n, m, cols)
+    return to_vec.transpose(1, 0, 2).reshape(m * n, cols)
 
 
 def _system_shape(n: int, m: int, k: int) -> tuple[int, int]:
@@ -368,9 +404,20 @@ def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
     `twists` is `_twist_matrices(module, sigma, tau)` when the caller has it
     already.
     """
-    n, m = algebra.dim, module.dim
-    if m == 0:
+    if module.dim == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
+    rows = _unknown_rows(algebra, module, sigma, tau)
+    system, to_vec = generator_system(algebra, module, sigma, tau, rows, twists=twists)
+    maps = nullspace(system, SVD_RTOL) @ to_vec.T
+    return SubspaceBasis(np.linalg.qr(maps.T)[0].T, algebra, module)
+
+
+def _unknown_rows(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
+                  tau: LinearMap) -> np.ndarray:
+    """The rows whose values of D are the unknowns: the algebra's generators
+    when sigma and tau are multiplicative, else the identity rows. Refuses a
+    system whose estimate exceeds SYSTEM_BYTES_LIMIT before it is built."""
+    n, m = algebra.dim, module.dim
     multiplicative = all(_endo_residual(algebra, s) <= ENDO_TOL for s in (sigma, tau))
     rows = algebra.generators if multiplicative else np.eye(n, dtype=complex)
     need = _system_bytes(n, m, len(rows))
@@ -381,9 +428,7 @@ def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
             f"factorization and T matrices needs about {need / 2**30:.1f} GiB, over the "
             f"{SYSTEM_BYTES_LIMIT / 2**30:.0f} GiB limit"
         )
-    system, to_vec = generator_system(algebra, module, sigma, tau, rows, twists=twists)
-    maps = nullspace(system, SVD_RTOL) @ to_vec.T
-    return SubspaceBasis(np.linalg.qr(maps.T)[0].T, algebra, module)
+    return rows
 
 
 def _inner_operator_matrix(twists) -> np.ndarray:
@@ -465,18 +510,24 @@ def inner_solve(triple: DerivationTriple, tol: float = MEMBERSHIP_TOL) -> InnerS
 
 @dataclass
 class ContractibilityReport:
-    """Dimensions of the two subspaces and the inclusion verdict."""
+    """Whether H^1 into a module vanishes, with the two ranks that decide it.
+
+    `diagnostics` holds the generator count and, for the Leibniz system and
+    the twisted-center operator, the shape, and the rank with its margin
+    (`rank_margin`).
+    """
 
     derivation_dim: int
     inner_dim: int
     verdict: str
     witness: LinearMap | None
-    max_projection_residual: float
+    module: str
+    diagnostics: dict
     kind: str = "contractibility"
 
     @property
-    def contractible(self) -> bool:
-        return self.verdict == VERDICT_CONTRACTIBLE
+    def h1_vanishes(self) -> bool:
+        return self.verdict == VERDICT_VANISHES
 
     def to_dict(self) -> dict:
         return {
@@ -484,7 +535,8 @@ class ContractibilityReport:
             "inner_dim": self.inner_dim,
             "verdict": self.verdict,
             "witness": None if self.witness is None else encode_complex(self.witness.matrix),
-            "max_projection_residual": self.max_projection_residual,
+            "module": self.module,
+            "diagnostics": self.diagnostics,
             "kind": self.kind,
         }
 
@@ -500,43 +552,82 @@ def _require_endomorphisms(algebra: FiniteAlgebra, sigma: LinearMap, tau: Linear
             )
 
 
+def _module_name(algebra: FiniteAlgebra, module: Bimodule) -> str:
+    """"regular" for the algebra's kept regular module, "dual-regular" for
+    that module's kept dual, else "custom"."""
+    regular = kept_entry(algebra, "regular bimodule")
+    if regular is not None:
+        if module is regular:
+            return "regular"
+        if module is kept_entry(regular, "dual bimodule"):
+            return "dual-regular"
+    return "custom"
+
+
+def _in_band(margin: dict) -> bool:
+    low, high = INDETERMINATE_BAND
+    return any(v is not None and low <= v <= high for v in (margin["kept"], margin["dropped"]))
+
+
 @single_blas_thread
 def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
                     sigma: LinearMap, tau: LinearMap) -> ContractibilityReport:
     """Decide whether every twisted derivation into the module is inner.
 
-    Computes both subspaces; the residual is the largest distance from a
-    unit vector of the derivation space to the inner space, the spectral
-    norm of (I - P_Inner) on Der. The witness, when the verdict is negative,
-    is the unit vector along (P_Der - P_Inner) v for the fixed map v =
-    keyed_map(..., "contractibility-witness"): a derivation orthogonal to
-    the inner ones. Neither depends on the bases the SVDs return.
+    Both subspaces are counted in generator coordinates u = (D(g_1), ...,
+    D(g_k)). Der is the nullspace of `generator_system`'s constraints, from
+    the SVD `nullspace` takes. x -> d_x has the twisted center Z as its
+    kernel, and the generators suffice to test it, so dim Inner is the rank
+    of the k m x m operator x -> (x.sigma(g_i) - tau(g_i).x)_i, cut off
+    relative to the larger of its two terms' norms (on a commutative algebra
+    they cancel to rounding noise). H^1 vanishes exactly when the ranks
+    agree; a kept or dropped singular value inside INDETERMINATE_BAND, or an
+    Inner larger than Der, makes the verdict indeterminate.
+
+    The witness, for a nonzero H^1, is the unit vector along vec(D) of
+    (P_Der - P_Inner) v_u, both orthogonal projections in u coordinates, for
+    the fixed map v = keyed_map(..., "contractibility-witness") at the
+    generators: a derivation that is not inner.
     """
     _require_endomorphisms(algebra, sigma, tau)
+    name, m = _module_name(algebra, module), module.dim
+    if m == 0:
+        empty = {"shape": [0, 0], "rank": 0, "kept": None, "dropped": None}
+        diagnostics = {"generators": 0, "system": empty, "center": dict(empty)}
+        return ContractibilityReport(0, 0, VERDICT_VANISHES, None, name, diagnostics)
+    rows = _unknown_rows(algebra, module, sigma, tau)
     twists = _twist_matrices(module, sigma, tau)
-    derivations = derivation_space(algebra, module, sigma, tau, twists=twists)
-    inners = inner_space(algebra, module, sigma, tau, twists=twists)
-    outside = derivations.vectors - inners.project(derivations.vectors)
-    worst = float(np.linalg.norm(outside, 2)) if derivations.dim else 0.0
+    system, span = _leibniz_constraints(algebra, module, sigma, tau, rows, twists=twists)
+    der_basis, der = nullspace_margin(system, SVD_RTOL)
+    k, n = rows.shape
+    right_sigma, left_tau = twists
+    right = np.dot(rows, right_sigma.reshape(n, -1))
+    left = np.dot(rows, left_tau.reshape(n, -1))
+    center = (right - left).reshape(k * m, m)
+    u, s, _ = np.linalg.svd(center, full_matrices=False)
+    inner = rank_margin(s, m, SVD_RTOL, max(np.linalg.norm(right), np.linalg.norm(left)))
+    der_dim, inner_dim = len(der_basis), inner["rank"]
+    if _in_band(der) or _in_band(inner) or inner_dim > der_dim:
+        verdict = VERDICT_INDETERMINATE
+    else:
+        verdict = VERDICT_VANISHES if inner_dim == der_dim else VERDICT_NONZERO
     witness = None
-    if worst > MEMBERSHIP_TOL:
-        v = keyed_map(algebra, module, "contractibility-witness").reshape(-1)
-        vec = _unit(derivations.project(v) - inners.project(v))
-        witness = LinearMap(vec.reshape(derivations.map_shape), algebra, module)
-    verdict = VERDICT_CONTRACTIBLE if witness is None else VERDICT_NOT_CONTRACTIBLE
-    return ContractibilityReport(
-        derivation_dim=derivations.dim,
-        inner_dim=inners.dim,
-        verdict=verdict,
-        witness=witness,
-        max_projection_residual=worst,
-    )
+    if verdict == VERDICT_NONZERO:
+        v = (rows @ keyed_map(algebra, module, "contractibility-witness").T).reshape(-1)
+        inner_basis = u[:, :inner_dim]
+        outside = der_basis.T @ (der_basis.conj() @ v) - inner_basis @ (inner_basis.conj().T @ v)
+        vec = _unit(_vec_map(span) @ outside)
+        witness = LinearMap(vec.reshape(m, n), algebra, module)
+    diagnostics = {"generators": k, "system": {"shape": list(system.shape), **der},
+                   "center": {"shape": list(center.shape), **inner}}
+    return ContractibilityReport(der_dim, inner_dim, verdict, witness, name, diagnostics)
 
 
 @single_blas_thread
 def is_amenable(algebra: FiniteAlgebra, module: Bimodule,
                 sigma: LinearMap, tau: LinearMap) -> ContractibilityReport:
-    """Contractibility computed over the dual module."""
+    """`is_contractible` over the dual module: whether H^1 into the dual of
+    the module vanishes."""
     report = is_contractible(algebra, dual_bimodule(module), sigma, tau)
     report.kind = "amenability"
     return report

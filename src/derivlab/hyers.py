@@ -322,10 +322,13 @@ class TripleExtraction:
     leibniz_samples: int
 
     def to_dict(self) -> dict:
+        """The report; when tau's extraction is sigma's, its part is one
+        dict under both keys."""
+        sigma = self.sigma.to_dict()
         return {
             "d": self.d.to_dict(),
-            "sigma": self.sigma.to_dict(),
-            "tau": self.tau.to_dict(),
+            "sigma": sigma,
+            "tau": sigma if self.tau is self.sigma else self.tau.to_dict(),
             "leibniz_max": self.leibniz_max,
             "leibniz_samples": self.leibniz_samples,
         }

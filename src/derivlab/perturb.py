@@ -370,15 +370,22 @@ def _defect_ratios(f: PointMap, g_sigma: PointMap, g_tau: PointMap, a: np.ndarra
     for g in (g_sigma, g_tau):
         defects.append(algebra.norms(
             g.eval_rows(scaled) - lam * g.eval_rows(a) - lam * g.eval_rows(b)))
-    ab = np.einsum("ni,nj,ijk->nk", a, b, algebra.structure)
-    right = np.einsum("ni,jik->nkj", g_sigma.eval_rows(b), module.right_action)
-    tau_a, tau_b = g_tau.eval_rows(a), g_tau.eval_rows(b)
-    left = np.einsum("ni,ijk->nkj", tau_a, module.left_action)
+    # each three-index contraction as an outer product of the two row sets
+    # and one matrix product with the tensor
+    n, m = algebra.dim, module.dim
+    structure = algebra.structure.reshape(n * n, n)
+    ab = _outer(a, b) @ structure
+    tau_a = g_tau.eval_rows(a)
     defects.append(module.norms(
-        f.eval_rows(ab) - (right @ fa[:, :, None])[:, :, 0] - (left @ fb[:, :, None])[:, :, 0]))
-    defects.append(algebra.norms(
-        g_tau.eval_rows(ab) - np.einsum("ni,nj,ijk->nk", tau_a, tau_b, algebra.structure)))
+        f.eval_rows(ab) - _outer(fa, g_sigma.eval_rows(b)) @ module.right_action.reshape(m * n, m)
+        - _outer(tau_a, fb) @ module.left_action.reshape(n * m, m)))
+    defects.append(algebra.norms(g_tau.eval_rows(ab) - _outer(tau_a, g_tau.eval_rows(b)) @ structure))
     return np.stack([_ratios(d, budgets, dust) for d in defects], axis=1)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row n holds the products a[n, i] b[n, j] in (i, j) row-major order."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
 @single_blas_thread

@@ -139,7 +139,7 @@ def test_criterion_4_subspace_oracle_equivalence():
     assert (ds.dim, ins.dim) == (3, 3)
     assert brute_force_derivation_dim(m2, m2_mod, m2_id, m2_id) == 3
     assert brute_force_inner_dim(m2, m2_mod, m2_id, m2_id) == 3
-    assert is_contractible(m2, m2_mod, m2_id, m2_id).verdict == "contractible"
+    assert is_contractible(m2, m2_mod, m2_id, m2_id).verdict == "h1_vanishes"
 
     duals = get_algebra("dual-numbers")
     duals_mod = regular_bimodule(duals)
@@ -149,7 +149,7 @@ def test_criterion_4_subspace_oracle_equivalence():
     assert (ds.dim, ins.dim) == (1, 0)
     assert brute_force_derivation_dim(duals, duals_mod, duals_id, duals_id) == 1
     assert brute_force_inner_dim(duals, duals_mod, duals_id, duals_id) == 0
-    assert is_contractible(duals, duals_mod, duals_id, duals_id).verdict == "not_contractible"
+    assert is_contractible(duals, duals_mod, duals_id, duals_id).verdict == "h1_nonzero"
     print("criterion 4 (subspace dims (3,3) and (1,0) vs brute-force oracles): PASS")
 
 
@@ -183,7 +183,7 @@ def test_criterion_6_amenability_dual_module():
     dual = dual_bimodule(module)
     expected_derivations = brute_force_derivation_dim(algebra, dual, sid, sid)
     expected_inner = brute_force_inner_dim(algebra, dual, sid, sid)
-    assert report.verdict == "contractible"
+    assert report.verdict == "h1_vanishes"
     assert report.derivation_dim == expected_derivations
     assert report.inner_dim == expected_inner
     print(

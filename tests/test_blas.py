@@ -8,6 +8,7 @@ import pytest
 
 from derivlab import (blas, get_algebra, identity_map, is_amenable, is_contractible,
                       regular_bimodule)
+from derivlab.algebra import nullspace, nullspace_margin
 from derivlab.blas import blas_threads, single_blas_thread
 
 needs_setter = pytest.mark.skipif(blas_threads() is None,
@@ -98,8 +99,21 @@ def test_every_linalg_call_of_a_matrix4_verdict_runs_at_one_thread(two_threads, 
         monkeypatch.setattr(np.linalg, name, recorded)
     algebra = get_algebra("matrix:4")
     module, sid = regular_bimodule(algebra), identity_map(algebra)
-    assert is_contractible(algebra, module, sid, sid).contractible
-    assert is_amenable(algebra, module, sid, sid).contractible
-    assert len(counts) >= 6  # two SVDs, a QR and a spectral norm per verdict
+    assert is_contractible(algebra, module, sid, sid).h1_vanishes
+    assert is_amenable(algebra, module, sid, sid).h1_vanishes
+    assert len(counts) >= 8  # per verdict the system's and the center's SVDs and two norms
     assert set(counts) == {1}
+    assert blas_threads() == 2
+
+
+@needs_setter
+def test_nullspace_runs_at_one_thread(two_threads, monkeypatch):
+    counts = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kw: counts.append(blas_threads()) or svd(*args, **kw))
+    mat = np.arange(12.0).reshape(4, 3) + 0j
+    assert nullspace(mat, 1e-10).shape == (1, 3)
+    assert nullspace_margin(mat, 1e-10)[1]["rank"] == 2
+    assert counts == [1, 1]
     assert blas_threads() == 2

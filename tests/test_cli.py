@@ -42,14 +42,14 @@ class TestRunPipelines:
         report = doc["outputs"]["contractibility"]
         assert report["derivation_dim"] == 3
         assert report["inner_dim"] == 3
-        assert report["verdict"] == "contractible"
+        assert report["verdict"] == "h1_vanishes"
 
     def test_contractibility_dual_numbers_exits_2(self, tmp_path):
         code, doc = run_main(
             tmp_path, "run", "--fixture", "dual-numbers", "--pipeline", "contractibility",
         )
         assert code == EXIT_UNSATISFIED
-        assert doc["outputs"]["contractibility"]["verdict"] == "not_contractible"
+        assert doc["outputs"]["contractibility"]["verdict"] == "h1_nonzero"
         assert doc["outputs"]["contractibility"]["witness"] is not None
 
     def test_amenability_matrix2(self, tmp_path):
@@ -57,7 +57,7 @@ class TestRunPipelines:
             tmp_path, "run", "--fixture", "matrix:2", "--pipeline", "amenability",
         )
         assert code == EXIT_OK
-        assert doc["outputs"]["amenability"]["verdict"] == "contractible"
+        assert doc["outputs"]["amenability"]["verdict"] == "h1_vanishes"
 
     def test_extract_zero_epsilon_has_zero_deltas(self, tmp_path):
         code, doc = run_main(
@@ -112,7 +112,7 @@ class TestRunPipelines:
             "--sigma", "conjugation:shear", "--tau", "conjugation:shear",
         )
         assert code == EXIT_OK
-        assert doc["outputs"]["contractibility"]["verdict"] == "contractible"
+        assert doc["outputs"]["contractibility"]["verdict"] == "h1_vanishes"
 
 
 class TestFixtureDocuments:
@@ -149,7 +149,7 @@ class TestFixtureDocuments:
             "--sigma", f"conjugation:{coords}", "--tau", "id",
         )
         assert code == EXIT_OK
-        assert payload["outputs"]["contractibility"]["verdict"] == "contractible"
+        assert payload["outputs"]["contractibility"]["verdict"] == "h1_vanishes"
 
 
 class TestErrors:
@@ -652,6 +652,26 @@ class TestReportWriter:
     ], ids=lambda doc: type(doc).__name__)
     def test_edge_documents(self, doc):
         assert report_json(doc) == json_dumps_report(doc)
+
+    def test_a_repeated_sub_document_is_rendered_once(self, monkeypatch):
+        shared = {"matrix": [[1.0, -0.5], [0.25, 0.0]], "ok": True, "n": [3, 4]}
+        doc = {"sigma": shared, "tau": shared, "deeper": {"again": shared}}
+        rendered = []
+        render = cli_module._render_container
+        monkeypatch.setattr(cli_module, "_render_container",
+                            lambda value, indent, memo: rendered.append((id(value), indent))
+                            or render(value, indent, memo))
+        assert report_json(doc) == json_dumps_report(doc)
+        # once at the depth of sigma and tau, once one level deeper
+        assert rendered.count((id(shared), "  ")) == 1
+        assert rendered.count((id(shared), "    ")) == 1
+
+    def test_sigma_and_tau_share_one_part_when_they_are_one_map(self):
+        outputs = run(ExperimentConfig(fixture="matrix:2", pipeline="extract")).outputs
+        assert outputs["extraction"]["tau"] is outputs["extraction"]["sigma"]
+        shear = run(ExperimentConfig(fixture="matrix:2", pipeline="extract",
+                                     sigma="conjugation:shear")).outputs["extraction"]
+        assert shear["tau"] is not shear["sigma"] and shear["tau"] != shear["sigma"]
 
     @pytest.mark.parametrize("doc", [
         {"x": np.int64(3)}, [np.bool_(True)], {"x": {1, 2}}, {1: "int key"}, object(),

@@ -38,9 +38,13 @@ from derivlab import (
     zero_bimodule,
 )
 from derivlab.algebra import SPAN_RTOL, algebra_to_dict, nullspace, regular_bimodule
-from derivlab.cli import ExperimentConfig, PerturbedExperiment, _resolve_endomorphism
+from derivlab.cli import ExperimentConfig, PerturbedExperiment, _resolve_endomorphism, main
 from derivlab import derivation as derivation_module
 from derivlab.derivation import (
+    MEMBERSHIP_TOL,
+    VERDICT_INDETERMINATE,
+    VERDICT_NONZERO,
+    VERDICT_VANISHES,
     SubspaceBasis,
     _generator_endo_residual,
     _leibniz_payloads,
@@ -203,6 +207,38 @@ def decide(algebra, module_kind, twist):
     tau = identity_map(algebra)
     check = is_contractible if module_kind == "regular" else is_amenable
     return check(algebra, regular_bimodule(algebra), sigma, tau)
+
+
+def projection_verdict(algebra, module, sigma, tau):
+    """The verdict is_contractible reached before it counted ranks, kept as
+    the reference: orthonormal bases of Der (`derivation_space`, its QR) and
+    of Inner (`inner_space`, the SVD of the n m x m inner operator) in vec(D)
+    coordinates, and the spectral norm of (I - P_Inner) on Der. Returns
+    (dim Der, dim Inner, whether H^1 vanishes, that norm)."""
+    twists = _twist_matrices(module, sigma, tau)
+    derivations = derivation_space(algebra, module, sigma, tau, twists=twists)
+    inners = inner_space(algebra, module, sigma, tau, twists=twists)
+    outside = derivations.vectors - inners.project(derivations.vectors)
+    worst = float(np.linalg.norm(outside, 2)) if derivations.dim else 0.0
+    return derivations.dim, inners.dim, worst <= MEMBERSHIP_TOL, worst
+
+
+def assert_not_inner_derivation(d, sigma, tau):
+    """d satisfies the twisted Leibniz rule on every pair of basis vectors,
+    and no x has d_x = d."""
+    triple = DerivationTriple(d, sigma, tau)
+    assert leibniz_residual(triple, *basis_pairs(d.domain)).max() <= 1e-9
+    assert not inner_solve(triple).feasible
+
+
+def deformed_dual_numbers(eps):
+    """e1 e1 = eps e0: the plane C + C (semisimple) for every eps != 0, and
+    the dual numbers at eps = 0. The Leibniz system's smallest singular
+    value relative to its largest is eps."""
+    c = np.zeros((2, 2, 2), dtype=complex)
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
+    c[1, 1, 0] = eps
+    return make_algebra(c, unit_index=0)
 
 
 CLOSED_FORM_FIXTURES = (
@@ -425,7 +461,7 @@ class TestClosedForms:
         report = decide(get_algebra(fixture), module_kind, twist)
         der, inner = closed_form_dims(fixture, module_kind)
         assert (report.derivation_dim, report.inner_dim) == (der, inner)
-        assert report.contractible == (der == inner)
+        assert report.h1_vanishes == (der == inner)
 
     @pytest.mark.parametrize("fixture,module_kind,twist",
                              verdict_cases(CHANGE_OF_BASIS_FIXTURES))
@@ -435,19 +471,20 @@ class TestClosedForms:
         report = decide(algebra, module_kind, twist)
         der, inner = closed_form_dims(fixture, module_kind)
         assert (report.derivation_dim, report.inner_dim) == (der, inner)
-        assert report.contractible == (der == inner)
+        assert report.h1_vanishes == (der == inner)
 
 
 def recorded_rows(monkeypatch):
-    """The rows each generator_system call receives, in call order."""
+    """The rows each Leibniz system is built on (by generator_system, or
+    by a verdict, which needs no map to vec(D)), in call order."""
     calls = []
-    build = derivation_module.generator_system
+    build = derivation_module._leibniz_constraints
 
     def spy(*args, **kwargs):
         calls.append(args[-1])
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(derivation_module, "generator_system", spy)
+    monkeypatch.setattr(derivation_module, "_leibniz_constraints", spy)
     return calls
 
 
@@ -647,25 +684,22 @@ class TestBasisIndependentChoices:
         assert np.abs(back - d_a).max() <= 1e-10
 
     def test_witness_follows_the_change_of_basis(self, changed):
+        # the witness is chosen in generator coordinates, which a change of
+        # basis does not carry along, so it is not the same map; mapped back,
+        # each basis's witness is still a derivation that is not inner
         a, b, u = changed
         reports = [is_contractible(alg, regular_bimodule(alg), identity_map(alg),
                                    identity_map(alg)) for alg in (a, b)]
         assert reports[0].derivation_dim == reports[1].derivation_dim
         assert reports[0].inner_dim == reports[1].inner_dim
-        assert reports[0].max_projection_residual == pytest.approx(
-            reports[1].max_projection_residual, abs=1e-10)
-        if reports[0].contractible:
+        assert reports[0].verdict == reports[1].verdict
+        if reports[0].h1_vanishes:
             assert reports[1].witness is None
             return
-        assert reports[0].max_projection_residual == pytest.approx(1.0, abs=1e-10)
-        back = u @ reports[1].witness.matrix @ u.conj().T
-        assert np.abs(back - reports[0].witness.matrix).max() <= 1e-10
-        # a derivation that is not inner
-        witness = reports[0].witness.matrix.reshape(-1)
-        assert derivation_space(a, regular_bimodule(a), identity_map(a),
-                                identity_map(a)).projection_residual(witness) <= 1e-10
-        assert inner_space(a, regular_bimodule(a), identity_map(a),
-                           identity_map(a)).projection_residual(witness) == pytest.approx(1.0)
+        sid = identity_map(a)
+        for witness in (reports[0].witness.matrix, u @ reports[1].witness.matrix @ u.conj().T):
+            assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-12)
+            assert_not_inner_derivation(LinearMap(witness, a, regular_bimodule(a)), sid, sid)
 
     @pytest.mark.parametrize("fixture", ["matrix:3", "zero-product:4", "dual-numbers"])
     def test_unit_projection_ignores_the_basis_of_the_space(self, fixture):
@@ -691,7 +725,9 @@ class TestBasisIndependentChoices:
         sid = identity_map(a)
         report = is_contractible(a, regular_bimodule(a), sid, sid)
         assert (report.derivation_dim, report.inner_dim) == dims
-        assert report.max_projection_residual == pytest.approx(1.0, abs=1e-12)
+        der, inner, vanishes, residual = projection_verdict(a, regular_bimodule(a), sid, sid)
+        assert ((der, inner), vanishes) == (dims, False)
+        assert residual == pytest.approx(1.0, abs=1e-12)
 
 
 def fused_closure(algebra, rows, payloads, extend):
@@ -827,7 +863,7 @@ class TestBuiltOnce:
     def test_a_map_whose_matrix_is_replaced_is_certified_again(self):
         a = get_algebra("matrix:2")
         sid = identity_map(a)
-        assert is_contractible(a, regular_bimodule(a), sid, sid).contractible
+        assert is_contractible(a, regular_bimodule(a), sid, sid).h1_vanishes
         sid.matrix = 0.5 * sid.matrix
         with pytest.raises(PreconditionError, match="sigma is not multiplicative"):
             is_contractible(a, regular_bimodule(a), sid, sid)
@@ -943,14 +979,14 @@ class TestVerdicts:
     def test_matrix2_contractible(self, m2):
         a, module, sid = m2
         report = is_contractible(a, module, sid, sid)
-        assert report.contractible
+        assert report.h1_vanishes
         assert (report.derivation_dim, report.inner_dim) == (3, 3)
         assert report.witness is None
 
     def test_dual_numbers_not_contractible_with_witness(self, duals):
         a, module, sid = duals
         report = is_contractible(a, module, sid, sid)
-        assert not report.contractible
+        assert not report.h1_vanishes
         assert (report.derivation_dim, report.inner_dim) == (1, 0)
         witness = report.witness.matrix
         assert abs(witness[1, 1]) == pytest.approx(1.0, abs=1e-9)
@@ -958,7 +994,7 @@ class TestVerdicts:
     def test_zero_module_contractible(self, m2):
         a, _, sid = m2
         report = is_contractible(a, zero_bimodule(a), sid, sid)
-        assert report.contractible
+        assert report.h1_vanishes
         assert (report.derivation_dim, report.inner_dim) == (0, 0)
 
     def test_nonmultiplicative_twist_rejected(self, m2):
@@ -971,7 +1007,7 @@ class TestVerdicts:
         a, module, sid = m2
         report = is_amenable(a, module, sid, sid)
         dual = dual_bimodule(module)
-        assert report.contractible
+        assert report.h1_vanishes
         assert report.kind == "amenability"
         assert report.derivation_dim == brute_force_derivation_dim(a, dual, sid, sid)
         assert report.inner_dim == brute_force_inner_dim(a, dual, sid, sid)
@@ -985,7 +1021,7 @@ class TestVerdicts:
 
     def test_zero_module_amenable(self, m2):
         a, _, sid = m2
-        assert is_amenable(a, zero_bimodule(a), sid, sid).contractible
+        assert is_amenable(a, zero_bimodule(a), sid, sid).h1_vanishes
 
     @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
     def test_each_endomorphism_residual_computed_once(self, m2, pipeline, monkeypatch):
@@ -1004,7 +1040,7 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
     def test_twist_stacks_built_once(self, m2, pipeline, monkeypatch):
-        # the Leibniz system, the inner operator and its scale share them
+        # the Leibniz system and the twisted-center operator share them
         a, module, sid = m2
         built = []
         stacks = derivation_module._twist_matrices
@@ -1012,6 +1048,140 @@ class TestVerdicts:
                             lambda *args: built.append(1) or stacks(*args))
         pipeline(a, module, sid, sid)
         assert len(built) == 1
+
+
+ORACLE_FIXTURES = (
+    "matrix:1", "matrix:2", "matrix:3", "matrix:4",
+    "upper-triangular:1", "upper-triangular:2", "upper-triangular:3", "upper-triangular:4",
+    "zero-product:1", "zero-product:2", "zero-product:3", "zero-product:4",
+    "zero-product:5", "zero-product:6", "dual-numbers",
+)
+
+
+class TestRankVerdictAgainstProjection:
+    @pytest.mark.parametrize("basis", ["standard", "changed"])
+    @pytest.mark.parametrize("fixture,module_kind,twist", verdict_cases(ORACLE_FIXTURES))
+    def test_same_dimensions_and_verdict(self, fixture, module_kind, twist, basis):
+        algebra = get_algebra(fixture)
+        if basis == "changed":
+            algebra = change_of_basis(algebra, seed=29)
+        report = decide(algebra, module_kind, twist)
+        sigma, tau = _resolve_endomorphism(algebra, twist), identity_map(algebra)
+        module = regular_bimodule(algebra)
+        if module_kind == "dual":
+            module = dual_bimodule(module)
+        der, inner, vanishes, _ = projection_verdict(algebra, module, sigma, tau)
+        assert (report.derivation_dim, report.inner_dim) == (der, inner)
+        assert report.verdict == (VERDICT_VANISHES if vanishes else VERDICT_NONZERO)
+        assert report.module == {"regular": "regular", "dual": "dual-regular"}[module_kind]
+        if vanishes:
+            assert report.witness is None
+        else:
+            assert np.linalg.norm(report.witness.matrix) == pytest.approx(1.0, abs=1e-12)
+            assert_not_inner_derivation(report.witness, sigma, tau)
+
+    def test_diagnostics_hold_the_ranks_and_their_margins(self, m2):
+        a, module, sid = m2
+        doc = is_contractible(a, module, sid, sid).to_dict()
+        assert doc["module"] == "regular" and doc["verdict"] == VERDICT_VANISHES
+        assert "max_projection_residual" not in doc
+        diagnostics = doc["diagnostics"]
+        assert diagnostics["generators"] == 2
+        system, center = diagnostics["system"], diagnostics["center"]
+        # 2 generators of the 4-dimensional algebra: (4 * 2 + 2 - 4) * 4 rows
+        assert system["shape"] == [24, 8] and center["shape"] == [8, 4]
+        assert (8 - system["rank"], center["rank"]) == (3, 3)
+        for entry in (system, center):
+            assert 1e-3 < entry["kept"] <= 1.0 and 0.0 <= entry["dropped"] < 1e-14
+
+    def test_a_custom_module_is_named_so(self, m2):
+        a, _, sid = m2
+        assert is_contractible(a, zero_bimodule(a), sid, sid).module == "custom"
+
+    def test_two_svds_and_no_vec_map_for_a_vanishing_h1(self, m2, monkeypatch):
+        # the system's SVD and the center's; the maps are never formed in vec(D)
+        a, module, sid = m2
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda mat, *args, **kw: shapes.append(mat.shape) or svd(mat, *args, **kw))
+        for name in ("derivation_space", "inner_space", "_vec_map"):
+            monkeypatch.setattr(derivation_module, name, None)
+        assert is_amenable(a, module, sid, sid).h1_vanishes
+        assert shapes == [(24, 8), (8, 4)]
+
+    @pytest.mark.parametrize("fixture", ["matrix:3", "upper-triangular:3", "dual-numbers"])
+    def test_identity_twist_stacks_are_the_einsums_bit_for_bit(self, fixture):
+        algebra = get_algebra(fixture)
+        for a in (algebra, change_of_basis(algebra, seed=5)):
+            regular = regular_bimodule(a)
+            sid = identity_map(a)
+            for module in (regular, dual_bimodule(regular), extend_with_annihilator(regular)[0]):
+                stacks = _twist_matrices(module, sid, sid)
+                einsums = (np.einsum("ij,kir->jrk", sid.matrix, module.right_action),
+                           np.einsum("pi,pkr->irk", sid.matrix, module.left_action))
+                for stack, reference in zip(stacks, einsums):
+                    assert stack.tobytes() == reference.tobytes()
+                    assert stack.flags.c_contiguous
+
+
+class TestIndeterminateBand:
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
+    def test_a_small_deformation_vanishes(self, eps, pipeline):
+        a = deformed_dual_numbers(eps)
+        sid = identity_map(a)
+        report = pipeline(a, regular_bimodule(a), sid, sid)
+        assert report.verdict == VERDICT_VANISHES
+        assert (report.derivation_dim, report.inner_dim) == (0, 0)
+
+    @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
+    def test_a_deformation_at_the_cutoff_is_indeterminate(self, pipeline):
+        a = deformed_dual_numbers(1e-10)
+        sid = identity_map(a)
+        report = pipeline(a, regular_bimodule(a), sid, sid)
+        assert report.verdict == VERDICT_INDETERMINATE
+        assert report.witness is None and not report.h1_vanishes
+
+    @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
+    def test_no_deformation_is_nonzero(self, pipeline):
+        a = deformed_dual_numbers(0.0)
+        sid = identity_map(a)
+        report = pipeline(a, regular_bimodule(a), sid, sid)
+        assert report.verdict == VERDICT_NONZERO
+        assert (report.derivation_dim, report.inner_dim) == (1, 0)
+        assert report.diagnostics["system"]["dropped"] == 0.0
+        assert_not_inner_derivation(report.witness, sid, sid)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_the_system_margin_is_the_deformation(self, eps):
+        a = deformed_dual_numbers(eps)
+        sid = identity_map(a)
+        system = is_contractible(a, regular_bimodule(a), sid, sid).diagnostics["system"]
+        # the smallest singular value is kept down to the cutoff, dropped below it
+        margin = system["kept"] if system["rank"] == 4 else system["dropped"]
+        assert margin == pytest.approx(eps, rel=1e-6)
+
+    @pytest.mark.parametrize("fixture", ["zero-product:4", "dual-numbers"])
+    def test_an_exactly_zero_matrix_is_never_indeterminate(self, fixture):
+        # every product is zero, and dual-numbers is commutative: the
+        # system, or the twisted-center operator, is exactly zero
+        a = get_algebra(fixture)
+        sid = identity_map(a)
+        report = is_contractible(a, regular_bimodule(a), sid, sid)
+        assert report.verdict == VERDICT_NONZERO
+        zero = report.diagnostics["system" if fixture.startswith("zero") else "center"]
+        assert (zero["rank"], zero["kept"], zero["dropped"]) == (0, None, 0.0)
+
+    @pytest.mark.parametrize("eps,code,verdict", [(1e-10, 3, VERDICT_INDETERMINATE),
+                                                  (1e-4, 0, VERDICT_VANISHES)])
+    def test_cli_exit_codes(self, tmp_path, eps, code, verdict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"fixture": algebra_to_dict(deformed_dual_numbers(eps)),
+                                      "pipeline": "contractibility"}))
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == code
+        assert json.loads(out.read_text())["outputs"]["contractibility"]["verdict"] == verdict
 
 
 class TestRoundtrip:
