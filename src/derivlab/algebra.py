@@ -749,27 +749,20 @@ def rank_margin(s: np.ndarray, cols: int, rtol: float, scale: float) -> dict:
             "dropped": dropped}
 
 
+@single_blas_thread
 def nullspace(mat: np.ndarray, rtol: float) -> np.ndarray:
     """Rows form an orthonormal basis of the nullspace of `mat`.
 
-    Singular values at most `rtol` times the largest count as zero. The SVD
-    is reduced, so the left factor is never larger than `mat`; a wide matrix
-    gets the full right factor, whose extra rows span the rest of the
-    nullspace.
+    Singular values at most `rtol` times the largest count as zero
+    (`rank_margin`). The SVD is reduced, so the left factor is never larger
+    than `mat`; a wide matrix gets the full right factor, whose extra rows
+    span the rest of the nullspace.
     """
-    return nullspace_margin(mat, rtol)[0]
-
-
-@single_blas_thread
-def nullspace_margin(mat: np.ndarray, rtol: float) -> tuple[np.ndarray, dict]:
-    """`nullspace(mat, rtol)` with the `rank_margin` of its cutoff, from the
-    same SVD."""
     rows, cols = mat.shape
     if mat.size == 0:
-        return np.eye(cols, dtype=complex), rank_margin(np.zeros(0), cols, rtol, 0.0)
+        return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(mat, full_matrices=rows < cols)
-    margin = rank_margin(s, cols, rtol, s[0])
-    return vh[margin["rank"]:].conj(), margin
+    return vh[rank_margin(s, cols, rtol, s[0])["rank"]:].conj()
 
 
 def right_annihilator(algebra: FiniteAlgebra) -> np.ndarray:
@@ -804,8 +797,10 @@ class LinearMap:
     """Dense complex matrix with domain and codomain space tags."""
 
     # _endo_residual: (algebra, matrix, residual) once derivation's
-    # `_endo_residual` has computed the map's residual on that algebra
-    __slots__ = ("matrix", "domain", "codomain", "_endo_residual")
+    # `_endo_residual` has computed the map's residual on that algebra;
+    # _twist_stacks: derivation's twist stacks of the map, per module and
+    # side, each with the matrix it was built from
+    __slots__ = ("matrix", "domain", "codomain", "_endo_residual", "_twist_stacks")
 
     def __init__(self, matrix, domain: _CoordinateSpace, codomain: _CoordinateSpace):
         mat = _as_complex(matrix, "linear map matrix")
@@ -819,6 +814,7 @@ class LinearMap:
         self.domain = domain
         self.codomain = codomain
         self._endo_residual = None
+        self._twist_stacks = {}
 
     @property
     def domain_tag(self) -> str:

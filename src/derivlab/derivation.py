@@ -28,7 +28,6 @@ from .algebra import (
     kept,
     kept_entry,
     nullspace,
-    nullspace_margin,
     rank_margin,
     right_annihilator,
 )
@@ -54,10 +53,13 @@ SYSTEM_BYTES_LIMIT = 2**30
 VERDICT_VANISHES = "h1_vanishes"
 VERDICT_NONZERO = "h1_nonzero"
 VERDICT_INDETERMINATE = "indeterminate"
-# A verdict whose system or center has a kept or a dropped singular value
-# in this band, relative to its scale, is indeterminate: the cutoff
-# SVD_RTOL sits inside it, so rounding of the inputs could move the rank
-INDETERMINATE_BAND = (1e-12, 1e-8)
+# A verdict whose system or center has a kept singular value in this band,
+# or a dropped one at or above its floor, relative to its scale, is
+# indeterminate: the cutoff SVD_RTOL sits inside it, so rounding of the
+# inputs could move the rank. The floor is about 10 times the largest
+# dropped value rounding left on the registry fixtures (1.8e-15 up to
+# matrix:8; 4.6e-15 up to matrix:4 after random complex changes of basis)
+INDETERMINATE_BAND = (5e-14, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -284,10 +286,23 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 def _twist_matrices(module: Bimodule, sigma: LinearMap,
                     tau: LinearMap) -> tuple[np.ndarray, np.ndarray]:
     """Per-basis matrices of x -> x.sigma(e_i) and of x -> tau(e_i).x,
-    each stacked along the first axis."""
-    right_sigma = _twist_stack("ij,kir->jrk", sigma.matrix, module.right_action, (1, 2, 0))
-    left_tau = _twist_stack("pi,pkr->irk", tau.matrix, module.left_action, (0, 2, 1))
-    return right_sigma, left_tau
+    each stacked along the first axis, read-only. Each stack is built once
+    per map, matrix, module and side and kept on its map (as the map's
+    `_endo_residual` is): built again when the map's matrix is replaced,
+    and gone with the map."""
+    return (_kept_stack(sigma, module, "ij,kir->jrk", module.right_action, (1, 2, 0)),
+            _kept_stack(tau, module, "pi,pkr->irk", module.left_action, (0, 2, 1)))
+
+
+def _kept_stack(twist: LinearMap, module: Bimodule, spec: str, action: np.ndarray,
+                axes) -> np.ndarray:
+    key = (module, spec)
+    memo = twist._twist_stacks.get(key)
+    if memo is None or memo[0] is not twist.matrix:
+        stack = _twist_stack(spec, twist.matrix, action, axes)
+        stack.setflags(write=False)
+        memo = twist._twist_stacks[key] = (twist.matrix, stack)
+    return memo[1]
 
 
 def _twist_stack(spec: str, twist: np.ndarray, action: np.ndarray, axes) -> np.ndarray:
@@ -323,8 +338,7 @@ def _leibniz_payloads(module: Bimodule, rows: np.ndarray, twists):
 
 @single_blas_thread
 def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
-                     tau: LinearMap, rows: np.ndarray, *,
-                     twists=None) -> tuple[np.ndarray, np.ndarray]:
+                     tau: LinearMap, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Leibniz constraints on u = (D(g_1), ..., D(g_k)) for the rows g_i
     of `rows`, shape ((n k + k - n) m, k m) when the rows generate the
     algebra, and the matrix (m n, k m) that takes u to row-major vec(D).
@@ -343,15 +357,14 @@ def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
     sigma(b g) = sigma(b) sigma(g) and tau(a b) = tau(a) tau(b) with the
     bimodule axioms), so on all of the algebra. With the identity rows T is
     the identity and the constraints are the rule on every pair of basis
-    vectors. `twists` is `_twist_matrices(module, sigma, tau)` when the
-    caller has it already.
+    vectors.
     """
-    system, span = _leibniz_constraints(algebra, module, sigma, tau, rows, twists=twists)
+    system, span = _leibniz_constraints(algebra, module, sigma, tau, rows)
     return system, _vec_map(span)
 
 
 def _leibniz_constraints(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
-                         tau: LinearMap, rows: np.ndarray, *, twists=None):
+                         tau: LinearMap, rows: np.ndarray):
     """`generator_system`'s constraints, and in place of the map to vec(D)
     what `_vec_map` makes it from: the span rows q_l with their T matrices."""
     n, m, k = algebra.dim, module.dim, len(rows)
@@ -360,7 +373,7 @@ def _leibniz_constraints(algebra: FiniteAlgebra, module: Bimodule, sigma: Linear
         raise PreconditionError(
             f"the {k} generator rows span {len(plan.basis)} of {n} dimensions"
         )
-    twists = twists or _twist_matrices(module, sigma, tau)
+    twists = _twist_matrices(module, sigma, tau)
     payloads, inside = plan.replay(*_leibniz_payloads(module, rows, twists))
     return inside.reshape(-1, k * m), (plan.basis, payloads)
 
@@ -391,7 +404,7 @@ def _system_bytes(n: int, m: int, k: int) -> int:
 
 @single_blas_thread
 def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
-                     sigma: LinearMap, tau: LinearMap, *, twists=None) -> SubspaceBasis:
+                     sigma: LinearMap, tau: LinearMap) -> SubspaceBasis:
     """Orthonormal basis of all maps D with D(ab) = D(a).sigma(b)
     + tau(a).D(b).
 
@@ -401,13 +414,11 @@ def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
     constraints. The null vectors, from an SVD with a relative singular-value
     cutoff, are mapped to vec(D) and orthonormalized. A system whose
     estimated size exceeds SYSTEM_BYTES_LIMIT is refused before it is built.
-    `twists` is `_twist_matrices(module, sigma, tau)` when the caller has it
-    already.
     """
     if module.dim == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
     rows = _unknown_rows(algebra, module, sigma, tau)
-    system, to_vec = generator_system(algebra, module, sigma, tau, rows, twists=twists)
+    system, to_vec = generator_system(algebra, module, sigma, tau, rows)
     maps = nullspace(system, SVD_RTOL) @ to_vec.T
     return SubspaceBasis(np.linalg.qr(maps.T)[0].T, algebra, module)
 
@@ -441,13 +452,11 @@ def _inner_operator_matrix(twists) -> np.ndarray:
 
 @single_blas_thread
 def inner_space(algebra: FiniteAlgebra, module: Bimodule,
-                sigma: LinearMap, tau: LinearMap, *, twists=None) -> SubspaceBasis:
-    """Orthonormal basis of the image of x -> (a -> x.sigma(a) - tau(a).x).
-    `twists` is `_twist_matrices(module, sigma, tau)` when the caller has it
-    already."""
+                sigma: LinearMap, tau: LinearMap) -> SubspaceBasis:
+    """Orthonormal basis of the image of x -> (a -> x.sigma(a) - tau(a).x)."""
     if module.dim == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
-    twists = twists or _twist_matrices(module, sigma, tau)
+    twists = _twist_matrices(module, sigma, tau)
     u, s, _ = np.linalg.svd(_inner_operator_matrix(twists), full_matrices=False)
     # the cutoff is relative to the two terms of x.sigma(a) - tau(a).x, not
     # to their difference: on a commutative algebra they cancel to rounding
@@ -565,8 +574,12 @@ def _module_name(algebra: FiniteAlgebra, module: Bimodule) -> str:
 
 
 def _in_band(margin: dict) -> bool:
+    """Whether a kept singular value lies in INDETERMINATE_BAND or a dropped
+    one reaches it: a dropped value above the band is a bound that rounding
+    alone does not explain."""
     low, high = INDETERMINATE_BAND
-    return any(v is not None and low <= v <= high for v in (margin["kept"], margin["dropped"]))
+    kept, dropped = margin["kept"], margin["dropped"]
+    return (kept is not None and low <= kept <= high) or (dropped is not None and dropped >= low)
 
 
 @single_blas_thread
@@ -575,19 +588,30 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
     """Decide whether every twisted derivation into the module is inner.
 
     Both subspaces are counted in generator coordinates u = (D(g_1), ...,
-    D(g_k)). Der is the nullspace of `generator_system`'s constraints, from
-    the SVD `nullspace` takes. x -> d_x has the twisted center Z as its
-    kernel, and the generators suffice to test it, so dim Inner is the rank
-    of the k m x m operator x -> (x.sigma(g_i) - tau(g_i).x)_i, cut off
-    relative to the larger of its two terms' norms (on a commutative algebra
-    they cancel to rounding noise). H^1 vanishes exactly when the ranks
-    agree; a kept or dropped singular value inside INDETERMINATE_BAND, or an
-    Inner larger than Der, makes the verdict indeterminate.
+    D(g_k)). x -> d_x has the twisted center Z as its kernel, and the
+    generators suffice to test it, so dim Inner is the rank r of the k m x m
+    operator x -> (x.sigma(g_i) - tau(g_i).x)_i, cut off relative to the
+    larger of its two terms' norms (on a commutative algebra they cancel to
+    rounding noise). Its full SVD splits u-space into Inner, the first r
+    left singular vectors, and their complement W. Inner lies in Der, the
+    nullspace of `generator_system`'s constraints S, so S vanishes on Inner
+    up to rounding (its norm there, the leak, is |S U_r|_F) and dim Der = r
+    plus the nullity of the deflated system S W, from its singular values
+    alone. H^1 vanishes exactly when S W has full column rank.
+
+    The system's `rank` is that of S W, its `kept` value the smallest kept
+    one of S W (a lower bound for S's, since S W is S U without r columns)
+    and its `dropped` value S W's largest dropped one plus the leak, both
+    relative to S W's largest (or to the leak, should that be larger): by
+    Weyl's inequality, a bound on S's largest dropped value. A kept value inside INDETERMINATE_BAND, or a dropped one
+    that reaches it, in either matrix makes the verdict indeterminate.
 
     The witness, for a nonzero H^1, is the unit vector along vec(D) of
-    (P_Der - P_Inner) v_u, both orthogonal projections in u coordinates, for
+    W N N^H W^H v_u, with N an orthonormal basis of the nullspace of S W
+    (from its reduced SVD; the identity when S W is exactly zero), for
     the fixed map v = keyed_map(..., "contractibility-witness") at the
-    generators: a derivation that is not inner.
+    generators: a derivation that is not inner, (P_Der - P_Inner) v_u up to
+    rounding.
     """
     _require_endomorphisms(algebra, sigma, tau)
     name, m = _module_name(algebra, module), module.dim
@@ -596,31 +620,41 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
         diagnostics = {"generators": 0, "system": empty, "center": dict(empty)}
         return ContractibilityReport(0, 0, VERDICT_VANISHES, None, name, diagnostics)
     rows = _unknown_rows(algebra, module, sigma, tau)
-    twists = _twist_matrices(module, sigma, tau)
-    system, span = _leibniz_constraints(algebra, module, sigma, tau, rows, twists=twists)
-    der_basis, der = nullspace_margin(system, SVD_RTOL)
+    system, span = _leibniz_constraints(algebra, module, sigma, tau, rows)
     k, n = rows.shape
-    right_sigma, left_tau = twists
+    right_sigma, left_tau = _twist_matrices(module, sigma, tau)
     right = np.dot(rows, right_sigma.reshape(n, -1))
     left = np.dot(rows, left_tau.reshape(n, -1))
     center = (right - left).reshape(k * m, m)
-    u, s, _ = np.linalg.svd(center, full_matrices=False)
+    u, s, _ = np.linalg.svd(center)
     inner = rank_margin(s, m, SVD_RTOL, max(np.linalg.norm(right), np.linalg.norm(left)))
-    der_dim, inner_dim = len(der_basis), inner["rank"]
-    if _in_band(der) or _in_band(inner) or inner_dim > der_dim:
+    r = inner["rank"]
+    deflated, leak = system, 0.0
+    if r:
+        rotated = system @ u
+        deflated, leak = rotated[:, r:], float(np.linalg.norm(rotated[:, :r]))
+    values = np.linalg.svd(deflated, compute_uv=False)
+    scale = max(float(np.max(values, initial=0.0)), leak)
+    der = rank_margin(values, k * m - r, SVD_RTOL, scale)
+    if r:
+        der["dropped"] = (der["dropped"] or 0.0) + (leak / scale if leak else 0.0)
+    der_dim = k * m - der["rank"]
+    if _in_band(der) or _in_band(inner):
         verdict = VERDICT_INDETERMINATE
     else:
-        verdict = VERDICT_VANISHES if inner_dim == der_dim else VERDICT_NONZERO
+        verdict = VERDICT_VANISHES if der_dim == r else VERDICT_NONZERO
     witness = None
     if verdict == VERDICT_NONZERO:
         v = (rows @ keyed_map(algebra, module, "contractibility-witness").T).reshape(-1)
-        inner_basis = u[:, :inner_dim]
-        outside = der_basis.T @ (der_basis.conj() @ v) - inner_basis @ (inner_basis.conj().T @ v)
+        null = nullspace(deflated, SVD_RTOL) if deflated.any() else np.eye(k * m - r)
+        if r:
+            null = null @ u[:, r:].T  # W N, in u coordinates
+        outside = null.T @ (null.conj() @ v)
         vec = _unit(_vec_map(span) @ outside)
         witness = LinearMap(vec.reshape(m, n), algebra, module)
     diagnostics = {"generators": k, "system": {"shape": list(system.shape), **der},
                    "center": {"shape": list(center.shape), **inner}}
-    return ContractibilityReport(der_dim, inner_dim, verdict, witness, name, diagnostics)
+    return ContractibilityReport(der_dim, r, verdict, witness, name, diagnostics)
 
 
 @single_blas_thread

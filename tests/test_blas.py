@@ -8,7 +8,7 @@ import pytest
 
 from derivlab import (blas, get_algebra, identity_map, is_amenable, is_contractible,
                       regular_bimodule)
-from derivlab.algebra import nullspace, nullspace_margin
+from derivlab.algebra import nullspace
 from derivlab.blas import blas_threads, single_blas_thread
 
 needs_setter = pytest.mark.skipif(blas_threads() is None,
@@ -114,6 +114,5 @@ def test_nullspace_runs_at_one_thread(two_threads, monkeypatch):
                         lambda *args, **kw: counts.append(blas_threads()) or svd(*args, **kw))
     mat = np.arange(12.0).reshape(4, 3) + 0j
     assert nullspace(mat, 1e-10).shape == (1, 3)
-    assert nullspace_margin(mat, 1e-10)[1]["rank"] == 2
-    assert counts == [1, 1]
+    assert counts == [1]
     assert blas_threads() == 2

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from derivlab import (
+    Bimodule,
     DerivationTriple,
     LinearMap,
     PreconditionError,
@@ -63,6 +64,19 @@ def ball_pairs(space, rng, count, scale):
     in stream order (the draws of count ball_point pairs)."""
     rows = ball_rows(space, rng, np.full(2 * count, scale))
     return rows[0::2], rows[1::2]
+
+
+def record_svds(monkeypatch):
+    """Make np.linalg.svd append (shape, whether it returns vectors) of
+    each call to the returned list."""
+    calls, svd = [], np.linalg.svd
+
+    def recorded(mat, *args, **kw):
+        calls.append((mat.shape, kw.get("compute_uv", True)))
+        return svd(mat, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
 
 
 def basis_pairs(space):
@@ -215,12 +229,35 @@ def projection_verdict(algebra, module, sigma, tau):
     of Inner (`inner_space`, the SVD of the n m x m inner operator) in vec(D)
     coordinates, and the spectral norm of (I - P_Inner) on Der. Returns
     (dim Der, dim Inner, whether H^1 vanishes, that norm)."""
-    twists = _twist_matrices(module, sigma, tau)
-    derivations = derivation_space(algebra, module, sigma, tau, twists=twists)
-    inners = inner_space(algebra, module, sigma, tau, twists=twists)
+    derivations = derivation_space(algebra, module, sigma, tau)
+    inners = inner_space(algebra, module, sigma, tau)
     outside = derivations.vectors - inners.project(derivations.vectors)
     worst = float(np.linalg.norm(outside, 2)) if derivations.dim else 0.0
     return derivations.dim, inners.dim, worst <= MEMBERSHIP_TOL, worst
+
+
+def projection_witness(algebra, module, sigma, tau, inner_dim):
+    """The witness of the rank verdict before it deflated the system by the
+    twisted center: the unit vector along vec(D) of (P_Der - P_Inner) v_u,
+    both orthogonal projections in generator coordinates, Der from the
+    nullspace of the whole system and Inner from the leading inner_dim left
+    singular vectors of the twisted-center operator."""
+    rows = algebra.generators
+    (k, n), m = rows.shape, module.dim
+    system, to_vec = generator_system(algebra, module, sigma, tau, rows)
+    der = nullspace(system, 1e-10)
+    right, left = _twist_matrices(module, sigma, tau)
+    center = (np.dot(rows, right.reshape(n, -1)) - np.dot(rows, left.reshape(n, -1)))
+    inner = np.linalg.svd(center.reshape(k * m, m), full_matrices=False)[0][:, :inner_dim]
+    v = (rows @ keyed_map(algebra, module, "contractibility-witness").T).reshape(-1)
+    vec = to_vec @ (der.T @ (der.conj() @ v) - inner @ (inner.conj().T @ v))
+    return (vec / np.linalg.norm(vec)).reshape(m, n)
+
+
+def oracle_algebra(fixture):
+    """A registry fixture, or the direct sum of two joined by '+'."""
+    return direct_sum(*map(get_algebra, fixture.split("+"))) if "+" in fixture \
+        else get_algebra(fixture)
 
 
 def assert_not_inner_derivation(d, sigma, tau):
@@ -869,6 +906,38 @@ class TestBuiltOnce:
             is_contractible(a, regular_bimodule(a), sid, sid)
 
 
+class TestKeptTwistStacks:
+    @pytest.mark.parametrize("fixture", ["matrix:3", "upper-triangular:3"])
+    @pytest.mark.parametrize("twist", ["id", "conjugation:shear"])
+    def test_a_repeat_call_returns_the_same_read_only_arrays(self, fixture, twist):
+        a = get_algebra(fixture)
+        sigma, tau = _resolve_endomorphism(a, twist), identity_map(a)
+        regular = regular_bimodule(a)
+        for module in (regular, dual_bimodule(regular)):
+            first = _twist_matrices(module, sigma, tau)
+            second = _twist_matrices(module, sigma, tau)
+            for stack, again in zip(first, second):
+                assert stack is again
+                with pytest.raises(ValueError, match="read-only"):
+                    stack.flat[0] = 2.0
+
+    def test_a_new_sigma_or_a_replaced_matrix_rebuilds_them(self):
+        a = get_algebra("matrix:3")
+        module, tau = regular_bimodule(a), identity_map(a)
+        shear = _resolve_endomorphism(a, "conjugation:shear").matrix
+        sigma = LinearMap(shear, a, a)
+        right, left = _twist_matrices(module, sigma, tau)
+        fresh = _twist_matrices(module, LinearMap(shear, a, a), tau)[0]
+        assert fresh is not right and fresh.tobytes() == right.tobytes()
+        # another module is another stack
+        assert _twist_matrices(dual_bimodule(module), sigma, tau)[0] is not right
+        sigma.matrix = identity_map(a).matrix
+        rebuilt, kept_left = _twist_matrices(module, sigma, tau)
+        assert kept_left is left and rebuilt is not right
+        assert rebuilt.tobytes() == np.einsum("ij,kir->jrk", sigma.matrix,
+                                              module.right_action).tobytes()
+
+
 class TestSharedFixtures:
     @pytest.mark.parametrize("fixture", ["matrix:2", "dual-numbers", "upper-triangular:3",
                                          "zero-product:4"])
@@ -1040,14 +1109,20 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
     def test_twist_stacks_built_once(self, m2, pipeline, monkeypatch):
-        # the Leibniz system and the twisted-center operator share them
-        a, module, sid = m2
+        # sigma's right stack and tau's left one, shared by the Leibniz
+        # system and the twisted-center operator and kept on the maps: a
+        # second verdict with the same map objects builds none
+        a, module, _ = m2
+        sigma, tau = identity_map(a), identity_map(a)
         built = []
-        stacks = derivation_module._twist_matrices
-        monkeypatch.setattr(derivation_module, "_twist_matrices",
-                            lambda *args: built.append(1) or stacks(*args))
-        pipeline(a, module, sid, sid)
-        assert len(built) == 1
+        stack = derivation_module._twist_stack
+        monkeypatch.setattr(derivation_module, "_twist_stack",
+                            lambda *args: built.append(1) or stack(*args))
+        first = pipeline(a, module, sigma, tau)
+        assert len(built) == 2
+        second = pipeline(a, module, sigma, tau)
+        assert len(built) == 2
+        assert first.to_dict() == second.to_dict()
 
 
 ORACLE_FIXTURES = (
@@ -1055,6 +1130,8 @@ ORACLE_FIXTURES = (
     "upper-triangular:1", "upper-triangular:2", "upper-triangular:3", "upper-triangular:4",
     "zero-product:1", "zero-product:2", "zero-product:3", "zero-product:4",
     "zero-product:5", "zero-product:6", "dual-numbers",
+    # Der 4 and Inner 3: both Inner and H^1 are nonzero
+    "matrix:2+dual-numbers",
 )
 
 
@@ -1062,7 +1139,7 @@ class TestRankVerdictAgainstProjection:
     @pytest.mark.parametrize("basis", ["standard", "changed"])
     @pytest.mark.parametrize("fixture,module_kind,twist", verdict_cases(ORACLE_FIXTURES))
     def test_same_dimensions_and_verdict(self, fixture, module_kind, twist, basis):
-        algebra = get_algebra(fixture)
+        algebra = oracle_algebra(fixture)
         if basis == "changed":
             algebra = change_of_basis(algebra, seed=29)
         report = decide(algebra, module_kind, twist)
@@ -1079,6 +1156,8 @@ class TestRankVerdictAgainstProjection:
         else:
             assert np.linalg.norm(report.witness.matrix) == pytest.approx(1.0, abs=1e-12)
             assert_not_inner_derivation(report.witness, sigma, tau)
+            reference = projection_witness(algebra, module, sigma, tau, inner)
+            assert np.abs(report.witness.matrix - reference).max() <= 1e-12
 
     def test_diagnostics_hold_the_ranks_and_their_margins(self, m2):
         a, module, sid = m2
@@ -1099,16 +1178,55 @@ class TestRankVerdictAgainstProjection:
         assert is_contractible(a, zero_bimodule(a), sid, sid).module == "custom"
 
     def test_two_svds_and_no_vec_map_for_a_vanishing_h1(self, m2, monkeypatch):
-        # the system's SVD and the center's; the maps are never formed in vec(D)
+        # the center's SVD, then the singular values alone of the 24 x 8
+        # system deflated by the 3-dimensional Inner; the maps are never
+        # formed in vec(D)
         a, module, sid = m2
-        shapes = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda mat, *args, **kw: shapes.append(mat.shape) or svd(mat, *args, **kw))
+        calls = record_svds(monkeypatch)
         for name in ("derivation_space", "inner_space", "_vec_map"):
             monkeypatch.setattr(derivation_module, name, None)
         assert is_amenable(a, module, sid, sid).h1_vanishes
-        assert shapes == [(24, 8), (8, 4)]
+        assert calls == [((8, 4), True), ((24, 5), False)]
+
+    @pytest.mark.parametrize("fixture,calls", [
+        # a third SVD gives the deflated system's null vectors for the witness
+        ("matrix:2+dual-numbers", [((12, 6), True), ((48, 9), False), ((48, 9), True)]),
+        ("dual-numbers", [((4, 2), True), ((8, 4), False), ((8, 4), True)]),
+        # an exactly zero system has the identity as its null basis
+        ("zero-product:4", [((16, 4), True), ((64, 16), False)]),
+    ])
+    def test_a_nonzero_h1_takes_null_vectors_only_from_a_nonzero_system(self, fixture, calls,
+                                                                        monkeypatch):
+        a = oracle_algebra(fixture)
+        sid = identity_map(a)
+        recorded = record_svds(monkeypatch)
+        report = is_contractible(a, regular_bimodule(a), sid, sid)
+        assert report.verdict == VERDICT_NONZERO
+        assert recorded == calls
+        reference = projection_witness(a, regular_bimodule(a), sid, sid, report.inner_dim)
+        assert np.abs(report.witness.matrix - reference).max() <= 1e-12
+
+    def test_an_inner_of_every_u_leaves_an_empty_deflated_system(self):
+        # C acting by the identity on the left and by 0 on the right: every
+        # map is a derivation and d_x(e) = -x, so Der = Inner = C
+        a = make_algebra(np.ones((1, 1, 1)), unit_index=0)
+        module = Bimodule(a, np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
+        sid = identity_map(a)
+        report = is_contractible(a, module, sid, sid)
+        assert report.verdict == VERDICT_VANISHES
+        assert (report.derivation_dim, report.inner_dim) == (1, 1)
+        assert report.diagnostics["system"] == {"shape": [1, 1], "rank": 0, "kept": None,
+                                                "dropped": 0.0}
+
+    def test_the_dropped_value_bounds_the_whole_system(self, m2):
+        # Weyl: the deflated system's largest dropped value plus the leak
+        # bounds the largest singular value of the system the cutoff drops
+        a, module, sid = m2
+        system = is_contractible(a, module, sid, sid).diagnostics["system"]
+        rows = a.generators
+        whole = np.linalg.svd(generator_system(a, module, sid, sid, rows)[0], compute_uv=False)
+        assert whole[system["rank"]] / whole[0] <= system["dropped"] < 1e-14
+        assert system["kept"] <= whole[system["rank"] - 1] / whole[0] * (1 + 1e-12)
 
     @pytest.mark.parametrize("fixture", ["matrix:3", "upper-triangular:3", "dual-numbers"])
     def test_identity_twist_stacks_are_the_einsums_bit_for_bit(self, fixture):
@@ -1144,6 +1262,28 @@ class TestIndeterminateBand:
         assert report.witness is None and not report.h1_vanishes
 
     @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
+    def test_a_deformation_below_the_cutoff_is_indeterminate(self, pipeline):
+        # eps = 1e-13 is dropped, but above the band's floor, which sits
+        # about ten times over the rounding the registry fixtures leave: it
+        # is not read as an exact zero
+        a = deformed_dual_numbers(1e-13)
+        sid = identity_map(a)
+        report = pipeline(a, regular_bimodule(a), sid, sid)
+        assert report.verdict == VERDICT_INDETERMINATE
+        assert report.diagnostics["system"]["dropped"] == pytest.approx(1e-13, rel=1e-3)
+
+    @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
+    def test_a_near_multiplicative_twist_never_vanishes(self, pipeline):
+        # sigma = I + 1e-12 (all ones) passes ENDO_TOL (residual 3.8e-11),
+        # but Inner leaves Der by more than rounding: the leak is in the band
+        a = get_algebra("matrix:3")
+        sigma = LinearMap(np.eye(a.dim) + 1e-12 * np.ones((a.dim, a.dim)), a, a)
+        assert _generator_endo_residual(a, sigma) < derivation_module.ENDO_TOL
+        report = pipeline(a, regular_bimodule(a), sigma, identity_map(a))
+        assert report.verdict == VERDICT_INDETERMINATE
+        assert report.diagnostics["system"]["dropped"] > derivation_module.INDETERMINATE_BAND[0]
+
+    @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
     def test_no_deformation_is_nonzero(self, pipeline):
         a = deformed_dual_numbers(0.0)
         sid = identity_map(a)
@@ -1174,7 +1314,8 @@ class TestIndeterminateBand:
         assert (zero["rank"], zero["kept"], zero["dropped"]) == (0, None, 0.0)
 
     @pytest.mark.parametrize("eps,code,verdict", [(1e-10, 3, VERDICT_INDETERMINATE),
-                                                  (1e-4, 0, VERDICT_VANISHES)])
+                                                  (1e-4, 0, VERDICT_VANISHES),
+                                                  (1e-13, 3, VERDICT_INDETERMINATE)])
     def test_cli_exit_codes(self, tmp_path, eps, code, verdict):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"fixture": algebra_to_dict(deformed_dual_numbers(eps)),
