@@ -649,13 +649,35 @@ class Bimodule(_CoordinateSpace):
                 bound = max(bound, op / w[i])
         return bound
 
+    def left_matrices(self, rows) -> np.ndarray:
+        """[k, m, m] stack of the matrices of x -> a.x, one for each row a of
+        a [k, n] array of algebra coordinates."""
+        return self._action_matrices(rows, "left action by rows", self.left_action, (0, 2, 1))
+
+    def right_matrices(self, rows) -> np.ndarray:
+        """[k, m, m] stack of the matrices of x -> x.a, one per row a."""
+        return self._action_matrices(rows, "right action by rows", self.right_action, (1, 2, 0))
+
+    def _action_matrices(self, rows, key: str, action: np.ndarray, axes) -> np.ndarray:
+        # the rows times the action tensor as [i, out, in], kept read-only per
+        # module and side; a basis row gives the tensor's slice exactly
+        n, m = self.algebra.dim, self.dim
+
+        def build():
+            flat = np.ascontiguousarray(action.transpose(axes)).reshape(n, m * m)
+            flat.setflags(write=False)
+            return flat
+
+        rows = np.asarray(rows, dtype=complex)
+        return np.dot(rows, kept(self, key, build)).reshape(len(rows), m, m)
+
     def left_matrix(self, coords) -> np.ndarray:
         """Matrix of x -> a.x for algebra coordinates a."""
-        return np.einsum("i,ijk->kj", np.asarray(coords, dtype=complex), self.left_action)
+        return self.left_matrices([coords])[0]
 
     def right_matrix(self, coords) -> np.ndarray:
         """Matrix of x -> x.a."""
-        return np.einsum("i,jik->kj", np.asarray(coords, dtype=complex), self.right_action)
+        return self.right_matrices([coords])[0]
 
     def __repr__(self):
         return f"Bimodule(dim={self.dim}, algebra_dim={self.algebra.dim}, tag={self.tag!r})"
@@ -788,19 +810,16 @@ def module_annihilator(module: Bimodule) -> np.ndarray:
     n, m = module.algebra.dim, module.dim
     if m == 0:
         return np.zeros((0, 0), dtype=complex)
-    blocks = [module.left_matrix(np.eye(n)[i]) for i in range(n)]
-    blocks += [module.right_matrix(np.eye(n)[i]) for i in range(n)]
-    return nullspace(np.vstack(blocks), ANNIHILATOR_RTOL)
+    blocks = np.concatenate([module.left_matrices(np.eye(n)), module.right_matrices(np.eye(n))])
+    return nullspace(blocks.reshape(2 * n * m, m), ANNIHILATOR_RTOL)
 
 
 class LinearMap:
     """Dense complex matrix with domain and codomain space tags."""
 
     # _endo_residual: (algebra, matrix, residual) once derivation's
-    # `_endo_residual` has computed the map's residual on that algebra;
-    # _twist_stacks: derivation's twist stacks of the map, per module and
-    # side, each with the matrix it was built from
-    __slots__ = ("matrix", "domain", "codomain", "_endo_residual", "_twist_stacks")
+    # `_endo_residual` has computed the map's residual on that algebra
+    __slots__ = ("matrix", "domain", "codomain", "_endo_residual")
 
     def __init__(self, matrix, domain: _CoordinateSpace, codomain: _CoordinateSpace):
         mat = _as_complex(matrix, "linear map matrix")
@@ -814,7 +833,6 @@ class LinearMap:
         self.domain = domain
         self.codomain = codomain
         self._endo_residual = None
-        self._twist_stacks = {}
 
     @property
     def domain_tag(self) -> str:

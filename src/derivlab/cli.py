@@ -543,7 +543,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file (flags override it)")
         p.add_argument("--fixture", help="registry name (matrix:n, dual-numbers, ...) or document path")
         p.add_argument("--pipeline", choices=PIPELINES)
-        p.add_argument("--sigma", help="endomorphism: id | conjugation:shear | file:<matrix.json>")
+        p.add_argument("--sigma", help="endomorphism: id | conjugation:shear | "
+                       "conjugation:<coords.json> | file:<matrix.json>")
         p.add_argument("--tau", help="endomorphism, same grammar as --sigma")
         p.add_argument("--control", help="inline JSON control document")
         p.add_argument("--perturb", help="inline JSON perturbation document")

@@ -283,51 +283,23 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def _twist_matrices(module: Bimodule, sigma: LinearMap,
-                    tau: LinearMap) -> tuple[np.ndarray, np.ndarray]:
-    """Per-basis matrices of x -> x.sigma(e_i) and of x -> tau(e_i).x,
-    each stacked along the first axis, read-only. Each stack is built once
-    per map, matrix, module and side and kept on its map (as the map's
-    `_endo_residual` is): built again when the map's matrix is replaced,
-    and gone with the map."""
-    return (_kept_stack(sigma, module, "ij,kir->jrk", module.right_action, (1, 2, 0)),
-            _kept_stack(tau, module, "pi,pkr->irk", module.left_action, (0, 2, 1)))
+def _twisted_actions(module: Bimodule, sigma: LinearMap, tau: LinearMap,
+                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R_sigma(a) and L_tau(a), the [k, m, m] matrices of x -> x.sigma(a)
+    and of x -> tau(a).x, at each row a of `rows`."""
+    return (module.right_matrices(rows @ sigma.matrix.T),
+            module.left_matrices(rows @ tau.matrix.T))
 
 
-def _kept_stack(twist: LinearMap, module: Bimodule, spec: str, action: np.ndarray,
-                axes) -> np.ndarray:
-    key = (module, spec)
-    memo = twist._twist_stacks.get(key)
-    if memo is None or memo[0] is not twist.matrix:
-        stack = _twist_stack(spec, twist.matrix, action, axes)
-        stack.setflags(write=False)
-        memo = twist._twist_stacks[key] = (twist.matrix, stack)
-    return memo[1]
-
-
-def _twist_stack(spec: str, twist: np.ndarray, action: np.ndarray, axes) -> np.ndarray:
-    """np.einsum(spec, twist, action), bit for bit. For the identity twist
-    that is the action reordered by `axes`, plus 0.0: each entry's sum has
-    one term 1 * x and zeros besides, and starts from +0, so x comes out
-    exactly and a zero as +0."""
-    if np.array_equal(twist, np.eye(len(twist))):
-        return np.add(action.transpose(axes), 0.0, order="C")
-    return np.einsum(spec, twist, action)
-
-
-def _leibniz_payloads(module: Bimodule, rows: np.ndarray, twists):
-    """The payloads `ClosurePlan.replay` carries through the closure of
-    `rows` for `generator_system`, as (the rows' T matrices, extend)."""
-    m, k = module.dim, len(rows)
-    right_sigma, left_tau = twists
-    right_at_rows = np.einsum("ai,irk->ark", rows, right_sigma)
-    left_flat = left_tau.reshape(len(left_tau), -1)
+def _leibniz_payloads(module: Bimodule, right_at_rows: np.ndarray, tau: LinearMap):
+    """The payloads `ClosurePlan.replay` carries through the closure of the
+    rows for `generator_system`, as (the rows' T matrices, extend), from
+    R_sigma at the rows."""
+    m, k = module.dim, len(right_at_rows)
 
     def extend(b, payloads):
         out = right_at_rows @ payloads[:, None]
-        # L_tau(b) for each row b, through the np.dot np.tensordot(b, left_tau, 1)
-        # makes, so its bits stay
-        left = np.dot(b, left_flat).reshape(len(b), m, m)
+        left = module.left_matrices(b @ tau.matrix.T)
         blocks = out.reshape(-1, k, m, k, m)
         for i in range(k):
             blocks[:, i, :, i, :] += left
@@ -359,22 +331,23 @@ def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
     the identity and the constraints are the rule on every pair of basis
     vectors.
     """
-    system, span = _leibniz_constraints(algebra, module, sigma, tau, rows)
+    right_at_rows = module.right_matrices(rows @ sigma.matrix.T)
+    system, span = _leibniz_constraints(algebra, module, right_at_rows, tau, rows)
     return system, _vec_map(span)
 
 
-def _leibniz_constraints(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
+def _leibniz_constraints(algebra: FiniteAlgebra, module: Bimodule, right_at_rows: np.ndarray,
                          tau: LinearMap, rows: np.ndarray):
-    """`generator_system`'s constraints, and in place of the map to vec(D)
-    what `_vec_map` makes it from: the span rows q_l with their T matrices."""
+    """`generator_system`'s constraints, from R_sigma at the rows, and in
+    place of the map to vec(D) what `_vec_map` makes it from: the span rows
+    q_l with their T matrices."""
     n, m, k = algebra.dim, module.dim, len(rows)
     plan = algebra.closure_plan(rows)
     if len(plan.basis) < n:
         raise PreconditionError(
             f"the {k} generator rows span {len(plan.basis)} of {n} dimensions"
         )
-    twists = _twist_matrices(module, sigma, tau)
-    payloads, inside = plan.replay(*_leibniz_payloads(module, rows, twists))
+    payloads, inside = plan.replay(*_leibniz_payloads(module, right_at_rows, tau))
     return inside.reshape(-1, k * m), (plan.basis, payloads)
 
 
@@ -442,12 +415,13 @@ def _unknown_rows(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
     return rows
 
 
-def _inner_operator_matrix(twists) -> np.ndarray:
+def _inner_operator(module: Bimodule, sigma: LinearMap, tau: LinearMap):
     """Matrix of x -> vec(d_x), shape (module dim * algebra dim, module dim),
-    from `_twist_matrices`."""
-    right_sigma, left_tau = twists
+    and its two terms, `_twisted_actions` at the identity rows."""
+    n, m = module.algebra.dim, module.dim
+    right_sigma, left_tau = twists = _twisted_actions(module, sigma, tau, np.eye(n, dtype=complex))
     # column i of d_x lands at vec indices k * n + i
-    return (right_sigma - left_tau).transpose(1, 0, 2).reshape(-1, right_sigma.shape[1])
+    return (right_sigma - left_tau).transpose(1, 0, 2).reshape(m * n, m), twists
 
 
 @single_blas_thread
@@ -456,8 +430,8 @@ def inner_space(algebra: FiniteAlgebra, module: Bimodule,
     """Orthonormal basis of the image of x -> (a -> x.sigma(a) - tau(a).x)."""
     if module.dim == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
-    twists = _twist_matrices(module, sigma, tau)
-    u, s, _ = np.linalg.svd(_inner_operator_matrix(twists), full_matrices=False)
+    op, twists = _inner_operator(module, sigma, tau)
+    u, s, _ = np.linalg.svd(op, full_matrices=False)
     # the cutoff is relative to the two terms of x.sigma(a) - tau(a).x, not
     # to their difference: on a commutative algebra they cancel to rounding
     # noise, which a cutoff relative to s[0] would count as rank
@@ -471,7 +445,7 @@ def inner_derivation(module: Bimodule, sigma: LinearMap, tau: LinearMap,
                      x: ModuleElement) -> LinearMap:
     """The map a -> x.sigma(a) - tau(a).x as a LinearMap."""
     algebra = module.algebra
-    vec = _inner_operator_matrix(_twist_matrices(module, sigma, tau)) @ x.coords
+    vec = _inner_operator(module, sigma, tau)[0] @ x.coords
     return LinearMap(vec.reshape(module.dim, algebra.dim), algebra, module)
 
 
@@ -503,7 +477,7 @@ def inner_solve(triple: DerivationTriple, tol: float = MEMBERSHIP_TOL) -> InnerS
     feasibility threshold scales with the operator norm of d.
     """
     algebra, module = triple.algebra, triple.module
-    op = _inner_operator_matrix(_twist_matrices(module, triple.sigma, triple.tau))
+    op = _inner_operator(module, triple.sigma, triple.tau)[0]
     rhs = triple.d.matrix.reshape(-1)
     if module.dim == 0:
         return InnerSolveResult(True, module.zero(), 0.0, tol)
@@ -620,11 +594,9 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
         diagnostics = {"generators": 0, "system": empty, "center": dict(empty)}
         return ContractibilityReport(0, 0, VERDICT_VANISHES, None, name, diagnostics)
     rows = _unknown_rows(algebra, module, sigma, tau)
-    system, span = _leibniz_constraints(algebra, module, sigma, tau, rows)
     k, n = rows.shape
-    right_sigma, left_tau = _twist_matrices(module, sigma, tau)
-    right = np.dot(rows, right_sigma.reshape(n, -1))
-    left = np.dot(rows, left_tau.reshape(n, -1))
+    right, left = _twisted_actions(module, sigma, tau, rows)
+    system, span = _leibniz_constraints(algebra, module, right, tau, rows)
     center = (right - left).reshape(k * m, m)
     u, s, _ = np.linalg.svd(center)
     inner = rank_margin(s, m, SVD_RTOL, max(np.linalg.norm(right), np.linalg.norm(left)))

@@ -178,17 +178,21 @@ def _twists(d0):
 
 
 def _check_annihilator_basis(module: Bimodule, basis: np.ndarray, tol: float = 1e-12):
-    n = module.algebra.dim
-    eye = np.eye(n)
-    for z in basis:
-        for i in range(n):
-            if (
-                module.norm(module.left_matrix(eye[i]) @ z) > tol
-                or module.norm(module.right_matrix(eye[i]) @ z) > tol
-            ):
-                raise ConstructionError(
-                    "supplied basis is not annihilated by the module actions"
-                )
+    """Refuse a basis that is not a finite (k, module dim) array, or a row z
+    that a basis vector of the algebra sends above `tol` |z| on either side
+    (the noise is scaled to its size, so a short row hides nothing)."""
+    if basis.ndim != 2 or basis.shape[1] != module.dim:
+        raise ConstructionError(
+            f"supplied basis has shape {basis.shape}, not (k, {module.dim})")
+    if not np.all(np.isfinite(basis)):
+        raise ConstructionError("supplied basis contains non-finite entries")
+    eye = np.eye(module.algebra.dim)
+    actions = np.concatenate([module.left_matrices(eye), module.right_matrices(eye)])
+    images = np.swapaxes(actions @ basis.T, 1, 2)  # [2 n, k, m]: e_i.z and z.e_i
+    shape = (len(actions), len(basis))
+    sizes = module.norms(images.reshape(shape[0] * shape[1], module.dim)).reshape(shape)
+    if not np.all(sizes <= tol * module.norms(basis)):
+        raise ConstructionError("supplied basis is not annihilated by the module actions")
 
 
 @single_blas_thread
@@ -206,18 +210,22 @@ def make_annihilator_perturbation(d0, spec: PerturbationSpec, annihilator_basis=
     if spec.mode != "annihilator":
         raise ConstructionError("spec mode must be 'annihilator'")
     module = d0.module
-    basis = module_annihilator(module) if annihilator_basis is None else np.asarray(
-        annihilator_basis, dtype=complex
-    )
+    if annihilator_basis is None:
+        basis = module_annihilator(module)
+    else:
+        try:
+            basis = np.asarray(annihilator_basis, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ConstructionError(f"supplied basis is not a coordinate array: {exc}") from exc
+    # the basis extend_with_annihilator made for this module is annihilated
+    # by construction; any other is checked
+    if basis is not kept_entry(module, _OWN_BASIS):
+        _check_annihilator_basis(module, basis)
     if basis.shape[0] == 0 and spec.epsilon > 0.0:
         raise ConstructionError(
             "the module has no killed directions to host the noise; "
             "extend it first (extend_with_annihilator)"
         )
-    # the basis extend_with_annihilator made for this module is annihilated
-    # by construction; any other is checked
-    if basis.shape[0] and basis is not kept_entry(module, _OWN_BASIS):
-        _check_annihilator_basis(module, basis)
     epsilon = spec.epsilon
     seed = spec.seed
     d_matrix = d0.d

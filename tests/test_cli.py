@@ -316,6 +316,16 @@ def test_sweep_config_out_that_is_not_a_path_is_one_error_line(tmp_path, capsys,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_help_names_every_endomorphism_form(capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    assert ("--sigma SIGMA endomorphism: id | conjugation:shear | "
+            "conjugation:<coords.json> | file:<matrix.json>") in text
+
+
 def test_clamped_pipelines_verify_hypotheses_once(monkeypatch):
     import derivlab.cli
     import derivlab.perturb

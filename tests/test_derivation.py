@@ -38,8 +38,10 @@ from derivlab import (
     sigma_endo_certificate,
     zero_bimodule,
 )
-from derivlab.algebra import SPAN_RTOL, algebra_to_dict, nullspace, regular_bimodule
-from derivlab.cli import ExperimentConfig, PerturbedExperiment, _resolve_endomorphism, main
+from derivlab.algebra import (SPAN_RTOL, algebra_to_dict, kept_entry, nullspace,
+                             regular_bimodule)
+from derivlab.cli import (ExperimentConfig, PerturbedExperiment, _resolve_endomorphism, main,
+                          report_json)
 from derivlab import derivation as derivation_module
 from derivlab.derivation import (
     MEMBERSHIP_TOL,
@@ -51,7 +53,7 @@ from derivlab.derivation import (
     _leibniz_payloads,
     _system_bytes,
     _system_shape,
-    _twist_matrices,
+    _twisted_actions,
     generator_system,
     keyed_map,
 )
@@ -246,9 +248,8 @@ def projection_witness(algebra, module, sigma, tau, inner_dim):
     (k, n), m = rows.shape, module.dim
     system, to_vec = generator_system(algebra, module, sigma, tau, rows)
     der = nullspace(system, 1e-10)
-    right, left = _twist_matrices(module, sigma, tau)
-    center = (np.dot(rows, right.reshape(n, -1)) - np.dot(rows, left.reshape(n, -1)))
-    inner = np.linalg.svd(center.reshape(k * m, m), full_matrices=False)[0][:, :inner_dim]
+    right, left = _twisted_actions(module, sigma, tau, rows)
+    inner = np.linalg.svd((right - left).reshape(k * m, m), full_matrices=False)[0][:, :inner_dim]
     v = (rows @ keyed_map(algebra, module, "contractibility-witness").T).reshape(-1)
     vec = to_vec @ (der.T @ (der.conj() @ v) - inner @ (inner.conj().T @ v))
     return (vec / np.linalg.norm(vec)).reshape(m, n)
@@ -446,6 +447,13 @@ class TestSubspaces:
         z = zero_bimodule(a)
         assert derivation_space(a, z, sid, sid).dim == 0
         assert inner_space(a, z, sid, sid).dim == 0
+
+    def test_zero_module_inner_solve_and_inner_derivation(self, m2):
+        a, _, sid = m2
+        z = zero_bimodule(a)
+        d = LinearMap(np.zeros((0, a.dim)), a, z)
+        assert inner_solve(DerivationTriple(d, sid, sid)).feasible
+        assert inner_derivation(z, sid, sid, z.zero()).matrix.shape == (0, a.dim)
 
     def test_twisted_dims_match_brute_force(self, m2):
         a, module, sid = m2
@@ -849,8 +857,8 @@ class TestClosurePlan:
         else:
             sigma = _resolve_endomorphism(a, twist)
         module = regular_bimodule(a)
-        payloads, extend = _leibniz_payloads(module, rows,
-                                             _twist_matrices(module, sigma, identity_map(a)))
+        right_at_rows = module.right_matrices(rows @ sigma.matrix.T)
+        payloads, extend = _leibniz_payloads(module, right_at_rows, identity_map(a))
         span, stack, inside = fused_closure(a, rows, payloads, extend)
         plan = a.closure_plan(rows)
         replayed = plan.replay(payloads, extend)
@@ -906,36 +914,80 @@ class TestBuiltOnce:
             is_contractible(a, regular_bimodule(a), sid, sid)
 
 
-class TestKeptTwistStacks:
-    @pytest.mark.parametrize("fixture", ["matrix:3", "upper-triangular:3"])
-    @pytest.mark.parametrize("twist", ["id", "conjugation:shear"])
-    def test_a_repeat_call_returns_the_same_read_only_arrays(self, fixture, twist):
-        a = get_algebra(fixture)
-        sigma, tau = _resolve_endomorphism(a, twist), identity_map(a)
-        regular = regular_bimodule(a)
-        for module in (regular, dual_bimodule(regular)):
-            first = _twist_matrices(module, sigma, tau)
-            second = _twist_matrices(module, sigma, tau)
-            for stack, again in zip(first, second):
-                assert stack is again
-                with pytest.raises(ValueError, match="read-only"):
-                    stack.flat[0] = 2.0
+class TestActionMatrices:
+    """`Bimodule.left_matrices` and `right_matrices`, the one primitive every
+    twisted action is read through."""
 
-    def test_a_new_sigma_or_a_replaced_matrix_rebuilds_them(self):
-        a = get_algebra("matrix:3")
+    @staticmethod
+    def modules(fixture):
+        algebra = get_algebra(fixture)
+        for basis, a in (("standard", algebra), ("changed", change_of_basis(algebra, seed=5))):
+            regular = regular_bimodule(a)
+            for kind, module in (("regular", regular), ("dual", dual_bimodule(regular)),
+                                 ("extended", extend_with_annihilator(regular)[0])):
+                yield f"{basis} {kind}", a, module
+
+    @pytest.mark.parametrize("fixture", ["matrix:3", "upper-triangular:3", "dual-numbers"])
+    def test_random_rows_act_as_act_left_and_act_right(self, fixture):
+        for name, a, module in self.modules(fixture):
+            rows = ball_rows(a, generator(61, "action rows", name), np.ones(5))
+            lefts, rights = module.left_matrices(rows), module.right_matrices(rows)
+            assert lefts.shape == rights.shape == (5, module.dim, module.dim)
+            for row, left, right in zip(rows, lefts, rights):
+                elt = a.element(row)
+                for j in range(module.dim):
+                    x = module.basis_element(j)
+                    for got, want in ((left[:, j], act_left(elt, x).coords),
+                                      (right[:, j], act_right(x, elt).coords)):
+                        assert np.linalg.norm(got - want) <= 1e-14 * max(
+                            np.linalg.norm(want), 1.0), name
+
+    @pytest.mark.parametrize("fixture", ["matrix:3", "upper-triangular:3", "dual-numbers"])
+    def test_basis_rows_are_the_one_row_einsums_bit_for_bit(self, fixture):
+        for name, a, module in self.modules(fixture):
+            eye = np.eye(a.dim, dtype=complex)
+            lefts, rights = module.left_matrices(eye), module.right_matrices(eye)
+            for i in range(a.dim):
+                left = np.einsum("i,ijk->kj", eye[i], module.left_action)
+                right = np.einsum("i,jik->kj", eye[i], module.right_action)
+                for got in (lefts[i], module.left_matrix(eye[i])):
+                    assert got.tobytes() == left.tobytes(), name
+                for got in (rights[i], module.right_matrix(eye[i])):
+                    assert got.tobytes() == right.tobytes(), name
+
+    def test_one_read_only_reorder_per_module_and_side(self):
+        a = get_algebra.__wrapped__("matrix:2")
+        module = regular_bimodule(a)
+        reorders = []
+        for rows in (a.generators, np.eye(a.dim)):
+            module.left_matrices(rows)
+            module.right_matrices(rows)
+            reorders.append([kept_entry(module, f"{side} action by rows")
+                             for side in ("left", "right")])
+        first, again = reorders
+        assert all(x is y for x, y in zip(first, again))
+        for reorder in first:
+            assert reorder.shape == (a.dim, module.dim ** 2)
+            with pytest.raises(ValueError, match="read-only"):
+                reorder.flat[0] = 2.0
+
+    @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
+    def test_a_fresh_sigma_per_verdict_leaves_no_state_on_the_maps(self, pipeline):
+        a = get_algebra.__wrapped__("matrix:3")
         module, tau = regular_bimodule(a), identity_map(a)
         shear = _resolve_endomorphism(a, "conjugation:shear").matrix
-        sigma = LinearMap(shear, a, a)
-        right, left = _twist_matrices(module, sigma, tau)
-        fresh = _twist_matrices(module, LinearMap(shear, a, a), tau)[0]
-        assert fresh is not right and fresh.tobytes() == right.tobytes()
-        # another module is another stack
-        assert _twist_matrices(dual_bimodule(module), sigma, tau)[0] is not right
-        sigma.matrix = identity_map(a).matrix
-        rebuilt, kept_left = _twist_matrices(module, sigma, tau)
-        assert kept_left is left and rebuilt is not right
-        assert rebuilt.tobytes() == np.einsum("ij,kir->jrk", sigma.matrix,
-                                              module.right_action).tobytes()
+        assert LinearMap.__slots__ == ("matrix", "domain", "codomain", "_endo_residual")
+        reports, kept_keys = [], []
+        for _ in range(3):
+            sigma = LinearMap(shear, a, a)
+            reports.append(report_json(pipeline(a, module, sigma, tau).to_dict()))
+            assert not hasattr(sigma, "__dict__")
+            assert sigma.matrix is not shear and sigma._endo_residual[1] is sigma.matrix
+            kept_keys.append([sorted(map(str, o.__dict__.get("_kept", {})))
+                              for o in (a, module, dual_bimodule(module))])
+        assert reports[0] == reports[1] == reports[2]
+        # nothing kept per map on the algebra or the modules
+        assert kept_keys[0] == kept_keys[1] == kept_keys[2]
 
 
 class TestSharedFixtures:
@@ -1107,23 +1159,6 @@ class TestVerdicts:
         assert computed == [sigma, tau]
         assert first.to_dict() == second.to_dict()
 
-    @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
-    def test_twist_stacks_built_once(self, m2, pipeline, monkeypatch):
-        # sigma's right stack and tau's left one, shared by the Leibniz
-        # system and the twisted-center operator and kept on the maps: a
-        # second verdict with the same map objects builds none
-        a, module, _ = m2
-        sigma, tau = identity_map(a), identity_map(a)
-        built = []
-        stack = derivation_module._twist_stack
-        monkeypatch.setattr(derivation_module, "_twist_stack",
-                            lambda *args: built.append(1) or stack(*args))
-        first = pipeline(a, module, sigma, tau)
-        assert len(built) == 2
-        second = pipeline(a, module, sigma, tau)
-        assert len(built) == 2
-        assert first.to_dict() == second.to_dict()
-
 
 ORACLE_FIXTURES = (
     "matrix:1", "matrix:2", "matrix:3", "matrix:4",
@@ -1227,20 +1262,6 @@ class TestRankVerdictAgainstProjection:
         whole = np.linalg.svd(generator_system(a, module, sid, sid, rows)[0], compute_uv=False)
         assert whole[system["rank"]] / whole[0] <= system["dropped"] < 1e-14
         assert system["kept"] <= whole[system["rank"] - 1] / whole[0] * (1 + 1e-12)
-
-    @pytest.mark.parametrize("fixture", ["matrix:3", "upper-triangular:3", "dual-numbers"])
-    def test_identity_twist_stacks_are_the_einsums_bit_for_bit(self, fixture):
-        algebra = get_algebra(fixture)
-        for a in (algebra, change_of_basis(algebra, seed=5)):
-            regular = regular_bimodule(a)
-            sid = identity_map(a)
-            for module in (regular, dual_bimodule(regular), extend_with_annihilator(regular)[0]):
-                stacks = _twist_matrices(module, sid, sid)
-                einsums = (np.einsum("ij,kir->jrk", sid.matrix, module.right_action),
-                           np.einsum("pi,pkr->irk", sid.matrix, module.left_action))
-                for stack, reference in zip(stacks, einsums):
-                    assert stack.tobytes() == reference.tobytes()
-                    assert stack.flags.c_contiguous
 
 
 class TestIndeterminateBand:

@@ -576,6 +576,34 @@ class TestKeptChecks:
             make_annihilator_perturbation(triple, spec, bad)
         with pytest.raises(ConstructionError, match="not annihilated"):
             make_annihilator_perturbation(triple, spec, np.vstack([ann, bad]))
+        # the noise is scaled to epsilon whatever the row's norm
+        with pytest.raises(ConstructionError, match="not annihilated"):
+            make_annihilator_perturbation(triple, spec, 1e-13 * bad)
+
+    @pytest.mark.parametrize("slot", [4, 0])  # the killed direction, and one that is not
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_supplied_basis_that_is_not_finite_raises(self, slot, value):
+        algebra, module, ann, triple = base_triple("matrix:2")
+        bad = np.zeros((1, module.dim), dtype=complex)
+        bad[0, slot] = value
+        spec = PerturbationSpec(mode="annihilator", epsilon=1e-3)
+        with pytest.raises(ConstructionError, match="non-finite"):
+            make_annihilator_perturbation(triple, spec, bad)
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 4), (1, 5, 1)])
+    def test_a_supplied_basis_of_the_wrong_shape_raises(self, shape):
+        algebra, module, ann, triple = base_triple("matrix:2")
+        assert module.dim == 5
+        spec = PerturbationSpec(mode="annihilator", epsilon=1e-3)
+        with pytest.raises(ConstructionError, match="shape"):
+            make_annihilator_perturbation(triple, spec, np.zeros(shape))
+
+    @pytest.mark.parametrize("supplied", [[[0, 1], [2]], [["x"] * 5], {}])
+    def test_a_supplied_basis_that_is_not_an_array_raises(self, supplied):
+        algebra, module, ann, triple = base_triple("matrix:2")
+        spec = PerturbationSpec(mode="annihilator", epsilon=1e-3)
+        with pytest.raises(ConstructionError):
+            make_annihilator_perturbation(triple, spec, supplied)
 
     def test_the_right_annihilator_is_computed_once(self, monkeypatch):
         algebra = make_matrix_algebra(3)  # a fresh algebra: nothing kept on it yet
