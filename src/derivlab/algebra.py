@@ -12,6 +12,7 @@ norm, a weighted sup norm.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
 from functools import cached_property
 from itertools import repeat
 
@@ -956,3 +957,23 @@ def bimodule_from_dict(algebra: FiniteAlgebra, doc: dict) -> Bimodule:
         weights=doc.get("weights"),
         norm_kind=doc.get("norm_kind", "l1"),
     )
+
+
+def record_dict(record) -> dict:
+    """The document of a dataclass record: each field under its name. A map
+    is written as encode_complex of its matrix, an element of its
+    coordinates and an array of its entries; a nested record as its own
+    to_dict(); anything else (None, numbers, strings, lists, dicts) as it is."""
+    return {f.name: _field_document(getattr(record, f.name)) for f in fields(record)}
+
+
+def _field_document(value):
+    if isinstance(value, LinearMap):
+        return encode_complex(value.matrix)
+    if isinstance(value, _SpaceElement):
+        return encode_complex(value.coords)
+    if isinstance(value, np.ndarray):
+        return encode_complex(value)
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    return value

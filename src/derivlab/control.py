@@ -14,8 +14,10 @@ direct-method iteration stopped there.
 phi and the sums are evaluated on [N, dim] coordinate rows (`phi_rows`,
 `summed_control_rows`, `diagonal_series`); a power-norm control reads the
 row norms, any other control is called once per row. The element forms
-(`evaluate`, `summed_control`, `summed_control_tail`) are their one-row
-cases.
+`evaluate` and `summed_control` are their one-row cases.
+`summed_control_tail` is not: it is the independent one-point remainder,
+from its own table of doubled rows, that the tests check the tails built
+from `diagonal_series` against.
 """
 from __future__ import annotations
 

@@ -25,15 +25,14 @@ from .algebra import (
     LinearMap,
     ModuleElement,
     dual_bimodule,
-    kept,
     kept_entry,
     nullspace,
     rank_margin,
+    record_dict,
     right_annihilator,
 )
 from .blas import single_blas_thread
 from .control import ControlFunction
-from .encoding import encode_complex
 from .errors import PreconditionError, SpaceMismatchError
 from .sampling import SCALE_GRID, ball_points, ball_rows, generator
 
@@ -148,17 +147,6 @@ def _endo_residual(algebra: FiniteAlgebra, s: LinearMap) -> float:
     return memo[2]
 
 
-def _kept_right_annihilator(algebra: FiniteAlgebra) -> np.ndarray:
-    """`right_annihilator(algebra)`, computed once per algebra and kept on it
-    read-only."""
-    def build():
-        ran = right_annihilator(algebra)
-        ran.setflags(write=False)
-        return ran
-
-    return kept(algebra, "right annihilator", build)
-
-
 @dataclass
 class EndoCertificate:
     """Sampled evidence that the first twisting map multiplies correctly.
@@ -175,14 +163,7 @@ class EndoCertificate:
     d_full_row_rank: bool
     samples: int
 
-    def to_dict(self) -> dict:
-        return {
-            "max_cancellation": self.max_cancellation,
-            "tau_basis_residual": self.tau_basis_residual,
-            "ran_trivial": self.ran_trivial,
-            "d_full_row_rank": self.d_full_row_rank,
-            "samples": self.samples,
-        }
+    to_dict = record_dict
 
 
 @single_blas_thread
@@ -193,8 +174,7 @@ def sigma_endo_certificate(triple: DerivationTriple, samples: int = 200,
     Also reports whether the right annihilator of the algebra is trivial
     and whether d has full row rank (surjectivity onto the module), the two
     side conditions under which a zero certificate forces sigma to be
-    multiplicative (unless d = 0). The right annihilator depends only on
-    the algebra: it is computed once per algebra and kept on it, read-only.
+    multiplicative (unless d = 0).
     """
     if samples < 0:
         raise PreconditionError("the sigma certificate needs a nonnegative sample count")
@@ -204,7 +184,7 @@ def sigma_endo_certificate(triple: DerivationTriple, samples: int = 200,
     cancellation = np.einsum("nj,ni,jik->nk", triple.d.apply_rows(c),
                              _endo_defect(triple.sigma, a, b), triple.module.right_action)
     worst = np.max(triple.module.norms(cancellation), initial=0.0)
-    ran = _kept_right_annihilator(algebra)
+    ran = right_annihilator(algebra)
     rank = np.linalg.matrix_rank(triple.d.matrix, tol=None) if triple.d.matrix.size else 0
     return EndoCertificate(
         max_cancellation=float(worst),
@@ -458,13 +438,7 @@ class InnerSolveResult:
     residual: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "x": None if self.x is None else encode_complex(self.x.coords),
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-        }
+    to_dict = record_dict
 
 
 @single_blas_thread
@@ -512,16 +486,7 @@ class ContractibilityReport:
     def h1_vanishes(self) -> bool:
         return self.verdict == VERDICT_VANISHES
 
-    def to_dict(self) -> dict:
-        return {
-            "derivation_dim": self.derivation_dim,
-            "inner_dim": self.inner_dim,
-            "verdict": self.verdict,
-            "witness": None if self.witness is None else encode_complex(self.witness.matrix),
-            "module": self.module,
-            "diagnostics": self.diagnostics,
-            "kind": self.kind,
-        }
+    to_dict = record_dict
 
 
 def _require_endomorphisms(algebra: FiniteAlgebra, sigma: LinearMap, tau: LinearMap,
@@ -658,16 +623,7 @@ class RoundtripResult:
     scaling_residual: float | None
     witness: LinearMap | None
 
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "x": None if self.x is None else encode_complex(self.x.coords),
-            "beta": self.beta,
-            "beta_bound": self.beta_bound,
-            "inner_residual": self.inner_residual,
-            "scaling_residual": self.scaling_residual,
-            "witness": None if self.witness is None else encode_complex(self.witness.matrix),
-        }
+    to_dict = record_dict
 
 
 def approx_contractibility_roundtrip(approx_map, phi: ControlFunction,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LinearMap, _CoordinateSpace, _SpaceElement
+from .algebra import LinearMap, _CoordinateSpace, _SpaceElement, record_dict
 from .control import ControlFunction, diagonal_series, series_remainder, summed_control_rows
 from .encoding import encode_complex
 from .errors import ConstructionError, ConvergenceError, PreconditionError, SpaceMismatchError
@@ -385,16 +385,7 @@ class StabilityReport:
     def satisfied(self) -> bool:
         return self.num_violations == 0
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "max_violation": self.max_violation,
-            "num_violations": self.num_violations,
-            "worst_lhs": self.worst_lhs,
-            "worst_rhs": self.worst_rhs,
-            "worst_point": encode_complex(self.worst_point),
-            "slack": self.slack,
-        }
+    to_dict = record_dict
 
 
 def verify_stability_bound(pmap: PointMap, limit: LinearMap, phi: ControlFunction,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Bimodule, kept, kept_entry, module_annihilator
+from .algebra import Bimodule, kept, module_annihilator, record_dict
 from .blas import single_blas_thread
 from .control import ControlFunction, constant_control, control_from_dict, phi_rows
 from .encoding import document_field, document_number, encode_complex
@@ -133,10 +133,6 @@ class PerturbedMaps:
     control: ControlFunction
 
 
-# the key under which an extended module keeps the basis made with it
-_OWN_BASIS = "annihilator basis"
-
-
 def extend_with_annihilator(module: Bimodule, k: int = 1):
     """Append a k-dimensional summand with zero actions on both sides.
 
@@ -145,8 +141,7 @@ def extend_with_annihilator(module: Bimodule, k: int = 1):
     host certified annihilator noise after this extension. The module
     axioms hold on the zero-padded tensors because they hold on the
     module's own, so they are not checked again. One read-only pair is made
-    per module and k and kept on the module; the extended module keeps its
-    basis too, which the annihilator perturbation then does not check again.
+    per module and k and kept on the module.
     """
     if module.norm_kind != "l1":
         raise ConstructionError("only weighted-l1 modules can be extended")
@@ -167,7 +162,6 @@ def _extend(module: Bimodule, k: int):
     for j in range(k):
         basis[j, m + j] = 1.0
     basis.setflags(write=False)
-    kept(extended, _OWN_BASIS, lambda: basis)
     return extended, basis
 
 
@@ -217,10 +211,7 @@ def make_annihilator_perturbation(d0, spec: PerturbationSpec, annihilator_basis=
             basis = np.asarray(annihilator_basis, dtype=complex)
         except (TypeError, ValueError) as exc:
             raise ConstructionError(f"supplied basis is not a coordinate array: {exc}") from exc
-    # the basis extend_with_annihilator made for this module is annihilated
-    # by construction; any other is checked
-    if basis is not kept_entry(module, _OWN_BASIS):
-        _check_annihilator_basis(module, basis)
+    _check_annihilator_basis(module, basis)
     if basis.shape[0] == 0 and spec.epsilon > 0.0:
         raise ConstructionError(
             "the module has no killed directions to host the noise; "
@@ -341,15 +332,7 @@ class HypothesisReport:
     def worst_ratio(self) -> float:
         return max(self.maxima().values())
 
-    def to_dict(self) -> dict:
-        doc = self.maxima()
-        doc.update(
-            samples=self.samples,
-            lambda_mode=self.lambda_mode,
-            verdict=self.verdict,
-            witness=None if self.witness is None else self.witness.to_dict(),
-        )
-        return doc
+    to_dict = record_dict
 
 
 # the hypothesis families in the order one sample checks them; each twist

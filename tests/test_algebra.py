@@ -1,5 +1,7 @@
 """Algebra and bimodule construction, norms, actions, annihilators."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,8 @@ from derivlab import (
     zero_bimodule,
 )
 from derivlab import algebra as algebra_module
-from derivlab.algebra import STRUCTURE_TOL, Bimodule, FiniteAlgebra, regular_bimodule
+from derivlab.algebra import (STRUCTURE_TOL, AlgebraElement, Bimodule, FiniteAlgebra, LinearMap,
+                              ModuleElement, record_dict, regular_bimodule)
 from derivlab.perturb import extend_with_annihilator
 from derivlab.sampling import ball_point, ball_rows, generator
 
@@ -415,6 +418,55 @@ class TestSerialization:
         y_mod = bimodule_from_dict(a, doc)
         assert y_mod.tag == x_mod.tag
         assert y_mod.action_bound == x_mod.action_bound
+
+    def test_record_document_writes_each_field_kind(self):
+        @dataclass
+        class Nested:
+            def to_dict(self):
+                return {"nested": [1, None]}
+
+        @dataclass
+        class Record:
+            linear_map: LinearMap
+            element: ModuleElement
+            algebra_element: AlgebraElement
+            array: np.ndarray
+            missing: LinearMap | None
+            nested: Nested
+            diagnostics: dict
+            count: int
+            verdict: str
+
+            to_dict = record_dict
+
+        algebra = get_algebra("dual-numbers")
+        module = regular_bimodule(algebra)
+        diagnostics = {"rank": 1, "kept": None}
+        record = Record(
+            linear_map=LinearMap([[1.0, 2j], [0.0, -1.5]], algebra, module),
+            element=module.element(np.array([1j, 3.0])),
+            algebra_element=algebra.element(np.array([0.25, -1j])),
+            array=np.array([[0.5 + 0.5j], [-2.0 + 0j]]),
+            missing=None,
+            nested=Nested(),
+            diagnostics=diagnostics,
+            count=7,
+            verdict="h1_vanishes",
+        )
+        doc = record.to_dict()
+        assert doc == {
+            "linear_map": [[[1.0, 0.0], [0.0, 2.0]], [[0.0, 0.0], [-1.5, 0.0]]],
+            "element": [[0.0, 1.0], [3.0, 0.0]],
+            "algebra_element": [[0.25, 0.0], [0.0, -1.0]],
+            "array": [[[0.5, 0.5]], [[-2.0, 0.0]]],
+            "missing": None,
+            "nested": {"nested": [1, None]},
+            "diagnostics": {"rank": 1, "kept": None},
+            "count": 7,
+            "verdict": "h1_vanishes",
+        }
+        assert list(doc) == list(Record.__dataclass_fields__)
+        assert doc["diagnostics"] is diagnostics
 
     @pytest.mark.parametrize("dim", [True, "1", 1.0, 2, None])
     def test_algebra_document_dim_must_be_the_integer_dimension(self, dim):

@@ -591,6 +591,32 @@ class TestSweep:
         assert data[2][-1] == "ok"
 
 
+def test_record_documents_are_their_fields():
+    """Each record written by record_dict has a document whose keys are its
+    field names, in field order: the report schema is the fields."""
+    from dataclasses import fields
+
+    from derivlab import (approx_contractibility_roundtrip, inner_solve, is_contractible,
+                          sigma_endo_certificate, verify_hypotheses, verify_stability_bound)
+
+    exp = cli_module.PerturbedExperiment.build(ExperimentConfig(fixture="matrix:2", seed=5))
+    maps = exp.maps
+    records = [
+        sigma_endo_certificate(exp.d0, samples=10),
+        inner_solve(exp.d0),
+        is_contractible(exp.algebra, regular_bimodule(exp.algebra), exp.sigma, exp.tau),
+        approx_contractibility_roundtrip(maps.f, exp.control, exp.algebra, exp.module,
+                                         exp.sigma, exp.tau, samples=10),
+        verify_stability_bound(maps.f, exp.d0.d, exp.control, samples=10),
+        verify_hypotheses(maps.f, maps.g_sigma, maps.g_tau, exp.control, samples=10),
+    ]
+    names = ["EndoCertificate", "InnerSolveResult", "ContractibilityReport", "RoundtripResult",
+             "StabilityReport", "HypothesisReport"]
+    assert [type(record).__name__ for record in records] == names
+    for record in records:
+        assert list(record.to_dict()) == [f.name for f in fields(record)]
+
+
 def test_run_record_excludes_wall_time():
     record = run(ExperimentConfig(fixture="matrix:2", pipeline="contractibility"))
     assert record.wall_time > 0.0

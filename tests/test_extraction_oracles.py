@@ -29,16 +29,12 @@ from derivlab import (
     PointMap,
     TabulatedControl,
     constant_control,
-    extend_with_annihilator,
     extract_additive,
     extract_triple,
     get_algebra,
     identity_map,
     make_annihilator_perturbation,
     make_clamped_perturbation,
-    make_matrix_algebra,
-    regular_bimodule,
-    sigma_endo_certificate,
     verify_stability_bound,
 )
 from derivlab import perturb
@@ -537,10 +533,10 @@ class TestSharedTwists:
             assert maps.g_tau.eval_rows(rows).tobytes() == tau.apply_rows(rows).tobytes()
 
 
-# --- certificates that depend only on the algebra or the module ---------------------
+# --- the annihilator perturbation's basis check -----------------------------------
 
 class TestKeptChecks:
-    def test_the_kept_basis_is_not_checked_again(self, monkeypatch):
+    def test_every_basis_is_checked_once(self, monkeypatch):
         checked = []
         check = perturb._check_annihilator_basis
         monkeypatch.setattr(perturb, "_check_annihilator_basis",
@@ -549,23 +545,14 @@ class TestKeptChecks:
         algebra, module, ann, triple = base_triple("matrix:3")
         spec = PerturbationSpec(mode="annihilator", epsilon=1e-3, seed=2)
         kept_maps = make_annihilator_perturbation(triple, spec, ann)
-        assert checked == []
+        assert len(checked) == 1 and checked[0] is ann
         supplied = make_annihilator_perturbation(triple, spec, np.array(ann))
-        assert len(checked) == 1 and checked[0] is not ann
+        assert len(checked) == 2 and checked[1] is not ann
         computed = make_annihilator_perturbation(triple, spec)
-        assert len(checked) == 2
+        assert len(checked) == 3
         rows = control_rows(algebra.dim, 50)
         for maps in (supplied, computed):
             assert maps.f.eval_rows(rows).tobytes() == kept_maps.f.eval_rows(rows).tobytes()
-
-    def test_an_unextended_module_keeps_nothing(self):
-        algebra = get_algebra.__wrapped__("zero-product:4")  # every direction is killed
-        module = regular_bimodule(algebra)
-        sid = identity_map(algebra)
-        d = LinearMap(np.zeros((module.dim, algebra.dim)), algebra, module)
-        spec = PerturbationSpec(mode="annihilator", epsilon=1e-3, seed=2)
-        make_annihilator_perturbation(DerivationTriple(d, sid, sid), spec)
-        assert perturb._OWN_BASIS not in module.__dict__.get("_kept", {})
 
     def test_a_supplied_basis_that_is_not_annihilated_raises(self):
         algebra, module, ann, triple = base_triple("matrix:2")
@@ -604,20 +591,3 @@ class TestKeptChecks:
         spec = PerturbationSpec(mode="annihilator", epsilon=1e-3)
         with pytest.raises(ConstructionError):
             make_annihilator_perturbation(triple, spec, supplied)
-
-    def test_the_right_annihilator_is_computed_once(self, monkeypatch):
-        algebra = make_matrix_algebra(3)  # a fresh algebra: nothing kept on it yet
-        module, _ = extend_with_annihilator(regular_bimodule(algebra))
-        sid = identity_map(algebra)
-        d = LinearMap(np.ones((module.dim, algebra.dim)), algebra, module)
-        triple = DerivationTriple(d, sid, sid)
-        svd = np.linalg.svd
-        calls = []
-        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        first = sigma_endo_certificate(triple, samples=20, seed=4)
-        assert len(calls) >= 1
-        calls.clear()
-        second = sigma_endo_certificate(triple, samples=20, seed=4)
-        assert calls == []
-        assert first == second
-        assert first.ran_trivial
