@@ -691,12 +691,9 @@ def approx_contractibility_roundtrip(approx_map, phi: ControlFunction,
     # doubling collapse: the inner defect against d, evaluated at 2^40 a
     # and scaled back, stays at the solve residual (exact for linear maps)
     scale = 2.0**40
-    scaling_residual = 0.0
-    for coords in ball_rows(algebra, generator(seed, "roundtrip-scaling"), np.ones(16)):
-        value = module.norm(
-            d_x.apply_coords(scale * coords) - d.apply_coords(scale * coords)
-        ) / scale
-        scaling_residual = max(scaling_residual, value)
+    scaled = scale * ball_rows(algebra, generator(seed, "roundtrip-scaling"), np.ones(16))
+    defects = module.norms(d_x.apply_rows(scaled) - d.apply_rows(scaled)) / scale
+    scaling_residual = float(np.max(defects, initial=0.0))
     if scaling_residual > 1e-10:
         raise PreconditionError(
             f"doubling collapse failed: residual {scaling_residual:.3e}"
@@ -708,6 +705,6 @@ def approx_contractibility_roundtrip(approx_map, phi: ControlFunction,
         beta=float(beta),
         beta_bound=float(beta_bound),
         inner_residual=solve.residual,
-        scaling_residual=float(scaling_residual),
+        scaling_residual=scaling_residual,
         witness=None,
     )

@@ -93,21 +93,19 @@ def _keyed_directions(seed: int, label: bytes, rows: np.ndarray, out_dim: int):
     quantized input rows.
 
     The input coordinates are snapped to a 2^-20 grid so the noise is a
-    genuine function of its argument; the snapped bytes of a row plus the
-    seed key a hash stream that yields a complex direction and a magnitude
-    in [0, 1). A row that snaps to the origin gets zeros, so the noise
-    fixes 0.
+    genuine function of its argument; the snapped bytes of a row (-0.0 read
+    as 0.0) plus the seed key a hash that yields a complex direction and a
+    magnitude in [0, 1). A row that snaps to the origin gets zeros, so the
+    noise fixes 0.
     """
-    snapped = np.round(rows / QUANT_GRID) * QUANT_GRID
-    snapped = np.where(snapped == 0.0, 0.0, snapped)  # normalize -0.0
-    keyed = np.any(snapped != 0.0, axis=1) & (out_dim > 0)
-    floats = np.zeros((len(rows), 2 * out_dim + 1))
+    snapped = np.round(rows / QUANT_GRID) * QUANT_GRID + 0.0  # + 0.0 turns -0.0 into 0.0
     prefix = int(seed).to_bytes(8, "little", signed=True) + label
-    floats[keyed] = hashed_unit_rows(prefix, snapped[keyed], 2 * out_dim + 1)
+    floats = hashed_unit_rows(prefix, snapped, 2 * out_dim + 1)
     directions = (2.0 * floats[:, :out_dim] - 1.0) + 1j * (2.0 * floats[:, out_dim:-1] - 1.0)
     magnitudes = floats[:, -1] * (1.0 - 1e-12)
-    directions[~keyed] = 0.0
-    magnitudes[~keyed] = 0.0
+    origin = ~snapped.any(axis=1)
+    directions[origin] = 0.0
+    magnitudes[origin] = 0.0
     return directions, magnitudes
 
 

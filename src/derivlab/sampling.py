@@ -5,21 +5,24 @@ keyed by hashes of (seed, label) tuples, so identical seeds reproduce
 identical draws bit for bit regardless of call order, platform or thread
 schedule.
 
-Sampling works on [N, dim] coordinate rows. `ball_rows` draws each row's
-normals and radius fraction in stream order, one row after another: the
-ziggurat normal sampler consumes a variable number of stream words, so
-drawing the whole block at once would change every point after the
-first. The norms and the scaling then run on all rows at once.
-`sphere_rows` draws the normals of all its points in one call, as a
-sphere point draws nothing between them. `hashed_unit_rows` keys one hash
-stream per row. `ball_point`, `ball_points` and `hashed_unit_floats` are
-their one-row and fixed-radius cases.
+Sampling works on [N, dim] coordinate rows, an array at a time.
+`ball_rows` draws all its normals in one call and then all its radius
+fractions in one call, so the stream a draw consumes is fixed by its shape;
+`sphere_rows` draws the normals of all its points in one call.
+`hashed_unit_rows` is a keyed counter hash (SplitMix64 words, as in
+counter-based generators) evaluated on all rows at once in uint64 array
+arithmetic: row k's floats depend on the prefix and row k's bytes alone,
+never on the batch, the BLAS library or its thread count. `ball_point`,
+`ball_points` and `hashed_unit_floats` are their one-row and fixed-radius
+cases.
 """
 from __future__ import annotations
 
 import hashlib
 
 import numpy as np
+
+GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's counter increment
 
 
 def philox_key(seed: int, *labels) -> int:
@@ -34,26 +37,37 @@ def generator(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=philox_key(seed, *labels)))
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on a uint64 array (products wrap mod 2^64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def hashed_unit_rows(prefix: bytes, rows, count: int) -> np.ndarray:
-    """Expand `prefix` + the bytes of each row of `rows` into `count` floats
+    """Hash `prefix` and the bytes of each row of `rows` into `count` floats
     in [0, 1): an [N, count] array.
 
-    Pure hash expansion (blake2b with a block counter), used where a value
-    must be a deterministic function of its input bytes rather than of a
-    stream position. Each block of up to 8 floats is one digest per row.
+    Used where a value must be a deterministic function of its input bytes
+    rather than of a stream position. With (k0, k1) the two little-endian
+    words of blake2b(prefix, digest_size=16), G = 0x9E3779B97F4A7C15 and
+    mix SplitMix64's finalizer, all arithmetic mod 2^64:
+
+    - row k's bytes are read as little-endian words w_0, w_1, ... (a row
+      holds a whole number of 8-byte words);
+    - word j is weighted by the odd multiplier m_j = mix(k0 + (j+1) G) | 1,
+      so changing any one bit of a row changes its hash
+      h = (sum_j w_j m_j) ^ k1;
+    - float i of the row is (mix(h + (i+1) G) >> 11) 2^-53.
     """
     rows = np.asarray(rows)
-    data, width = rows.tobytes(), rows[0].nbytes if len(rows) else 0
-    payloads = [prefix + data[k * width : (k + 1) * width] for k in range(len(rows))]
-    out = np.empty((len(rows), count), dtype=float)
-    for block, start in enumerate(range(0, count, 8)):
-        take = min(count - start, 8)
-        suffix = block.to_bytes(4, "little")
-        digests = b"".join([hashlib.blake2b(payload + suffix, digest_size=8 * take).digest()
-                            for payload in payloads])
-        words = np.frombuffer(digests, dtype="<u8").reshape(len(rows), take)
-        out[:, start : start + take] = words / 2.0**64
-    return out
+    k0, k1 = np.frombuffer(hashlib.blake2b(prefix, digest_size=16).digest(), dtype="<u8")
+    width = rows[0].nbytes if len(rows) else 0
+    words = np.ascontiguousarray(rows).view(np.uint8).reshape(len(rows), width).view("<u8")
+    steps = np.arange(1, max(words.shape[1], count) + 1, dtype=np.uint64) * GOLDEN
+    multipliers = _mix(k0 + steps[: words.shape[1]]) | np.uint64(1)
+    hashes = (words * multipliers).sum(axis=1, dtype=np.uint64) ^ k1
+    return (_mix(hashes[:, None] + steps[:count]) >> np.uint64(11)) * 2.0**-53
 
 
 def hashed_unit_floats(payload: bytes, count: int) -> np.ndarray:
@@ -65,29 +79,22 @@ def hashed_unit_floats(payload: bytes, count: int) -> np.ndarray:
 def ball_rows(space, rng: np.random.Generator, radii) -> np.ndarray:
     """[N, dim] coordinates of N points, point k with norm at most radii[k].
 
-    Each point draws, in stream order, dim real and dim imaginary standard
-    normals (one call of 2 dim normals is the same stream as two calls of
-    dim) and then, unless they are all zero, one uniform fraction of its
-    radius (`random()`, the same draw as `uniform()`). The rows are then
-    scaled to their radii at once; a zero row stays zero.
+    The generator draws `standard_normal((N, 2, dim))`, row k's dim real
+    and dim imaginary normals, and then `random(N)`, one uniform fraction of
+    each radius. Each row is scaled to its fraction of its radius; a row of
+    zero normals stays zero (and still takes its fraction). One row draws
+    what one `standard_normal((2, dim))` and one `random()` draw.
     """
     radii = np.asarray(radii, dtype=float).reshape(-1)
     count, dim = len(radii), space.dim
     if dim == 0 or count == 0:
         return np.zeros((count, dim), dtype=complex)
-    normals = np.empty((count, 2, dim))
-    fractions = np.zeros(count)
-    for k in range(count):
-        draws = normals[k]
-        rng.standard_normal(out=draws)
-        if draws[0, 0] != 0.0 or draws.any():  # the first test settles nearly every row
-            fractions[k] = rng.random()
+    normals = rng.standard_normal((count, 2, dim))
+    fractions = rng.random(count)
     v = normals[:, 0] + 1j * normals[:, 1]
     norms = space.norms(v)
-    out = np.zeros((count, dim), dtype=complex)
-    hit = norms > 0.0
-    out[hit] = v[hit] * (radii[hit] * fractions[hit] / norms[hit])[:, None]
-    return out
+    scales = np.divide(radii * fractions, norms, out=np.zeros(count), where=norms > 0.0)
+    return v * scales[:, None]
 
 
 def ball_point(space, rng: np.random.Generator, scale: float) -> np.ndarray:

@@ -7,10 +7,9 @@ phi loop with its one checking `evaluate`, the broadcast `ldexp` doubling
 and the per-pair report writer. The tests compare the current forms with
 them bit for bit over every fixture family, and compare failures by type,
 message and the first row and term they are raised at. The noise hash is
-checked against its definition, one digest per row and block.
+checked against its definition, one row at a time in Python ints.
 """
 
-import hashlib
 import json
 import math
 import numbers
@@ -47,7 +46,8 @@ from derivlab.hyers import (ADDITIVITY_PAIRS, BOUND_SAMPLES, BoundCheckSample, E
 from derivlab.sampling import ball_points, ball_rows, generator, hashed_unit_rows
 
 from test_rows import (FAMILIES, ROW_CONTROLS, annihilator_case, base_triple, clamped_case,
-                       control_rows, laid_out, random_rows, sublinear_map)
+                       control_rows, laid_out, random_rows, reference_hashed_floats,
+                       sublinear_map)
 
 
 # --- the references --------------------------------------------------------------
@@ -133,18 +133,13 @@ def previous_extract_additive(pmap, phi, max_n=48, tol=1e-10, *, seed=0):
                             tails[:n_dim].tolist(), samples, bound_ok)
 
 
-def digest_by_digest(prefix, rows, count):
-    """hashed_unit_rows as its docstring defines it: float j of row k is word
-    j % 8 of the blake2b digest of prefix, row k's bytes and block j // 8."""
+def row_by_row(prefix, rows, count):
+    """hashed_unit_rows as its docstring defines it, one row at a time in
+    Python ints."""
     rows = np.asarray(rows)
     out = np.empty((len(rows), count), dtype=float)
     for k in range(len(rows)):
-        payload = prefix + np.ascontiguousarray(rows[k]).tobytes()
-        for j in range(count):
-            block, take = j // 8, min(count - j // 8 * 8, 8)
-            digest = hashlib.blake2b(payload + block.to_bytes(4, "little"),
-                                     digest_size=8 * take).digest()
-            out[k, j] = int.from_bytes(digest[8 * (j % 8) : 8 * (j % 8) + 8], "little") / 2.0**64
+        out[k] = reference_hashed_floats(prefix, np.ascontiguousarray(rows[k]).tobytes(), count)
     return out
 
 
@@ -299,25 +294,54 @@ class TestExtractionChecks:
 class TestHashedRows:
     @pytest.mark.parametrize("count", [1, 8, 9, 17])
     @pytest.mark.parametrize("rows", [0, 1, 25])
-    def test_one_digest_per_row_and_block(self, rows, count):
+    def test_one_hash_per_row(self, rows, count):
         prefix = (-3).to_bytes(8, "little", signed=True) + b"clamp"
         data = random_rows(rows, 6, 41)
         ours = hashed_unit_rows(prefix, data, count)
         assert ours.shape == (rows, count)
-        assert ours.tobytes() == digest_by_digest(prefix, data, count).tobytes()
+        assert ours.tobytes() == row_by_row(prefix, data, count).tobytes()
 
     @pytest.mark.parametrize("layout", ["transposed", "strided", "fortran"])
     def test_non_contiguous_rows(self, layout):
         data = random_rows(9, 4, 42)
         rows = laid_out(data, layout)
         ours = hashed_unit_rows(b"p", rows, 9)
-        assert ours.tobytes() == digest_by_digest(b"p", rows, 9).tobytes()
+        assert ours.tobytes() == row_by_row(b"p", rows, 9).tobytes()
         assert ours.tobytes() == hashed_unit_rows(b"p", data, 9).tobytes()
 
     def test_empty_prefix_and_empty_rows(self):
         for prefix, rows in ((b"", random_rows(3, 2, 43)), (b"x", np.empty((4, 0)))):
             ours = hashed_unit_rows(prefix, rows, 10)
-            assert ours.tobytes() == digest_by_digest(prefix, rows, 10).tobytes()
+            assert ours.tobytes() == row_by_row(prefix, rows, 10).tobytes()
+
+    @pytest.mark.parametrize("cuts", [(), (1,), (12, 13), (3, 7, 24)])
+    def test_any_batch_split_gives_the_one_row_floats(self, cuts):
+        prefix = (5).to_bytes(8, "little", signed=True) + b"ann"
+        data = random_rows(25, 6, 44)
+        whole = hashed_unit_rows(prefix, data, 9)
+        parts = [hashed_unit_rows(prefix, part, 9) for part in np.split(data, cuts)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+        for k in range(len(data)):
+            assert hashed_unit_rows(prefix, data[k:k + 1], 9).tobytes() == whole[k].tobytes()
+
+    def test_known_answer(self):
+        prefix = (7).to_bytes(8, "little", signed=True) + b"ann"
+        row = np.array([[1.5 - 0.25j, 0.0, -2.0**-20 + 3j]])
+        expected = [0.231958202363994, 0.2705537233626467, 0.1274268023307623,
+                    0.160856688543359, 0.20724240993265952]
+        assert hashed_unit_rows(prefix, row, 5)[0].tolist() == expected
+        assert row_by_row(prefix, row, 5)[0].tolist() == expected
+
+    def test_flipping_any_bit_of_a_snapped_row_changes_its_floats(self):
+        prefix = (3).to_bytes(8, "little", signed=True) + b"clamp"
+        snapped = np.round(random_rows(1, 3, 45) / perturb.QUANT_GRID) * perturb.QUANT_GRID
+        base = hashed_unit_rows(prefix, snapped, 3)[0]
+        bits = snapped.view(np.uint8)
+        for byte in range(bits.size):
+            for bit in range(8):
+                flipped = bits.copy()
+                flipped[0, byte] ^= 1 << bit
+                assert np.all(hashed_unit_rows(prefix, flipped.view(complex), 3)[0] != base)
 
 
 # --- the tabulated callback ---------------------------------------------------------

@@ -28,6 +28,8 @@ from derivlab.hyers import lambda_grid
 from derivlab.perturb import PerturbationSpec, extend_with_annihilator, make_annihilator_perturbation
 from derivlab.sampling import ball_point, ball_rows, generator
 
+from test_rows import reference_ball_rows
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -339,10 +341,10 @@ class TestSampledEnvelopeConsumers:
 
         _, _, _, _, _, maps = cli_maps(fixture)
         report = extract_additive(maps.f, maps.control, seed=3)
-        rng = generator(3, "extract-bound")
+        points = reference_ball_rows(maps.f.domain, generator(3, "extract-bound"),
+                                     [SCALE_GRID[k % len(SCALE_GRID)] for k in range(32)])
         bound_ok = True
-        for k, sample in enumerate(report.bound_check):
-            coords = ball_point(maps.f.domain, rng, SCALE_GRID[k % len(SCALE_GRID)])
+        for sample, coords in zip(report.bound_check, points):
             lhs, rhs = reference_pair(maps.f, report.limit, maps.control, coords)
             assert np.array_equal(sample.point, coords)
             assert (sample.lhs, sample.rhs) == (lhs, rhs)
@@ -358,10 +360,10 @@ class TestSampledEnvelopeConsumers:
         _, _, _, _, _, maps = cli_maps(fixture)
         limit = extract_additive(maps.f, maps.control, seed=3).limit
         report = verify_stability_bound(maps.f, limit, phi, samples=100, seed=4)
-        rng = generator(4, "stability")
+        points = reference_ball_rows(maps.f.domain, generator(4, "stability"),
+                                     [SCALE_GRID[k % len(SCALE_GRID)] for k in range(100)])
         max_violation, worst, violations = -np.inf, (0.0, 0.0, None), 0
-        for k in range(100):
-            coords = ball_point(maps.f.domain, rng, SCALE_GRID[k % len(SCALE_GRID)])
+        for coords in points:
             lhs, rhs = reference_pair(maps.f, limit, phi, coords)
             if lhs - rhs > max_violation:
                 max_violation, worst = lhs - rhs, (lhs, rhs, coords)
@@ -406,10 +408,10 @@ class TestSampledEnvelopeConsumers:
             assert fixture == "zero-product:4" and result.beta is None
             return
         d_x = inner_derivation(module, sigma, tau, result.x)
-        rng = generator(5, "roundtrip-beta")
+        points = reference_ball_rows(algebra, generator(5, "roundtrip-beta"),
+                                     [SCALE_GRID[k % len(SCALE_GRID)] for k in range(200)])
         beta = 0.0
-        for k in range(200):
-            coords = ball_point(algebra, rng, SCALE_GRID[k % len(SCALE_GRID)])
+        for coords in points:
             beta = max(beta, module.norm(d_x.apply_coords(coords) - maps.f.eval_coords(coords)))
         assert result.beta == beta
 

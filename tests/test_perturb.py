@@ -21,7 +21,7 @@ from derivlab import (
     verify_hypotheses,
 )
 from derivlab.algebra import regular_bimodule
-from derivlab.sampling import SCALE_GRID, ball_point, generator, hashed_unit_floats
+from derivlab.sampling import SCALE_GRID, ball_point, ball_rows, generator, hashed_unit_floats
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +70,23 @@ class TestAnnihilatorMode:
             p = ball_point(a, rng, 16.0)
             eta = maps.f.eval_coords(p) - triple.d.apply_coords(p)
             assert module.norm(eta) <= eps
+
+    def test_noise_is_bounded_on_rows_and_doubled_orbits_and_fixes_zero(self, setup):
+        a, module, _, _, triple = setup
+        eps = 1e-3
+        maps = annihilator_maps(setup, eps)
+        points = ball_rows(a, generator(96, "pts"), np.full(100, 4.0))
+        orbits = np.array([2.0**n * p for p in points[:12] for n in range(49)])
+        for rows in (points, orbits):
+            eta = maps.f.eval_rows(rows) - triple.d.apply_rows(rows)
+            assert np.all(module.norms(eta) <= eps)
+            assert np.all(module.norms(eta) > 0.0)
+        # the origin, a signed zero and a row that snaps to the origin
+        origin = np.zeros((3, a.dim), dtype=complex)
+        origin[1] = -0.0
+        origin[2, 0] = 1e-9 - 1e-9j
+        assert maps.f.eval_rows(origin).tobytes() == triple.d.apply_rows(origin).tobytes()
+        assert not np.any(maps.f.eval_rows(origin[:2]))
 
     def test_hypotheses_satisfied_on_ten_thousand_pairs(self, setup):
         maps = annihilator_maps(setup, 1e-3)

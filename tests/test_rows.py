@@ -9,6 +9,7 @@ upgrade that changes the dispatch fails here first.
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from derivlab.control import (DEFAULT_TRUNCATION, phi_rows, summed_control, summ
                               summed_control_tail)
 from derivlab.hyers import (ADDITIVITY_PAIRS, _not_converged, _pointwise_limits, lambda_grid,
                             sampled_envelope)
-from derivlab.perturb import QUANT_GRID, _smooth_cutoff
+from derivlab.perturb import HYPOTHESIS_BLOCK, QUANT_GRID, _smooth_cutoff
 from derivlab.sampling import (SCALE_GRID, ball_point, ball_points, ball_rows, generator,
                                hashed_unit_floats, hashed_unit_rows, sphere_point, sphere_rows)
 
@@ -216,10 +217,10 @@ class TestResidualRows:
     def test_sigma_endo_certificate_matches_per_sample_loop(self, fixture, samples, basis):
         algebra = residual_algebra(fixture, basis)
         triple = random_triple(algebra, regular_bimodule(algebra), 9)
-        rng = generator(6, "sigma-endo")
+        rows = reference_ball_rows(algebra, generator(6, "sigma-endo"), [1.0] * (3 * samples))
         worst = 0.0
-        for _ in range(samples):
-            a, b, c = (algebra.element(ball_point(algebra, rng, 1.0)) for _ in range(3))
+        for k in range(samples):
+            a, b, c = (algebra.element(rows[3 * k + j]) for j in range(3))
             defect = triple.sigma.apply(mul(a, b)) - mul(triple.sigma.apply(a),
                                                          triple.sigma.apply(b))
             worst = max(worst, act_right(triple.d.apply(c), defect).norm())
@@ -234,12 +235,12 @@ class TestResidualRows:
 
 def reference_keyed_direction(seed, label, coords, out_dim):
     snapped = np.round(coords / QUANT_GRID) * QUANT_GRID
-    snapped = np.where(snapped == 0.0, 0.0, snapped)
     if out_dim == 0 or not np.any(snapped != 0.0):
         return np.zeros(out_dim, dtype=complex), 0.0
-    payload = int(seed).to_bytes(8, "little", signed=True) + label \
-        + np.ascontiguousarray(snapped).tobytes()
-    floats = hashed_unit_floats(payload, 2 * out_dim + 1)
+    # the row's bytes with every -0.0 read as 0.0 (`x or 0.0`)
+    data = b"".join(struct.pack("<2d", c.real or 0.0, c.imag or 0.0) for c in snapped.tolist())
+    prefix = int(seed).to_bytes(8, "little", signed=True) + label
+    floats = reference_hashed_floats(prefix, data, 2 * out_dim + 1)
     direction = (2.0 * floats[:out_dim] - 1.0) + 1j * (2.0 * floats[out_dim:2 * out_dim] - 1.0)
     return direction, floats[-1] * (1.0 - 1e-12)
 
@@ -418,10 +419,9 @@ def reference_extraction(pmap, phi, max_n=48, tol=1e-10, seed=0):
         its.append(n)
         deltas.append(float(delta))
         tails.append(float(tail))
-    rng = generator(seed, "extract-additivity")
-    for _ in range(ADDITIVITY_PAIRS):
-        a = ball_point(domain, rng, 1.0)
-        b = ball_point(domain, rng, 1.0)
+    drawn = reference_ball_rows(domain, generator(seed, "extract-additivity"),
+                                [1.0] * (2 * ADDITIVITY_PAIRS))
+    for a, b in zip(drawn[0::2], drawn[1::2]):
         for point in (a, b, a + b):
             reference_orbit(pmap, point, phi, max_n, tol)
     return columns, its, deltas, tails
@@ -506,11 +506,16 @@ def reference_hypotheses(f, g_sigma, g_tau, phi, lambda_mode, samples, seed, sca
             return defect / budget
         return 0.0 if defect <= dust else math.inf
 
+    # each evaluation block of samples draws its points in one ball_rows call
+    drawn = []
+    for start in range(0, samples, HYPOTHESIS_BLOCK):
+        block = range(start, min(start + HYPOTHESIS_BLOCK, samples))
+        drawn += reference_ball_rows(algebra, rng, [scales[k % len(scales)]
+                                                    for k in block for _ in range(2)])
     for k in range(samples):
         scale = scales[k % len(scales)]
         lam = complex(lambdas[k % len(lambdas)])
-        a = ball_point(algebra, rng, scale)
-        b = ball_point(algebra, rng, scale)
+        a, b = drawn[2 * k], drawn[2 * k + 1]
         budget = phi.evaluate(algebra.element(a), algebra.element(b))
         dust = 1e-12 * (1.0 + scale) * (1.0 + scale)
         fa, fb = f.eval_coords(a), f.eval_coords(b)
@@ -583,24 +588,50 @@ class TestHypothesisRows:
 # --- ball draws, keyed hashes and control sums on rows --------------------------
 
 def reference_ball_point(space, rng, scale):
-    """One ball point drawn and scaled on its own, as a per-point loop does."""
+    """One ball point drawn and scaled on its own: its normals, then its
+    fraction."""
+    return reference_ball_rows(space, rng, [scale])[0]
+
+
+def reference_ball_rows(space, rng, radii):
+    """Ball points as ball_rows defines them, one point at a time: every
+    point's normals in order, then every point's fraction, then each point
+    scaled on its own."""
     if space.dim == 0:
-        return np.zeros(0, dtype=complex)
-    v = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-    nv = space.norm(v)
-    if nv == 0.0:
-        return np.zeros(space.dim, dtype=complex)
-    return v * (scale * rng.uniform() / nv)
+        return [np.zeros(0, dtype=complex) for _ in radii]
+    normals = [rng.standard_normal(2 * space.dim) for _ in radii]
+    fractions = [rng.uniform() for _ in radii]
+    points = []
+    for z, scale, fraction in zip(normals, radii, fractions):
+        v = z[:space.dim] + 1j * z[space.dim:]
+        nv = space.norm(v)
+        points.append(np.zeros(space.dim, dtype=complex) if nv == 0.0
+                      else v * (scale * fraction / nv))
+    return points
 
 
-def reference_hashed_floats(payload, count):
-    out = np.empty(count)
-    for block, start in enumerate(range(0, count, 8)):
-        take = min(count - start, 8)
-        digest = hashlib.blake2b(payload + block.to_bytes(4, "little"),
-                                 digest_size=8 * take).digest()
-        out[start:start + take] = np.frombuffer(digest, dtype="<u8") / 2.0**64
-    return out
+MASK64 = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_hashed_floats(prefix, data, count):
+    """The floats hashed_unit_rows gives one row with bytes `data`, as its
+    docstring defines them, in Python ints."""
+    key = hashlib.blake2b(prefix, digest_size=16).digest()
+    k0, k1 = int.from_bytes(key[:8], "little"), int.from_bytes(key[8:], "little")
+    h = 0
+    for j in range(len(data) // 8):
+        word = int.from_bytes(data[8 * j : 8 * j + 8], "little")
+        h = (h + word * (splitmix64_mix((k0 + (j + 1) * GOLDEN) & MASK64) | 1)) & MASK64
+    h ^= k1
+    return np.array([(splitmix64_mix((h + (i + 1) * GOLDEN) & MASK64) >> 11) * 2.0**-53
+                     for i in range(count)], dtype=float)
 
 
 class ZeroingRng:
@@ -633,7 +664,9 @@ class ZeroingRng:
         self.uniforms += 1
         return self.inner.uniform()
 
-    random = uniform
+    def random(self, size=None):
+        self.uniforms += 1 if size is None else int(np.prod(size))
+        return self.inner.random(size)
 
     @property
     def bit_generator(self):
@@ -660,13 +693,24 @@ class TestSamplingRows:
         rows = ball_rows(space, generator(5, "ball"), radii)
         assert rows.shape == (count, space.dim) and rows.dtype == complex
         rng = generator(5, "ball")
-        assert_rows_equal(rows, [reference_ball_point(space, rng, r) for r in radii])
-        rng_points = generator(5, "ball")
-        assert_rows_equal(rows, [ball_point(space, rng_points, r) for r in radii])
+        assert_rows_equal(rows, reference_ball_rows(space, rng, radii))
+        # one point is the one-row case
+        for k, r in enumerate(radii):
+            assert_rows_equal(ball_point(space, generator(5, "point", k), r)[None],
+                              [reference_ball_point(space, generator(5, "point", k), r)])
         # the same stream was consumed: the next draws agree
         consumed = generator(5, "ball")
         ball_rows(space, consumed, radii)
-        assert consumed.random() == rng.random() == rng_points.random()
+        assert consumed.random() == rng.random()
+
+    @pytest.mark.parametrize("count", [1, 37])
+    def test_ball_rows_consume_one_normal_block_and_one_fraction_block(self, family, count):
+        space = family[1]["algebra"]
+        ours, block = generator(9, "block"), generator(9, "block")
+        ball_rows(space, ours, np.full(count, 2.0))
+        block.standard_normal((count, 2, space.dim))
+        block.random(count)
+        np.testing.assert_equal(ours.bit_generator.state, block.bit_generator.state)
 
     def test_dim_zero_and_no_rows_draw_nothing(self):
         zero = zero_bimodule(get_algebra("matrix:2"))
@@ -678,15 +722,15 @@ class TestSamplingRows:
         assert stub.normals == stub.uniforms == 0
 
     @pytest.mark.parametrize("zero_points", [range(6), (0,), (2, 5), ()])
-    def test_zero_draws_stay_zero_and_skip_the_fraction(self, zero_points):
+    def test_zero_draws_stay_zero_and_take_their_fraction(self, zero_points):
         space = get_algebra("upper-triangular:3")
         radii = [1.0, 4.0, 0.25, 16.0, 2.0, 1.0]
         ours = ZeroingRng(space.dim, zero_points)
         rows = ball_rows(space, ours, radii)
         reference = ZeroingRng(space.dim, zero_points)
-        assert_rows_equal(rows, [reference_ball_point(space, reference, r) for r in radii])
+        assert_rows_equal(rows, reference_ball_rows(space, reference, radii))
         assert (ours.normals, ours.uniforms) == (reference.normals, reference.uniforms)
-        assert ours.uniforms == len(radii) - len(zero_points)
+        assert ours.uniforms == len(radii)
         for k in zero_points:
             assert rows[k].tobytes() == np.zeros(space.dim, dtype=complex).tobytes()
 
@@ -720,8 +764,8 @@ class TestSamplingRows:
         space = get_algebra("matrix:3")
         points = ball_points(space, generator(6, "grid"), 10)
         rng = generator(6, "grid")
-        assert_rows_equal(points, [reference_ball_point(space, rng, SCALE_GRID[k % 4])
-                                   for k in range(10)])
+        assert_rows_equal(points, reference_ball_rows(space, rng, [SCALE_GRID[k % 4]
+                                                                   for k in range(10)]))
 
     @pytest.mark.parametrize("count", [1, 3, 8, 9, 17])
     @pytest.mark.parametrize("rows", [0, 1, 25])
@@ -730,14 +774,15 @@ class TestSamplingRows:
         data = random_rows(rows, 5, 8)
         out = hashed_unit_rows(prefix, data, count)
         assert out.shape == (rows, count) and out.dtype == float
-        assert_rows_equal(out, [hashed_unit_floats(prefix + r.tobytes(), count) for r in data])
-        assert_rows_equal(out, [reference_hashed_floats(prefix + r.tobytes(), count)
+        assert_rows_equal(out, [hashed_unit_rows(prefix, data[k:k + 1], count)[0]
+                                for k in range(rows)])
+        assert_rows_equal(out, [reference_hashed_floats(prefix, r.tobytes(), count)
                                 for r in data])
 
     @pytest.mark.parametrize("count", [0, 1, 9, 17])
     def test_hashed_unit_floats_is_one_row(self, count):
         out = hashed_unit_floats(b"payload", count)
-        assert out.tobytes() == reference_hashed_floats(b"payload", count).tobytes()
+        assert out.tobytes() == reference_hashed_floats(b"payload", b"", count).tobytes()
 
 
 def reference_summed_control(phi, a, b):
