@@ -529,6 +529,26 @@ def make_algebra(structure, weights=None, unit_index=None, unit=None) -> FiniteA
     return FiniteAlgebra(structure, weights, unit_index=unit_index, unit=unit)
 
 
+def _matrix_unit_algebra(n: int, pairs) -> FiniteAlgebra:
+    """The algebra spanned by the n-by-n matrix units E_ij at a row-major
+    list of index pairs that holds every (i, i) and every product: basis
+    index p is the place of (i, j) in the list, E_ij E_jl = E_il, all other
+    products of units are zero, and the unit is the sum of the E_ii."""
+    index = {pair: p for p, pair in enumerate(pairs)}
+    dim = len(pairs)
+    c = np.zeros((dim, dim, dim), dtype=complex)
+    for (i, j), p in index.items():
+        for l in range(n):
+            q = index.get((j, l))
+            if q is not None:
+                c[p, q, index[(i, l)]] = 1.0
+    if n == 1:
+        return FiniteAlgebra(c, unit_index=0)
+    unit = np.zeros(dim, dtype=complex)
+    unit[[index[(i, i)] for i in range(n)]] = 1.0
+    return FiniteAlgebra(c, unit=unit)
+
+
 def make_matrix_algebra(n: int) -> FiniteAlgebra:
     """Full matrix algebra on n-by-n matrices in the matrix-unit basis.
 
@@ -537,17 +557,7 @@ def make_matrix_algebra(n: int) -> FiniteAlgebra:
     """
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= 8:
         raise ConstructionError("matrix algebra size must satisfy 1 <= n <= 8")
-    dim = n * n
-    c = np.zeros((dim, dim, dim), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                c[i * n + j, j * n + k, i * n + k] = 1.0
-    unit = np.zeros(dim, dtype=complex)
-    unit[[i * n + i for i in range(n)]] = 1.0
-    if n == 1:
-        return FiniteAlgebra(c, unit_index=0)
-    return FiniteAlgebra(c, unit=unit)
+    return _matrix_unit_algebra(n, [(i, j) for i in range(n) for j in range(n)])
 
 
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

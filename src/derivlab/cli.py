@@ -59,6 +59,7 @@ from .errors import ConstructionError, DerivlabError
 from .fixtures import get_algebra
 from .hyers import extract_additive, extract_triple, sampled_envelope, verify_stability_bound
 from .perturb import (
+    SEED_BOUND,
     PerturbationSpec,
     PerturbedMaps,
     extend_with_annihilator,
@@ -97,6 +98,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise DerivlabError(f"{name} must be an integer, got {value!r}")
+        if not -SEED_BOUND <= self.seed < SEED_BOUND:
+            raise DerivlabError(f"seed must lie in [-2^63, 2^63), got {self.seed!r}")
         for name in ("sigma", "tau"):
             if not isinstance(getattr(self, name), str):
                 raise DerivlabError(f"{name} must be a string, got {getattr(self, name)!r}")

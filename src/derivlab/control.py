@@ -8,16 +8,17 @@ approximate map and its exact limit is the summed control
 
 which the power-norm family admits in closed form and which tabulated
 controls approximate by a certified truncation. The remainder after n
-doublings, the summed control less the first n terms, certifies the
-direct-method iteration stopped there.
+doublings, the terms k >= n of the series at (a, a), certifies the
+direct-method iteration stopped there; `doubling_tails` tabulates it for
+every n at once and is the one place a remainder is computed. A power-norm
+control gives each remainder in closed form, a tabulated one sums its
+truncation table from the end and adds the geometric bound past it.
 
 phi and the sums are evaluated on [N, dim] coordinate rows (`phi_rows`,
-`summed_control_rows`, `diagonal_series`); a power-norm control reads the
+`summed_control_rows`, `doubling_tails`); a power-norm control reads the
 row norms, any other control is called once per row. The element forms
-`evaluate` and `summed_control` are their one-row cases.
-`summed_control_tail` is not: it is the independent one-point remainder,
-from its own table of doubled rows, that the tests check the tails built
-from `diagonal_series` against.
+`evaluate`, `summed_control` and `summed_control_tail` are their one-row
+cases.
 """
 from __future__ import annotations
 
@@ -87,17 +88,16 @@ class PNormControl(ControlFunction):
         """
         if self.beta == 0.0:
             return np.full(np.broadcast_shapes(np.shape(ta), np.shape(tb)), self.alpha)
-
-        def powers(t):
-            t = np.asarray(t, dtype=float)
-            flat = [_signed_power(x, self.p) for x in t.ravel().tolist()]
-            return np.array(flat).reshape(t.shape)
-
-        pa = powers(ta)
-        budget = self.beta * (pa + (pa if tb is ta else powers(tb)))
+        pa = self.powers(ta)
+        budget = self.beta * (pa + (pa if tb is ta else self.powers(tb)))
         if summed:
             budget = budget / (2.0 - 2.0**self.p)
         return self.alpha + budget
+
+    def powers(self, t) -> np.ndarray:
+        """t^p elementwise over an array of norms, with 0^p = 0."""
+        t = np.asarray(t, dtype=float)
+        return np.array([_signed_power(x, self.p) for x in t.ravel().tolist()]).reshape(t.shape)
 
     def to_dict(self) -> dict:
         if self.beta == 0.0:
@@ -222,57 +222,50 @@ def _doubling_rows(rows, count: int) -> np.ndarray:
     return scaled.view(complex).reshape(len(parts) * count, parts.shape[1] // 2)
 
 
-_TABLE_ROWS = 1024  # scaled rows held at once while a tabulated control is called
+_TABLE_ROWS = 16  # rows whose DEFAULT_TRUNCATION scaled rows are held at once
 
 
-def _doubling_table(phi: ControlFunction, space, a_rows, b_rows, count: int) -> np.ndarray:
-    """phi(2^k a, 2^k b) for k < count at each pair of rows: an [N, count]
-    table, the callback called row after row (every k of a row before the
-    next row). The scaled rows are built for a few rows at a time."""
-    diagonal = b_rows is a_rows
-    a_rows = np.asarray(a_rows)
-    step = max(1, _TABLE_ROWS // count)
-    table = np.empty((len(a_rows), count))
-    for s in range(0, len(a_rows), step):
-        a = _doubling_rows(a_rows[s:s + step], count)
-        b = a if diagonal else _doubling_rows(b_rows[s:s + step], count)
-        table[s:s + step] = phi_rows(phi, space, a, b).reshape(-1, count)
-    return table
+def _tabulated_terms(phi: ControlFunction, space, a_rows, b_rows):
+    """A tabulated control's truncation table at each pair of rows: the
+    series terms (1/2) 2^{-k} phi(2^k a, 2^k b) for k < DEFAULT_TRUNCATION,
+    an [N, DEFAULT_TRUNCATION] array, and the geometric bound on the terms
+    k >= n, (1/2) G 2^{-n(1-q)} / (1 - 2^{q-1}) with G the row's largest
+    phi / 2^(k q), as a function giving the [N, len(ns)] bounds for a list
+    ns of n.
 
-
-def _term_weights(count: int) -> np.ndarray:
-    """The series weight (1/2) 2^{-k} of each term k < count."""
-    return np.ldexp(0.5, -np.arange(count))
-
-
-def _growth_steps(phi: ControlFunction) -> list[float]:
-    """2^(n q) for the DEFAULT_TRUNCATION terms of a tabulated control,
-    checked before its callback is first called."""
+    The growth exponent is checked before the callback is first called;
+    the callback is then called row after row (every k of a row before the
+    next row), the scaled rows built for a few rows at a time.
+    """
     if not isinstance(phi, TabulatedControl):
         raise ControlError(f"unsupported control type {type(phi).__name__}")
     q = phi.growth_exponent
     if q >= 1.0:
         raise ControlError("growth exponent q >= 1: the doubling series diverges")
-    growth_steps = [2.0 ** (n * q) for n in range(DEFAULT_TRUNCATION)]
+    growth_steps = [2.0 ** (k * q) for k in range(DEFAULT_TRUNCATION)]
     if 0.0 in growth_steps:
         raise _tail_underflow(q)
-    return growth_steps
-
-
-def _truncated_sums(q: float, growth_steps, values: np.ndarray):
-    """fsum of the DEFAULT_TRUNCATION series terms of each row of phi values,
-    and the geometric tail bound from the row's largest value / 2^(n q)."""
-    terms = _term_weights(DEFAULT_TRUNCATION) * values
-    sums = np.array([math.fsum(row) for row in terms.tolist()])
+    diagonal = b_rows is a_rows
+    a_rows = np.asarray(a_rows)
+    values = np.empty((len(a_rows), DEFAULT_TRUNCATION))
+    for s in range(0, len(a_rows), _TABLE_ROWS):
+        a = _doubling_rows(a_rows[s:s + _TABLE_ROWS], DEFAULT_TRUNCATION)
+        b = a if diagonal else _doubling_rows(b_rows[s:s + _TABLE_ROWS], DEFAULT_TRUNCATION)
+        values[s:s + _TABLE_ROWS] = phi_rows(phi, space, a, b).reshape(-1, DEFAULT_TRUNCATION)
+    terms = np.ldexp(0.5, -np.arange(DEFAULT_TRUNCATION)) * values
     with np.errstate(over="ignore", invalid="ignore"):
         growth = np.array([max(0.0, m) for m in (values / growth_steps).max(axis=1).tolist()])
-        tails = (0.5 * growth * 2.0 ** (-DEFAULT_TRUNCATION * (1.0 - q))
-                 / (1.0 - 2.0 ** (q - 1.0)))
-    if not np.all(np.isfinite(tails)):
-        # value / 2^(n q) overflowed: an inf growth scale times a tail factor
+
+    def bound(ns):
+        steps = [2.0 ** (-n * (1.0 - q)) for n in ns]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (0.5 * growth)[:, None] * steps / (1.0 - 2.0 ** (q - 1.0))
+
+    if not np.all(np.isfinite(bound([DEFAULT_TRUNCATION]))):
+        # phi / 2^(k q) overflowed: an inf growth scale times a tail factor
         # that underflowed to 0 gives nan, which no bound check would flag
         raise _tail_underflow(q)
-    return sums, tails
+    return terms, bound
 
 
 def summed_control_rows(phi: ControlFunction, space, a_rows, b_rows):
@@ -280,42 +273,44 @@ def summed_control_rows(phi: ControlFunction, space, a_rows, b_rows):
     of rows: (values, tail bounds), the tail bounds None in closed form.
 
     Power-norm controls evaluate in closed form from the row norms;
-    tabulated controls are summed to DEFAULT_TRUNCATION terms from one
-    phi_rows table of the scaled rows 2^n a, row after row, with a
-    geometric tail bound from the asserted growth exponent.
+    tabulated controls are summed to DEFAULT_TRUNCATION terms of their
+    truncation table with math.fsum, the tail bound being the geometric
+    bound past them.
     """
     diagonal = b_rows is a_rows
     if isinstance(phi, PNormControl):
         ta = space.norms(a_rows)
         return phi.at_norms(ta, ta if diagonal else space.norms(b_rows), summed=True), None
-    growth_steps = _growth_steps(phi)
-    values = _doubling_table(phi, space, a_rows, b_rows, DEFAULT_TRUNCATION)
-    return _truncated_sums(phi.growth_exponent, growth_steps, values)
+    terms, bound = _tabulated_terms(phi, space, a_rows, b_rows)
+    return np.array([math.fsum(row) for row in terms.tolist()]), bound([DEFAULT_TRUNCATION])[:, 0]
 
 
-def diagonal_series(phi: ControlFunction, space, rows, count: int):
-    """The doubling series at (a, a) for each row a of an [N, dim] array:
-    (upper, terms), where upper is the summed control's upper bound
-    (ControlSum.upper) and terms[:, k] = (1/2) 2^{-k} phi(2^k a, 2^k a) for
-    at least the first count terms.
+def doubling_tails(phi: ControlFunction, space, rows, count: int) -> np.ndarray:
+    """The remainder of the doubling series at (a, a) after n doublings,
+    sum_{k >= n} (1/2) 2^{-k} phi(2^k a, 2^k a), for each row a of an
+    [N, dim] array and each n <= count: an [N, count + 1] array whose
+    column 0 is the summed control.
 
-    A tabulated control's table is the one summed_control_rows builds,
-    widened to max(DEFAULT_TRUNCATION, count) terms: the callback is called
-    once per (row, term), row after row, and the truncated sum reads the
-    first DEFAULT_TRUNCATION terms. A power-norm control sums in closed form
-    and reads count terms from the norms of the scaled rows.
+    A power-norm control alpha + beta (|a|^p + |b|^p) gives it in closed
+    form, alpha 2^{-n} + beta |a|^p q^n / (1 - q) with q = 2^(p - 1) and
+    0^p = 0: exactly alpha 2^{-n} when beta = 0. q is taken as 2^p / 2, so
+    column 0 has the bits of the closed-form sum. A tabulated control sums
+    the terms n <= k < DEFAULT_TRUNCATION of its truncation table from the
+    end and adds the geometric bound on the terms k >= max(n,
+    DEFAULT_TRUNCATION): no two large numbers are subtracted, and the
+    callback is called DEFAULT_TRUNCATION times per row whatever count is.
+    Every term is >= 0, so no row increases with n.
     """
+    n = np.arange(count + 1)
     if isinstance(phi, PNormControl):
-        ta = space.norms(rows)
-        norms = space.norms(_doubling_rows(rows, count))
-        values = phi.at_norms(norms, norms).reshape(len(rows), count)
-        return phi.at_norms(ta, ta, summed=True) + 0.0, _term_weights(count) * values
-    growth_steps = _growth_steps(phi)
-    width = max(DEFAULT_TRUNCATION, count)
-    values = _doubling_table(phi, space, rows, rows, width)
-    sums, tails = _truncated_sums(phi.growth_exponent, growth_steps,
-                                  values[:, :DEFAULT_TRUNCATION])
-    return sums + tails, _term_weights(width) * values
+        q = 2.0**phi.p / 2.0
+        scale = phi.beta * phi.powers(space.norms(rows))
+        return (np.ldexp(phi.alpha, -n)
+                + scale[:, None] * [q**k for k in n.tolist()] / (1.0 - q))
+    terms, bound = _tabulated_terms(phi, space, rows, rows)
+    suffix = np.zeros((len(terms), max(count, DEFAULT_TRUNCATION) + 1))
+    suffix[:, :DEFAULT_TRUNCATION] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+    return suffix[:, :count + 1] + bound(np.maximum(n, DEFAULT_TRUNCATION).tolist())
 
 
 def _tail_underflow(q: float) -> ControlError:
@@ -333,18 +328,8 @@ def summed_control(phi: ControlFunction, a, b) -> ControlSum:
     return ControlSum(float(values[0]), DEFAULT_TRUNCATION, float(tails[0]))
 
 
-def series_remainder(upper: float, terms) -> float:
-    """The summed control's upper bound less the fsum of the first terms,
-    floored at 0: the certified tail after len(terms) doublings."""
-    return max(upper - math.fsum(terms), 0.0)
-
-
 def summed_control_tail(phi: ControlFunction, a, n: int) -> float:
-    """Upper bound on the series remainder after the first n terms at (a, a):
-    the summed control's upper bound less the fsum of the terms k < n, read
-    from one phi_rows table of the scaled rows 2^k a (row 0 is a itself)."""
-    upper = summed_control(phi, a, a).upper
-    count = max(int(n), 0)
-    table = _doubling_rows(a.coords[None], count)
-    terms = _term_weights(count) * phi_rows(phi, a.space, table, table)
-    return series_remainder(upper, terms.tolist())
+    """The remainder of the doubling series at (a, a) after n doublings: the
+    one-row case of doubling_tails."""
+    n = max(int(n), 0)
+    return float(doubling_tails(phi, a.space, a.coords[None], n)[0, n])

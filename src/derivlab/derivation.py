@@ -416,7 +416,7 @@ def inner_space(algebra: FiniteAlgebra, module: Bimodule,
     # to their difference: on a commutative algebra they cancel to rounding
     # noise, which a cutoff relative to s[0] would count as rank
     scale = max(np.linalg.norm(t) for t in twists)
-    rank = int(np.sum(s > SVD_RTOL * scale))
+    rank = rank_margin(s, module.dim, SVD_RTOL, scale)["rank"]
     return SubspaceBasis(u[:, :rank].T, algebra, module)
 
 
@@ -489,11 +489,10 @@ class ContractibilityReport:
     to_dict = record_dict
 
 
-def _require_endomorphisms(algebra: FiniteAlgebra, sigma: LinearMap, tau: LinearMap,
-                           tol: float = ENDO_TOL) -> None:
+def _require_endomorphisms(algebra: FiniteAlgebra, sigma: LinearMap, tau: LinearMap) -> None:
     for name, m in (("sigma", sigma), ("tau", tau)):
         residual = _endo_residual(algebra, m)
-        if residual > tol:
+        if residual > ENDO_TOL:
             raise PreconditionError(
                 f"{name} is not multiplicative (basis-generator residual {residual:.3e}); "
                 "contractibility verdicts require endomorphisms"

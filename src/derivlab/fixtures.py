@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, make_algebra, make_matrix_algebra
+from .algebra import FiniteAlgebra, _matrix_unit_algebra, make_algebra, make_matrix_algebra
 
 
 def make_dual_numbers() -> FiniteAlgebra:
@@ -30,20 +30,7 @@ def make_upper_triangular(n: int) -> FiniteAlgebra:
     """Upper-triangular n-by-n matrices in the matrix-unit basis."""
     if not 1 <= n <= 8:
         raise ValueError("upper-triangular size must satisfy 1 <= n <= 8")
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {p: k for k, p in enumerate(pairs)}
-    dim = len(pairs)
-    c = np.zeros((dim, dim, dim), dtype=complex)
-    for (i, j), p in index.items():
-        for (k, l), q in index.items():
-            if j == k:
-                c[p, q, index[(i, l)]] = 1.0
-    unit = np.zeros(dim, dtype=complex)
-    for i in range(n):
-        unit[index[(i, i)]] = 1.0
-    if n == 1:
-        return make_algebra(c, unit_index=0)
-    return make_algebra(c, unit=unit)
+    return _matrix_unit_algebra(n, [(i, j) for i in range(n) for j in range(i, n)])
 
 
 def make_zero_product(n: int) -> FiniteAlgebra:

@@ -8,13 +8,12 @@ distance |f(a) - d(a)| is bounded by the summed control at (a, a).
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import LinearMap, _CoordinateSpace, _SpaceElement, record_dict
-from .control import ControlFunction, diagonal_series, series_remainder, summed_control_rows
+from .control import ControlFunction, doubling_tails, summed_control_rows
 from .encoding import encode_complex
 from .errors import ConstructionError, ConvergenceError, PreconditionError, SpaceMismatchError
 from .sampling import ball_points, ball_rows, generator
@@ -189,15 +188,11 @@ def _pointwise_limits(pmap: PointMap, rows: np.ndarray, phi: ControlFunction,
     by itself. A row that reaches max_n unconverged keeps its last delta and
     tail.
 
-    The tail after n doublings is summed_control_tail(phi, row, n): the
-    summed control's upper bound less the fsum of the first n series terms,
-    all read from one diagonal_series table per row. Every term is >= 0 and
-    fsum is correctly rounded, so the fsum never decreases with n, and
-    neither rounded subtraction nor the floor at 0 reverses that order: the
-    tail never increases with n, and the tail stop (the first n with
-    tail <= tol) of each row whose first delta is not zero is found by
-    bisection. A row whose first delta is zero stops at n = 1 and is not
-    bisected: every row of a linear map's extraction is one.
+    The tail after n doublings is column n of the control's doubling_tails
+    table, built once for all rows before f is first evaluated: a row's tail
+    stop is its first column n >= 1 at or below tol, else max_n, and its
+    final tail is read at its stop. A row whose first delta is zero stops at
+    n = 1: every row of a linear map's extraction is one.
 
     f is evaluated in three calls: at the rows, at the rows doubled once,
     and at every orbit point 2^n a with 2 <= n <= tail stop of the rows
@@ -205,25 +200,19 @@ def _pointwise_limits(pmap: PointMap, rows: np.ndarray, phi: ControlFunction,
     be evaluated past its first zero delta; those values are checked like
     every other and never read. Each row's stop, its first zero delta
     before its tail stop or else the tail stop, is picked on all orbits at
-    once; only the final tails are summed row by row.
+    once.
     """
     count = len(rows)
-    upper, terms = diagonal_series(phi, pmap.domain, rows, max(max_n, 0))
-    upper, terms = upper.tolist(), terms.tolist()
-
-    def tail(r: int, n: int) -> float:
-        return series_remainder(upper[r], terms[r][:n])
-
+    table = doubling_tails(phi, pmap.domain, rows, max(max_n, 0))
     limits = pmap.eval_rows(rows)
     if max_n < 1:
-        return (limits, np.full(count, max_n), np.full(count, np.inf),
-                np.array(upper, dtype=float), np.zeros(count, dtype=bool))
+        return (limits, np.full(count, max_n), np.full(count, np.inf), table[:, 0],
+                np.zeros(count, dtype=bool))
     once = pmap.eval_rows(2.0 * rows) / 2.0
     # the last n each row may need: 1 after a zero first delta, else its tail stop
-    stops = np.ones(count, dtype=int)
-    doublings = range(1, max_n + 1)
-    for r in np.flatnonzero(pmap.codomain.norms(once - limits) != 0.0).tolist():
-        stops[r] = min(1 + bisect_left(doublings, True, key=lambda n: tail(r, n) <= tol), max_n)
+    certified = table[:, 1:] <= tol
+    stops = np.where(certified.any(axis=1), certified.argmax(axis=1) + 1, max_n)
+    stops[pmap.codomain.norms(once - limits) == 0.0] = 1
     # L_n for 1 <= n <= stop, one row's orbit after another, and L_{n-1}
     starts = np.cumsum(stops) - stops
     owner = np.repeat(np.arange(count), stops)
@@ -244,7 +233,7 @@ def _pointwise_limits(pmap: PointMap, rows: np.ndarray, phi: ControlFunction,
     np.minimum.at(ends, owner[zero], zero)
     iterations = orbit_n[ends]
     deltas = steps[ends]
-    tails = np.array([tail(r, n) for r, n in enumerate(iterations.tolist())], dtype=float)
+    tails = table[np.arange(count), iterations]
     return path[ends], iterations, deltas, tails, (tails <= tol) | (deltas == 0.0)
 
 

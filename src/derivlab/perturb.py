@@ -25,6 +25,8 @@ from .hyers import LAMBDA_FULL, PointMap, lambda_grid
 from .sampling import SCALE_GRID, ball_rows, generator, hashed_unit_rows
 
 QUANT_GRID = 2.0**-20
+SEED_BOUND = 2**63  # a seed keys the noise hash as one signed 64-bit word
+ANNIHILATION_TOL = 1e-12  # largest action on a supplied annihilator row, relative to the row
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,8 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.mode not in ("annihilator", "clamped"):
             raise ConstructionError(f"unknown perturbation mode {self.mode!r}")
+        if not -SEED_BOUND <= self.seed < SEED_BOUND:
+            raise ConstructionError(f"seed must lie in [-2^63, 2^63), got {self.seed!r}")
         if not np.isfinite(self.epsilon) or self.epsilon < 0.0:
             raise ConstructionError("epsilon must be finite and nonnegative")
         if self.mode == "clamped":
@@ -169,10 +173,11 @@ def _twists(d0):
     return g_sigma, g_sigma if d0.tau is d0.sigma else PointMap.from_linear_map(d0.tau)
 
 
-def _check_annihilator_basis(module: Bimodule, basis: np.ndarray, tol: float = 1e-12):
+def _check_annihilator_basis(module: Bimodule, basis: np.ndarray):
     """Refuse a basis that is not a finite (k, module dim) array, or a row z
-    that a basis vector of the algebra sends above `tol` |z| on either side
-    (the noise is scaled to its size, so a short row hides nothing)."""
+    that a basis vector of the algebra sends above ANNIHILATION_TOL |z| on
+    either side (the noise is scaled to its size, so a short row hides
+    nothing)."""
     if basis.ndim != 2 or basis.shape[1] != module.dim:
         raise ConstructionError(
             f"supplied basis has shape {basis.shape}, not (k, {module.dim})")
@@ -183,7 +188,7 @@ def _check_annihilator_basis(module: Bimodule, basis: np.ndarray, tol: float = 1
     images = np.swapaxes(actions @ basis.T, 1, 2)  # [2 n, k, m]: e_i.z and z.e_i
     shape = (len(actions), len(basis))
     sizes = module.norms(images.reshape(shape[0] * shape[1], module.dim)).reshape(shape)
-    if not np.all(sizes <= tol * module.norms(basis)):
+    if not np.all(sizes <= ANNIHILATION_TOL * module.norms(basis)):
         raise ConstructionError("supplied basis is not annihilated by the module actions")
 
 

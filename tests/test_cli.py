@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from derivlab import ConstructionError, PerturbationSpec, get_algebra
 from derivlab import cli as cli_module
-from derivlab import get_algebra
 from derivlab.algebra import regular_bimodule
 from derivlab.blas import blas_threads
 from derivlab.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNSATISFIED, PIPELINES, ExperimentConfig,
@@ -279,6 +279,32 @@ def test_malformed_sweep_grid_is_one_error_line(capsys, grid):
     assert code == EXIT_ERROR
     assert len(err) == 1 and err[0].startswith("error:")
     assert captured.out == ""
+
+
+OUT_OF_RANGE_SEEDS = [2**63, -2**63 - 1, 10**20]
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+@pytest.mark.parametrize("where", ["--seed", "--perturb"])
+def test_out_of_range_seed_is_one_error_line(tmp_path, capsys, where, seed):
+    # a seed keys the noise hash as one signed 64-bit word
+    out = tmp_path / "report.json"
+    args = (["--seed", str(seed)] if where == "--seed" else
+            ["--perturb", json.dumps({"mode": "annihilator", "epsilon": 1e-3, "seed": seed})])
+    code = main(["run", "--fixture", "matrix:2", "--pipeline", "extract", "--out", str(out)]
+                + args)
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_ERROR
+    assert len(err) == 1 and err[0].startswith("error:") and "[-2^63, 2^63)" in err[0]
+    assert not out.exists()
+
+
+def test_the_seed_range_ends_are_accepted():
+    for seed in (2**63 - 1, -2**63):
+        ExperimentConfig(seed=seed).validate()
+        PerturbationSpec(mode="annihilator", epsilon=1e-3, seed=seed)
+    with pytest.raises(ConstructionError, match="seed"):
+        PerturbationSpec(mode="annihilator", epsilon=1e-3, seed=2**63)
 
 
 @pytest.mark.parametrize("fixture, reason", [
@@ -582,6 +608,13 @@ class TestSweep:
         assert data[0][-1] == "ok"
         assert data[1][-1].startswith("error:")
 
+
+    def test_out_of_range_seed_becomes_an_error_row(self):
+        cfg = ExperimentConfig(fixture="matrix:2", samples=20)
+        for grid in ({"seed": [1, 10**20]}, {"perturbation.seed": [1, 10**20]}):
+            _, data = self.parse(sweep(cfg, grid))
+            assert data[0][-1] == "ok"
+            assert data[1][-1].startswith("error: seed must lie in [-2^63, 2^63)")
 
     def test_malformed_row_values_become_error_rows(self):
         cfg = ExperimentConfig(fixture="matrix:2", seed=5, samples=50)

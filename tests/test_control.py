@@ -1,6 +1,7 @@
 """Control functions: evaluation, closed-form sums, truncation certificates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +19,12 @@ from derivlab import (
     make_matrix_algebra,
     summed_control,
 )
-from derivlab.control import DEFAULT_TRUNCATION, summed_control_rows, summed_control_tail
+from derivlab.control import (DEFAULT_TRUNCATION, doubling_tails, summed_control_rows,
+                              summed_control_tail)
 from derivlab.hyers import _pointwise_limits
 from derivlab.sampling import ball_point, generator
+
+from test_rows import control_rows, reference_tails
 
 A = make_matrix_algebra(2)
 
@@ -189,10 +193,10 @@ class TestControlTail:
     ], ids=["constant", "pnorm", "tabulated"])
     def test_streamed_tail_is_bit_identical_to_reference(self, phi):
         a = element_of_norm(1.5)
-        reference = reference_tails(phi, a, range(71))
+        reference = reference_tails(phi, a, 70)
         assert [summed_control_tail(phi, a, n).hex() for n in range(71)] == \
             [r.hex() for r in reference]
-        if phi.kind != "constant":  # terms past the 64 of a truncated sum still count
+        if phi.kind != "constant":  # the remainder keeps falling past the 64 tabulated terms
             assert 0.0 < reference[70] < reference[64]
 
     @pytest.mark.parametrize("n", [0, 1, 17, 48, 70])
@@ -209,29 +213,72 @@ class TestControlTail:
             return TabulatedControl(callback, 0.5)
 
         tail = summed_control_tail(logged(ours), a, n)
-        expected = reference_tails(logged(reference), a, [n])[0]
+        expected = reference_tails(logged(reference), a, n)[n]
         assert tail.hex() == expected.hex()
         assert ours == reference
-        assert len(ours) == 64 + n
+        assert len(ours) == DEFAULT_TRUNCATION
 
 
-def doubled(a, k):
-    """2^k a with the real and imaginary parts scaled apart: every zero keeps
-    its sign, as it does in the doubling tables."""
-    return a.space.element(np.ldexp(a.coords.view(float), k).view(complex))
+TABLE_CONTROLS = {
+    "constant": constant_control(3e-3),
+    "pnorm": PNormControl(1e-3, 0.5, 0.5),
+    "negative-p": PNormControl(1e-3, 2e-2, -0.5),
+    "tabulated": TabulatedControl(lambda a, b: 1e-3 + 0.1 * (a.norm() ** 0.25 + b.norm() ** 0.25),
+                                  0.25),
+}
 
 
-def reference_tails(phi, a, counts):
-    """The summed control's upper bound less a math.fsum of the first n
-    series terms (1/2) 2^-k phi(2^k a, 2^k a), one scaled element per term,
-    for each n in counts; the element a itself is term 0."""
-    counts = list(counts)
-    upper = summed_control(phi, a, a).upper
-    terms = []
-    for k in range(max(counts, default=0)):
-        point = doubled(a, k)
-        terms.append(0.5 * 2.0**-k * phi.evaluate(point, point))
-    return [max(upper - math.fsum(terms[:n]), 0.0) for n in counts]
+class TestDoublingTails:
+    def test_constant_tails_are_alpha_halved_n_times(self):
+        for alpha in (3e-3, 3e-4, 0.1, 1.0):
+            table = doubling_tails(constant_control(alpha), A, control_rows(A.dim, 50), 48)
+            expected = [math.ldexp(alpha, -n) for n in range(49)]
+            assert all(row == expected for row in table.tolist())
+
+    @pytest.mark.parametrize("p", [-0.5, 0.0, 0.5, 0.9])
+    def test_power_norm_tails_match_exact_rationals(self, p):
+        # the exact remainder alpha 2^-n + beta |a|^p q^n / (1 - q) from the
+        # same float |a|^p and q = 2^p / 2
+        phi = PNormControl(1e-3, 0.75, p)
+        rows = control_rows(A.dim, 51)
+        table = doubling_tails(phi, A, rows, 60)
+        assert table[:, 0].tobytes() == summed_control_rows(phi, A, rows, rows)[0].tobytes()
+        q = Fraction(2.0**p) / 2
+        for row, tails in zip(rows, table.tolist()):
+            t = A.element(row).norm()
+            scale = Fraction(phi.beta) * Fraction(0.0 if t == 0.0 else t**p)
+            for n, tail in enumerate(tails):
+                exact = Fraction(phi.alpha) / 2**n + scale * q**n / (1 - q)
+                assert abs(Fraction(tail) - exact) <= 4 * Fraction(math.ulp(float(exact)))
+
+    @pytest.mark.parametrize("control", TABLE_CONTROLS)
+    def test_no_row_increases(self, control):
+        table = doubling_tails(TABLE_CONTROLS[control], A, control_rows(A.dim, 52), 80)
+        assert table.shape == (12, 81)
+        assert np.all(table >= 0.0) and np.all(np.diff(table, axis=1) <= 0.0)
+
+    @pytest.mark.parametrize("cuts", [(), (1,), (5, 6), (2, 7, 11)])
+    @pytest.mark.parametrize("control", TABLE_CONTROLS)
+    def test_any_batch_split_gives_the_same_tails(self, control, cuts):
+        phi, rows = TABLE_CONTROLS[control], control_rows(A.dim, 53)
+        whole = doubling_tails(phi, A, rows, 70)
+        parts = [doubling_tails(phi, A, part, 70) for part in np.split(rows, cuts)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    def test_a_tabulated_callback_is_called_64_times_per_row(self):
+        calls = []
+
+        def callback(x, y):
+            calls.append(1)
+            return 1e-3 + 1e-2 * x.norm() ** 0.5
+
+        phi, rows = TabulatedControl(callback, 0.5), control_rows(A.dim, 54)
+        identity = PointMap.from_linear_map(identity_map(A))
+        _pointwise_limits(identity, rows, phi, 70, 1e-10)
+        assert len(calls) == DEFAULT_TRUNCATION * len(rows)
+        calls.clear()
+        doubling_tails(phi, A, rows, 70)
+        assert len(calls) == DEFAULT_TRUNCATION * len(rows)
 
 
 # every zero a complex product with 2^k + 0j would flip, and ones it keeps

@@ -38,8 +38,8 @@ from derivlab import (
 )
 from derivlab import perturb
 from derivlab.cli import report_json
-from derivlab.control import (DEFAULT_TRUNCATION, _doubling_rows, diagonal_series, phi_rows,
-                              series_remainder, summed_control_rows)
+from derivlab.control import (DEFAULT_TRUNCATION, _doubling_rows, doubling_tails, phi_rows,
+                              summed_control_rows)
 from derivlab.derivation import DerivationTriple
 from derivlab.hyers import (ADDITIVITY_PAIRS, BOUND_SAMPLES, BoundCheckSample, ExtractionReport,
                             _not_converged, _pointwise_limits, sampled_envelope)
@@ -47,25 +47,24 @@ from derivlab.sampling import ball_points, ball_rows, generator, hashed_unit_row
 
 from test_rows import (FAMILIES, ROW_CONTROLS, annihilator_case, base_triple, clamped_case,
                        control_rows, laid_out, random_rows, reference_hashed_floats,
-                       sublinear_map)
+                       reference_tails, sublinear_map)
 
 
 # --- the references --------------------------------------------------------------
 
 def previous_pointwise_limits(pmap, rows, phi, max_n, tol):
-    """The doubling engine with every row's tail stop bisected and each
-    row's stop picked in a per-row loop."""
+    """The doubling engine with every row's tail stop bisected on its
+    reference_tails and each row's stop picked in a per-row loop."""
     count = len(rows)
-    upper, terms = diagonal_series(phi, pmap.domain, rows, max(max_n, 0))
-    upper, terms = upper.tolist(), terms.tolist()
+    table = [reference_tails(phi, pmap.domain.element(row), max(max_n, 0)) for row in rows]
 
     def tail(r, n):
-        return series_remainder(upper[r], terms[r][:n])
+        return table[r][n]
 
     limits = pmap.eval_rows(rows)
     iterations = np.full(count, max_n)
     deltas = np.full(count, np.inf)
-    tails = np.array(upper, dtype=float)
+    tails = np.array([t[0] for t in table], dtype=float)
     converged = np.zeros(count, dtype=bool)
     if max_n < 1:
         return limits, iterations, deltas, tails, converged
@@ -232,21 +231,21 @@ class TestStopSelection:
                 pmap, rows, ROW_CONTROLS["pnorm"], 48, 1e-10)
             assert not converged.all() and np.all(iterations[~converged] == 48), fixture
 
-    def test_only_moving_orbits_are_bisected(self, monkeypatch):
-        # a linear map's rows all stop after a zero first delta: none of
-        # them reads a tail before its stop is known
+    def test_one_tail_table_per_call(self, monkeypatch):
+        # every row's tails come from one table of max_n + 1 columns, built
+        # before the map is evaluated; a linear map's rows then stop at n = 1
         from derivlab import hyers
-        reads = []
+        tables = []
 
-        def spy(upper, terms):
-            reads.append(len(terms))
-            return series_remainder(upper, terms)
+        def spy(phi, space, rows, count):
+            tables.append((len(rows), count))
+            return doubling_tails(phi, space, rows, count)
 
-        monkeypatch.setattr(hyers, "series_remainder", spy)
+        monkeypatch.setattr(hyers, "doubling_tails", spy)
         pmap, rows = family_case("matrix:3", "linear")
         _, iterations, _, _, _ = _pointwise_limits(pmap, rows, ROW_CONTROLS["pnorm"], 48, 1e-10)
         assert set(iterations.tolist()) == {1}
-        assert reads == [1] * len(rows)  # one final tail per row, no bisection
+        assert tables == [(len(rows), 48)]
 
 
 EXTRACTION_CONTROLS = {

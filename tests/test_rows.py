@@ -372,35 +372,50 @@ class TestEvalRows:
 
 # --- extraction against the one-orbit-at-a-time loop ---------------------------
 
-class StreamedTail:
-    """The series remainder at (a, a) after n terms, for growing n: the
-    summed control's upper bound less the fsum of the terms so far, each
-    term evaluated once, when first read, on one scaled element (a itself
-    for term 0)."""
+def doubled(a, k):
+    """2^k a with the real and imaginary parts scaled apart: every zero keeps
+    its sign, as it does in the doubling tables."""
+    return a.space.element(np.ldexp(a.coords.view(float), k).view(complex))
 
-    def __init__(self, phi, a):
-        self.phi, self.a = phi, a
-        self.upper = summed_control(phi, a, a).upper
-        self.terms = []
 
-    def after(self, n):
-        while len(self.terms) < n:
-            k = len(self.terms)
-            point = self.a if k == 0 else 2.0**k * self.a
-            self.terms.append(0.5 * 2.0**-k * self.phi.evaluate(point, point))
-        return self.upper if n == 0 else max(self.upper - math.fsum(self.terms[:n]), 0.0)
+def reference_tails(phi, a, count):
+    """The remainder of the doubling series at (a, a) after n doublings, for
+    each n <= count, in Python floats at one point.
+
+    A power-norm control gives alpha 2^-n + beta |a|^p q^n / (1 - q) with
+    q = 2^p / 2. A tabulated control's DEFAULT_TRUNCATION terms
+    (1/2) 2^-k phi(2^k a, 2^k a), one scaled element per term, are summed
+    from the last one down, and the geometric bound on the terms
+    k >= max(n, DEFAULT_TRUNCATION) is added to each suffix sum.
+    """
+    if isinstance(phi, PNormControl):
+        q = 2.0**phi.p / 2.0
+        t = a.norm()
+        scale = phi.beta * (0.0 if t == 0.0 else t**phi.p)
+        return [math.ldexp(phi.alpha, -n) + scale * q**n / (1.0 - q) for n in range(count + 1)]
+    q = phi.growth_exponent
+    values = [phi.evaluate(x, x) for x in (doubled(a, k) for k in range(DEFAULT_TRUNCATION))]
+    growth = 0.0
+    for k, value in enumerate(values):
+        growth = max(growth, value / 2.0 ** (k * q))
+    suffix, total = [0.0] * (max(count, DEFAULT_TRUNCATION) + 1), 0.0
+    for k in reversed(range(DEFAULT_TRUNCATION)):
+        total += 0.5 * 2.0**-k * values[k]
+        suffix[k] = total
+    return [suffix[n] + 0.5 * growth * 2.0 ** (-max(n, DEFAULT_TRUNCATION) * (1.0 - q))
+            / (1.0 - 2.0 ** (q - 1.0)) for n in range(count + 1)]
 
 
 def reference_orbit(pmap, coords, phi, max_n, tol):
-    certificate = StreamedTail(phi, pmap.domain.element(coords))
+    tails = reference_tails(phi, pmap.domain.element(coords), max_n)
     current = pmap.eval_coords(coords)
     delta = np.inf
-    tail = certificate.after(0)
+    tail = tails[0]
     for n in range(1, max_n + 1):
         nxt = pmap.eval_coords(2.0**n * coords) / 2.0**n
         delta = pmap.codomain.norm(nxt - current)
         current = nxt
-        tail = certificate.after(n)
+        tail = tails[n]
         if tail <= tol or delta == 0.0:
             return current, n, delta, tail
     raise ConvergenceError("not converged",
@@ -803,15 +818,6 @@ def reference_summed_control(phi, a, b):
     return math.fsum(partials), tail
 
 
-def reference_tail(phi, a, n):
-    value, bound = reference_summed_control(phi, a, a)
-    terms = []
-    for k in range(n):
-        point = a if k == 0 else 2.0**k * a
-        terms.append(0.5 * 2.0**-k * phi.evaluate(point, point))
-    return max(value + bound - math.fsum(terms), 0.0)
-
-
 ROW_CONTROLS = {
     "constant": constant_control(3e-3),
     "pnorm": PNormControl(3e-3, 1e-2, 0.5),
@@ -905,7 +911,7 @@ class TestControlRows:
         for row, n, tail in zip(rows, iterations.tolist(), tails.tolist()):
             element = domain.element(row)
             assert tail.hex() == summed_control_tail(phi, element, n).hex()
-            assert tail.hex() == reference_tail(phi, element, n).hex()
+            assert tail.hex() == reference_tails(phi, element, n)[n].hex()
 
 
 # --- the batched doubling engine against the step-major loop -------------------
@@ -996,12 +1002,12 @@ class LoggedCallback:
 
 
 def reference_pointwise_limits(pmap, rows, phi, max_n, tol):
-    """The doubling loop with one StreamedTail per row, read row after row."""
-    certificates = [StreamedTail(phi, pmap.domain.element(c)) for c in rows]
+    """The doubling loop with each row's reference_tails, made row after row."""
+    certificates = [reference_tails(phi, pmap.domain.element(c), max(max_n, 0)) for c in rows]
     limits = pmap.eval_rows(rows)
     count = len(rows)
     iterations, deltas = np.full(count, max_n), np.full(count, np.inf)
-    tails = np.array([c.after(0) for c in certificates], dtype=float)
+    tails = np.array([c[0] for c in certificates], dtype=float)
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)
     for n in range(1, max_n + 1):
@@ -1010,7 +1016,7 @@ def reference_pointwise_limits(pmap, rows, phi, max_n, tol):
         nxt = pmap.eval_rows(2.0**n * rows[active]) / 2.0**n
         deltas[active] = pmap.codomain.norms(nxt - limits[active])
         limits[active] = nxt
-        tails[active] = [certificates[r].after(n) for r in active]
+        tails[active] = [certificates[r][n] for r in active]
         stop = (tails[active] <= tol) | (deltas[active] == 0.0)
         iterations[active[stop]] = n
         converged[active[stop]] = True
@@ -1067,8 +1073,8 @@ class TestInvalidTabulatedValues:
         assert calls == table_queries(domain, rows, DEFAULT_TRUNCATION)[:fail_at]
 
     def test_doubling_loop_without_failure_matches(self):
-        # each (row, k) is queried once, in the summed control's row-major
-        # order; past DEFAULT_TRUNCATION terms each row's table grows to max_n
+        # each (row, k < DEFAULT_TRUNCATION) is queried once, in the summed
+        # control's row-major order, whatever max_n is
         maps, _ = annihilator_case("upper-triangular:3", epsilon=1e-3)
         domain = maps.f.domain
         rows = np.vstack([np.eye(domain.dim, dtype=complex), control_rows(domain.dim, 17)])
@@ -1079,11 +1085,10 @@ class TestInvalidTabulatedValues:
                                                   max_n, 1e-10)
             for x, y in zip(got, expected):
                 assert x.tobytes() == y.tobytes()
-            assert ours.calls == table_queries(domain, rows, max(DEFAULT_TRUNCATION, max_n))
-            if max_n <= DEFAULT_TRUNCATION:
-                logged = LoggedCallback()
-                summed_control_rows(TabulatedControl(logged, 0.5), domain, rows, rows)
-                assert ours.calls == logged.calls
+            assert ours.calls == table_queries(domain, rows, DEFAULT_TRUNCATION)
+            logged = LoggedCallback()
+            summed_control_rows(TabulatedControl(logged, 0.5), domain, rows, rows)
+            assert ours.calls == logged.calls
 
     def test_hypothesis_budgets_fail_at_the_first_sample(self):
         maps, _ = annihilator_case("matrix:2", epsilon=1e-3)
