@@ -204,22 +204,19 @@ def phi_rows(phi: ControlFunction, space, a_rows, b_rows) -> np.ndarray:
                     dtype=float)
 
 
-def _doubling_rows(rows, count: int) -> np.ndarray:
-    """The scaled rows 2^k a for k < count of each row a of an [N, dim]
-    array, row after row: an [N * count, dim] array.
+def _doubling_rows(rows) -> np.ndarray:
+    """The scaled rows 2^k a for k < DEFAULT_TRUNCATION of each row a of an
+    [N, dim] array, row after row: an [N * DEFAULT_TRUNCATION, dim] array.
 
     The real and imaginary parts are scaled apart, so every zero keeps its
     sign; a complex product with 2^k + 0j would turn a -0.0 imaginary part,
     or a -0.0 real part beside a negative imaginary one, into +0.0. Each
     part is multiplied by the double 2^k, which gives ldexp's bits, an
-    overflow to inf included; from k = 1024 on 2^k is no double, and ldexp
-    scales those columns.
+    overflow to inf included.
     """
     parts = np.ascontiguousarray(rows, dtype=complex).view(float)
-    powers = np.arange(count)
-    scaled = parts[:, None, :] * np.ldexp(1.0, np.minimum(powers, 1023))[:, None]
-    scaled[:, 1024:] = np.ldexp(parts[:, None, :], powers[1024:, None])
-    return scaled.view(complex).reshape(len(parts) * count, parts.shape[1] // 2)
+    scaled = parts[:, None, :] * np.ldexp(1.0, np.arange(DEFAULT_TRUNCATION))[:, None]
+    return scaled.view(complex).reshape(len(parts) * DEFAULT_TRUNCATION, parts.shape[1] // 2)
 
 
 _TABLE_ROWS = 16  # rows whose DEFAULT_TRUNCATION scaled rows are held at once
@@ -249,8 +246,8 @@ def _tabulated_terms(phi: ControlFunction, space, a_rows, b_rows):
     a_rows = np.asarray(a_rows)
     values = np.empty((len(a_rows), DEFAULT_TRUNCATION))
     for s in range(0, len(a_rows), _TABLE_ROWS):
-        a = _doubling_rows(a_rows[s:s + _TABLE_ROWS], DEFAULT_TRUNCATION)
-        b = a if diagonal else _doubling_rows(b_rows[s:s + _TABLE_ROWS], DEFAULT_TRUNCATION)
+        a = _doubling_rows(a_rows[s:s + _TABLE_ROWS])
+        b = a if diagonal else _doubling_rows(b_rows[s:s + _TABLE_ROWS])
         values[s:s + _TABLE_ROWS] = phi_rows(phi, space, a, b).reshape(-1, DEFAULT_TRUNCATION)
     terms = np.ldexp(0.5, -np.arange(DEFAULT_TRUNCATION)) * values
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,6 +14,7 @@ its dual.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
 
@@ -39,14 +40,11 @@ from .sampling import SCALE_GRID, ball_points, ball_rows, generator
 SVD_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
 ENDO_TOL = 1e-10
-# Largest estimate (_system_bytes) derivation_space accepts. numpy's SVD
-# copies the system, and the words the closure reduces in one block and
-# LAPACK's workspace come on top, so peak RSS above the interpreter's grew by
-# about 2 times the estimate (measured on zero-product:20 to :28, whose
-# generators are the whole basis); at 1 GiB a run stays under about 2.3 GB,
-# which an 8 GB machine shared with other work can hold. matrix:8 needs 25 MiB and zero-product:31 0.88 GiB;
-# zero-product:40 (3.1 GiB) fails at once, naming its size, instead of
-# meeting the OOM killer minutes later.
+# Largest estimate (_system_bytes) a Leibniz system may have. LAPACK's copies
+# and the closure's words come on top: fresh zero-product:31 runs (0.88 GiB for
+# a verdict, 0.94 GiB for extract) peak at 1.4-1.5 GB, so a run at 1 GiB stays
+# near 1.6 GB. matrix:8 needs 25 MiB; zero-product:40 (3.1 GiB) fails at once,
+# naming its size, instead of meeting the OOM killer minutes later.
 SYSTEM_BYTES_LIMIT = 2**30
 
 VERDICT_VANISHES = "h1_vanishes"
@@ -55,9 +53,9 @@ VERDICT_INDETERMINATE = "indeterminate"
 # A verdict whose system or center has a kept singular value in this band,
 # or a dropped one at or above its floor, relative to its scale, is
 # indeterminate: the cutoff SVD_RTOL sits inside it, so rounding of the
-# inputs could move the rank. The floor is about 10 times the largest
-# dropped value rounding left on the registry fixtures (1.8e-15 up to
-# matrix:8; 4.6e-15 up to matrix:4 after random complex changes of basis)
+# inputs could move the rank. The floor is over 10 times the largest
+# dropped value rounding left on the registry fixtures (8.8e-16 up to
+# matrix:8; 2.9e-15 up to matrix:4 after random complex changes of basis)
 INDETERMINATE_BAND = (5e-14, 1e-8)
 
 
@@ -273,7 +271,7 @@ def _twisted_actions(module: Bimodule, sigma: LinearMap, tau: LinearMap,
 
 def _leibniz_payloads(module: Bimodule, right_at_rows: np.ndarray, tau: LinearMap):
     """The payloads `ClosurePlan.replay` carries through the closure of the
-    rows for `generator_system`, as (the rows' T matrices, extend), from
+    rows for `_leibniz_constraints`, as (the rows' T matrices, extend), from
     R_sigma at the rows."""
     m, k = module.dim, len(right_at_rows)
 
@@ -288,12 +286,11 @@ def _leibniz_payloads(module: Bimodule, right_at_rows: np.ndarray, tau: LinearMa
     return np.eye(k * m, dtype=complex).reshape(k, m, k * m), extend
 
 
-@single_blas_thread
-def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
-                     tau: LinearMap, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Leibniz constraints on u = (D(g_1), ..., D(g_k)) for the rows g_i
-    of `rows`, shape ((n k + k - n) m, k m) when the rows generate the
-    algebra, and the matrix (m n, k m) that takes u to row-major vec(D).
+def _leibniz_constraints(algebra: FiniteAlgebra, module: Bimodule, right_at_rows: np.ndarray,
+                         tau: LinearMap, rows: np.ndarray):
+    """The Leibniz constraints S on u = (D(g_1), ..., D(g_k)) for the rows
+    g_i, shape ((n k + k - n) m, k m) when they generate the algebra, from
+    R_sigma at the rows; and the span (rows q_l, T matrices) `_vec_map` reads.
 
     The closure of the rows (`FiniteAlgebra.closure_plan`, replayed) carries
     with each word w the m x k m matrix T_w with D(w) = T_w u: the selector
@@ -311,16 +308,6 @@ def generator_system(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
     the identity and the constraints are the rule on every pair of basis
     vectors.
     """
-    right_at_rows = module.right_matrices(rows @ sigma.matrix.T)
-    system, span = _leibniz_constraints(algebra, module, right_at_rows, tau, rows)
-    return system, _vec_map(span)
-
-
-def _leibniz_constraints(algebra: FiniteAlgebra, module: Bimodule, right_at_rows: np.ndarray,
-                         tau: LinearMap, rows: np.ndarray):
-    """`generator_system`'s constraints, from R_sigma at the rows, and in
-    place of the map to vec(D) what `_vec_map` makes it from: the span rows
-    q_l with their T matrices."""
     n, m, k = algebra.dim, module.dim, len(rows)
     plan = algebra.closure_plan(rows)
     if len(plan.basis) < n:
@@ -341,58 +328,94 @@ def _vec_map(span) -> np.ndarray:
 
 
 def _system_shape(n: int, m: int, k: int) -> tuple[int, int]:
-    """Shape of generator_system's constraints for k rows that generate an
+    """Shape of the Leibniz constraints for k rows that generate an
     n-dimensional algebra, into an m-dimensional module: every one of the
     k + n k words but the n basis rows falls inside the span."""
     return (n * k + k - n) * m, k * m
 
 
 def _system_bytes(n: int, m: int, k: int) -> int:
-    """Bytes of generator_system's complex constraints, of the SVD factors
-    `nullspace` takes from them (U, rows x min(rows, cols), and the right
-    factor, cols x cols) and of the n x m x k m stack of T matrices."""
+    """Bytes `_deflation` holds: the complex constraints S, its copy S U
+    rotated by the center's left factor U (rows x cols = rows x min(rows,
+    cols), as rows - cols = n (k - 1) m), U and the T matrices (n x m x k m)."""
     rows, cols = _system_shape(n, m, k)
     return 16 * (rows * cols + rows * min(rows, cols) + cols * cols + n * m * cols)
+
+
+_Deflation = namedtuple("_Deflation", "rows span system u center r deflated leak")
+
+
+def _deflation(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
+               tau: LinearMap) -> _Deflation:
+    """The one factorization of Der, shared by `derivation_space` and the
+    verdict, in coordinates u = (D(g_1), ..., D(g_k)): the values of D at
+    the generators when sigma and tau are multiplicative (residual on
+    basis-generator pairs at most ENDO_TOL), else at every basis vector. A
+    system whose estimate exceeds SYSTEM_BYTES_LIMIT is refused unbuilt.
+
+    Then every inner map d_x is a derivation, and x -> d_x has the twisted
+    center as its kernel, so dim Inner is the rank r of the k m x m operator
+    x -> (x.sigma(g_i) - tau(g_i).x)_i, cut off relative to the larger of
+    its two terms' norms (on a commutative algebra they cancel to rounding
+    noise). Its full SVD splits u-space into Inner, U_r, and W; S vanishes
+    on Inner up to the leak, and Der is U_r plus W times the nullspace of
+    S W. When a twist is not multiplicative, d_x(ab) - d_x(a).sigma(b) -
+    tau(a).d_x(b) = x.(sigma(ab) - sigma(a)sigma(b)) - (tau(ab) -
+    tau(a)tau(b)).x need not vanish, and S is not deflated.
+
+    Returns the rows, the span (`_leibniz_constraints`), S, the center's
+    full left factor u = [U_r | W] with its `rank_margin` and r (None, None
+    and 0 when a twist is not multiplicative), S W (S when r = 0) and the
+    leak |S U_r|_2 (0.0 when r = 0).
+    """
+    n, m = algebra.dim, module.dim
+    multiplicative = all(_endo_residual(algebra, s) <= ENDO_TOL for s in (sigma, tau))
+    rows = algebra.generators if multiplicative else np.eye(n, dtype=complex)
+    k = len(rows)
+    need = _system_bytes(n, m, k)
+    if need > SYSTEM_BYTES_LIMIT:
+        shape = _system_shape(n, m, k)
+        raise PreconditionError(
+            f"the Leibniz system ({shape[0]} x {shape[1]} complex) with its "
+            f"factorization and T matrices needs about {need / 2**30:.1f} GiB, over the "
+            f"{SYSTEM_BYTES_LIMIT / 2**30:.0f} GiB limit"
+        )
+    right, left = _twisted_actions(module, sigma, tau, rows)
+    system, span = _leibniz_constraints(algebra, module, right, tau, rows)
+    u, center, r, deflated, leak = None, None, 0, system, 0.0
+    if multiplicative:
+        u, s, _ = np.linalg.svd((right - left).reshape(k * m, m))
+        center = rank_margin(s, m, SVD_RTOL, max(np.linalg.norm(right), np.linalg.norm(left)))
+        r = center["rank"]
+        if r:
+            rotated = system @ u
+            gram = rotated[:, :r].conj().T @ rotated[:, :r]  # cheaper than an SVD of S U_r
+            deflated, leak = rotated[:, r:], float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+    return _Deflation(rows, span, system, u, center, r, deflated, leak)
+
+
+def _outside_inner(deflation: _Deflation) -> np.ndarray:
+    """W N as rows in u coordinates: an orthonormal basis of the derivations
+    orthogonal there to Inner, with N the nullspace of S W (from its reduced
+    SVD; the identity when S W is exactly zero) rotated by W = u[:, r:]."""
+    deflated, r = deflation.deflated, deflation.r
+    null = nullspace(deflated, SVD_RTOL) if deflated.any() else np.eye(deflated.shape[1])
+    return null @ deflation.u[:, r:].T if r else null
 
 
 @single_blas_thread
 def derivation_space(algebra: FiniteAlgebra, module: Bimodule,
                      sigma: LinearMap, tau: LinearMap) -> SubspaceBasis:
     """Orthonormal basis of all maps D with D(ab) = D(a).sigma(b)
-    + tau(a).D(b).
-
-    The unknowns are the values of D on the algebra's generators when sigma
-    and tau are multiplicative (residual on basis-generator pairs at most
-    ENDO_TOL), else on every basis vector; generator_system gives their
-    constraints. The null vectors, from an SVD with a relative singular-value
-    cutoff, are mapped to vec(D) and orthonormalized. A system whose
-    estimated size exceeds SYSTEM_BYTES_LIMIT is refused before it is built.
-    """
+    + tau(a).D(b): Inner's U_r and W N (`_deflation`, `_outside_inner`),
+    mapped from u coordinates to vec(D) and orthonormalized by QR."""
     if module.dim == 0:
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
-    rows = _unknown_rows(algebra, module, sigma, tau)
-    system, to_vec = generator_system(algebra, module, sigma, tau, rows)
-    maps = nullspace(system, SVD_RTOL) @ to_vec.T
-    return SubspaceBasis(np.linalg.qr(maps.T)[0].T, algebra, module)
-
-
-def _unknown_rows(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
-                  tau: LinearMap) -> np.ndarray:
-    """The rows whose values of D are the unknowns: the algebra's generators
-    when sigma and tau are multiplicative, else the identity rows. Refuses a
-    system whose estimate exceeds SYSTEM_BYTES_LIMIT before it is built."""
-    n, m = algebra.dim, module.dim
-    multiplicative = all(_endo_residual(algebra, s) <= ENDO_TOL for s in (sigma, tau))
-    rows = algebra.generators if multiplicative else np.eye(n, dtype=complex)
-    need = _system_bytes(n, m, len(rows))
-    if need > SYSTEM_BYTES_LIMIT:
-        shape = _system_shape(n, m, len(rows))
-        raise PreconditionError(
-            f"the Leibniz system ({shape[0]} x {shape[1]} complex) with its "
-            f"factorization and T matrices needs about {need / 2**30:.1f} GiB, over the "
-            f"{SYSTEM_BYTES_LIMIT / 2**30:.0f} GiB limit"
-        )
-    return rows
+    deflation = _deflation(algebra, module, sigma, tau)
+    der = _outside_inner(deflation)
+    if deflation.r:
+        der = np.concatenate([deflation.u[:, :deflation.r].T, der])
+    return SubspaceBasis(np.linalg.qr(_vec_map(deflation.span) @ der.T)[0].T, algebra, module)
 
 
 def _inner_operator(module: Bimodule, sigma: LinearMap, tau: LinearMap):
@@ -526,30 +549,23 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
     """Decide whether every twisted derivation into the module is inner.
 
     Both subspaces are counted in generator coordinates u = (D(g_1), ...,
-    D(g_k)). x -> d_x has the twisted center Z as its kernel, and the
-    generators suffice to test it, so dim Inner is the rank r of the k m x m
-    operator x -> (x.sigma(g_i) - tau(g_i).x)_i, cut off relative to the
-    larger of its two terms' norms (on a commutative algebra they cancel to
-    rounding noise). Its full SVD splits u-space into Inner, the first r
-    left singular vectors, and their complement W. Inner lies in Der, the
-    nullspace of `generator_system`'s constraints S, so S vanishes on Inner
-    up to rounding (its norm there, the leak, is |S U_r|_F) and dim Der = r
-    plus the nullity of the deflated system S W, from its singular values
-    alone. H^1 vanishes exactly when S W has full column rank.
+    D(g_k)), from the Leibniz system S deflated by the twisted center
+    (`_deflation`): dim Inner is the center operator's rank r, and dim Der
+    is r plus the nullity of S W, from its singular values alone. H^1
+    vanishes exactly when S W has full column rank.
 
     The system's `rank` is that of S W, its `kept` value the smallest kept
     one of S W (a lower bound for S's, since S W is S U without r columns)
-    and its `dropped` value S W's largest dropped one plus the leak, both
-    relative to S W's largest (or to the leak, should that be larger): by
-    Weyl's inequality, a bound on S's largest dropped value. A kept value inside INDETERMINATE_BAND, or a dropped one
-    that reaches it, in either matrix makes the verdict indeterminate.
+    and its `dropped` value S W's largest dropped one plus the leak
+    |S U_r|_2, both relative to S W's largest (or to the leak, should that
+    be larger): by Weyl's inequality, a bound on S's largest dropped value.
+    A kept value inside INDETERMINATE_BAND, or a dropped one that reaches
+    it, in either matrix makes the verdict indeterminate.
 
     The witness, for a nonzero H^1, is the unit vector along vec(D) of
-    W N N^H W^H v_u, with N an orthonormal basis of the nullspace of S W
-    (from its reduced SVD; the identity when S W is exactly zero), for
-    the fixed map v = keyed_map(..., "contractibility-witness") at the
-    generators: a derivation that is not inner, (P_Der - P_Inner) v_u up to
-    rounding.
+    W N N^H W^H v_u (`_outside_inner`), for the fixed map v =
+    keyed_map(..., "contractibility-witness") at the generators: a
+    derivation that is not inner, (P_Der - P_Inner) v_u up to rounding.
     """
     _require_endomorphisms(algebra, sigma, tau)
     name, m = _module_name(algebra, module), module.dim
@@ -557,19 +573,9 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
         empty = {"shape": [0, 0], "rank": 0, "kept": None, "dropped": None}
         diagnostics = {"generators": 0, "system": empty, "center": dict(empty)}
         return ContractibilityReport(0, 0, VERDICT_VANISHES, None, name, diagnostics)
-    rows = _unknown_rows(algebra, module, sigma, tau)
-    k, n = rows.shape
-    right, left = _twisted_actions(module, sigma, tau, rows)
-    system, span = _leibniz_constraints(algebra, module, right, tau, rows)
-    center = (right - left).reshape(k * m, m)
-    u, s, _ = np.linalg.svd(center)
-    inner = rank_margin(s, m, SVD_RTOL, max(np.linalg.norm(right), np.linalg.norm(left)))
-    r = inner["rank"]
-    deflated, leak = system, 0.0
-    if r:
-        rotated = system @ u
-        deflated, leak = rotated[:, r:], float(np.linalg.norm(rotated[:, :r]))
-    values = np.linalg.svd(deflated, compute_uv=False)
+    deflation = _deflation(algebra, module, sigma, tau)
+    rows, span, system, _, inner, r, deflated, leak = deflation
+    (k, n), values = rows.shape, np.linalg.svd(deflated, compute_uv=False)
     scale = max(float(np.max(values, initial=0.0)), leak)
     der = rank_margin(values, k * m - r, SVD_RTOL, scale)
     if r:
@@ -582,14 +588,11 @@ def is_contractible(algebra: FiniteAlgebra, module: Bimodule,
     witness = None
     if verdict == VERDICT_NONZERO:
         v = (rows @ keyed_map(algebra, module, "contractibility-witness").T).reshape(-1)
-        null = nullspace(deflated, SVD_RTOL) if deflated.any() else np.eye(k * m - r)
-        if r:
-            null = null @ u[:, r:].T  # W N, in u coordinates
-        outside = null.T @ (null.conj() @ v)
-        vec = _unit(_vec_map(span) @ outside)
+        outside = _outside_inner(deflation)
+        vec = _unit(_vec_map(span) @ (outside.T @ (outside.conj() @ v)))
         witness = LinearMap(vec.reshape(m, n), algebra, module)
     diagnostics = {"generators": k, "system": {"shape": list(system.shape), **der},
-                   "center": {"shape": list(center.shape), **inner}}
+                   "center": {"shape": [k * m, m], **inner}}
     return ContractibilityReport(der_dim, r, verdict, witness, name, diagnostics)
 
 

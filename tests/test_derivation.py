@@ -44,17 +44,20 @@ from derivlab.cli import (ExperimentConfig, PerturbedExperiment, _resolve_endomo
                           report_json)
 from derivlab import derivation as derivation_module
 from derivlab.derivation import (
+    ENDO_TOL,
     MEMBERSHIP_TOL,
     VERDICT_INDETERMINATE,
     VERDICT_NONZERO,
     VERDICT_VANISHES,
     SubspaceBasis,
+    _deflation,
     _generator_endo_residual,
+    _leibniz_constraints,
     _leibniz_payloads,
     _system_bytes,
     _system_shape,
     _twisted_actions,
-    generator_system,
+    _vec_map,
     keyed_map,
 )
 from derivlab.perturb import PerturbationSpec, extend_with_annihilator, make_annihilator_perturbation
@@ -225,13 +228,33 @@ def decide(algebra, module_kind, twist):
     return check(algebra, regular_bimodule(algebra), sigma, tau)
 
 
+def leibniz_system(algebra, module, sigma, tau, rows):
+    """The Leibniz constraints on the values of D at the rows, and the
+    matrix taking those values to row-major vec(D)."""
+    right = module.right_matrices(rows @ sigma.matrix.T)
+    system, span = _leibniz_constraints(algebra, module, right, tau, rows)
+    return system, _vec_map(span)
+
+
+def reference_derivation_space(algebra, module, sigma, tau):
+    """Der as derivation_space found it before it shared the verdict's
+    deflation, kept as the reference: the null vectors of the whole Leibniz
+    system (on the generators when both twists are multiplicative, else on
+    every basis vector), mapped to vec(D) and orthonormalized by QR."""
+    multiplicative = all(_generator_endo_residual(algebra, s) <= ENDO_TOL for s in (sigma, tau))
+    rows = algebra.generators if multiplicative else np.eye(algebra.dim, dtype=complex)
+    system, to_vec = leibniz_system(algebra, module, sigma, tau, rows)
+    maps = nullspace(system, 1e-10) @ to_vec.T
+    return SubspaceBasis(np.linalg.qr(maps.T)[0].T, algebra, module)
+
+
 def projection_verdict(algebra, module, sigma, tau):
     """The verdict is_contractible reached before it counted ranks, kept as
-    the reference: orthonormal bases of Der (`derivation_space`, its QR) and
-    of Inner (`inner_space`, the SVD of the n m x m inner operator) in vec(D)
-    coordinates, and the spectral norm of (I - P_Inner) on Der. Returns
-    (dim Der, dim Inner, whether H^1 vanishes, that norm)."""
-    derivations = derivation_space(algebra, module, sigma, tau)
+    the reference: orthonormal bases of Der (`reference_derivation_space`)
+    and of Inner (`inner_space`, the SVD of the n m x m inner operator) in
+    vec(D) coordinates, and the spectral norm of (I - P_Inner) on Der.
+    Returns (dim Der, dim Inner, whether H^1 vanishes, that norm)."""
+    derivations = reference_derivation_space(algebra, module, sigma, tau)
     inners = inner_space(algebra, module, sigma, tau)
     outside = derivations.vectors - inners.project(derivations.vectors)
     worst = float(np.linalg.norm(outside, 2)) if derivations.dim else 0.0
@@ -246,7 +269,7 @@ def projection_witness(algebra, module, sigma, tau, inner_dim):
     singular vectors of the twisted-center operator."""
     rows = algebra.generators
     (k, n), m = rows.shape, module.dim
-    system, to_vec = generator_system(algebra, module, sigma, tau, rows)
+    system, to_vec = leibniz_system(algebra, module, sigma, tau, rows)
     der = nullspace(system, 1e-10)
     right, left = _twisted_actions(module, sigma, tau, rows)
     inner = np.linalg.svd((right - left).reshape(k * m, m), full_matrices=False)[0][:, :inner_dim]
@@ -520,8 +543,7 @@ class TestClosedForms:
 
 
 def recorded_rows(monkeypatch):
-    """The rows each Leibniz system is built on (by generator_system, or
-    by a verdict, which needs no map to vec(D)), in call order."""
+    """The rows each Leibniz system is built on, in call order."""
     calls = []
     build = derivation_module._leibniz_constraints
 
@@ -549,6 +571,49 @@ ENGINE_CASES = [
 ]
 
 
+DEFLATION_FIXTURES = (
+    "matrix:1", "matrix:2", "matrix:3", "matrix:4", "upper-triangular:1", "upper-triangular:2",
+    "upper-triangular:3", "upper-triangular:4", "zero-product:1", "zero-product:2",
+    "zero-product:3", "zero-product:4", "zero-product:5", "zero-product:6", "dual-numbers",
+)
+DEFLATION_CASES = [
+    (fixture, twist, changed)
+    for fixture in DEFLATION_FIXTURES
+    for twist in ("id", "conjugation:shear", "random")
+    if twist != "conjugation:shear" or not fixture.startswith("zero-product")
+    for changed in (False, True)
+]
+
+
+class TestOneFactorization:
+    @pytest.mark.parametrize("fixture,twist,changed", DEFLATION_CASES)
+    def test_derivation_space_matches_the_whole_system(self, fixture, twist, changed):
+        # the deflated route against the null vectors of the whole system; a
+        # random sigma is not multiplicative, so its unknowns are every basis
+        # row and r = 0 (on zero-product:n every linear map is multiplicative)
+        a = get_algebra(fixture)
+        if changed:
+            a = change_of_basis(a, seed=23)
+        if twist == "random":
+            sigma = LinearMap(generator(41, "random", fixture).standard_normal((a.dim, a.dim)),
+                              a, a)
+        else:
+            sigma = _resolve_endomorphism(a, twist)
+        tau = identity_map(a)
+        multiplicative = _generator_endo_residual(a, sigma) <= ENDO_TOL
+        assert multiplicative == (twist != "random" or fixture.startswith("zero-product"))
+        for module in three_modules(a):
+            space = derivation_space(a, module, sigma, tau)
+            reference = reference_derivation_space(a, module, sigma, tau)
+            assert space.dim == reference.dim
+            gap = np.abs(projector(space.vectors) - projector(reference.vectors)).max(initial=0.0)
+            assert gap <= 1e-12
+            if multiplicative:
+                report = is_contractible(a, module, sigma, tau)
+                if report.verdict != VERDICT_INDETERMINATE:
+                    assert space.dim == report.derivation_dim
+
+
 class TestLeibnizSystem:
     @pytest.mark.parametrize("fixture,twist", [
         ("matrix:3", "id"), ("matrix:3", "conjugation:shear"),
@@ -563,7 +628,7 @@ class TestLeibnizSystem:
         sigma, tau = _resolve_endomorphism(a, twist), identity_map(a)
         for module in three_modules(a):
             m = module.dim
-            system, to_vec = generator_system(a, module, sigma, tau, np.eye(n, dtype=complex))
+            system, to_vec = leibniz_system(a, module, sigma, tau, np.eye(n, dtype=complex))
             swap = np.eye(n * m).reshape(n, m, n * m).transpose(1, 0, 2).reshape(m * n, n * m)
             assert np.array_equal(to_vec, swap)
             kron = kron_leibniz_system(a, module, sigma, tau)
@@ -598,7 +663,7 @@ class TestLeibnizSystem:
             sid, module = identity_map(a), regular_bimodule(a)
             derivation_space(a, module, sid, sid)
             assert rows[-1].shape == (2, a.dim)
-            system, _ = generator_system(a, module, sid, sid, rows[-1])
+            system, _ = leibniz_system(a, module, sid, sid, rows[-1])
             assert system.shape == _system_shape(a.dim, module.dim, 2)
             assert system.shape == ((a.dim + 2) * module.dim, 2 * module.dim)
         # every product vanishes, so only the whole basis generates
@@ -644,7 +709,7 @@ class TestLeibnizSystem:
         # one generic 2 x 2 matrix g only generates span{g, g^2} = span{g, 1}
         a, module, sid = m2
         with pytest.raises(PreconditionError, match="span 2 of 4 dimensions"):
-            generator_system(a, module, sid, sid, a.generators[:1])
+            leibniz_system(a, module, sid, sid, a.generators[:1])
 
     @pytest.mark.parametrize("fixture", ["matrix:2", "upper-triangular:3", "dual-numbers"])
     def test_nonmultiplicative_twist_uses_every_basis_row(self, fixture, monkeypatch):
@@ -1009,17 +1074,20 @@ class TestSharedFixtures:
 
 class TestSizeGuard:
     @pytest.mark.parametrize("fixture", ["matrix:3", "zero-product:4", "dual-numbers"])
-    def test_estimate_is_the_system_and_the_factors_nullspace_takes(self, fixture):
+    def test_estimate_is_what_the_deflation_holds(self, fixture):
+        # the system S, its copy S U rotated by the twisted center's left
+        # factor, that factor, and the stack of T matrices
         a = get_algebra(fixture)
         module = extend_with_annihilator(regular_bimodule(a))[0]
         sid, k = identity_map(a), len(a.generators)
-        system, to_vec = generator_system(a, module, sid, sid, a.generators)
+        deflation = _deflation(a, module, sid, sid)
+        system, u = deflation.system, deflation.u
         assert system.shape == _system_shape(a.dim, module.dim, k)
-        u, _, vh = np.linalg.svd(system, full_matrices=system.shape[0] < system.shape[1])
         # to_vec has the size of the stack of T matrices it is summed from
+        to_vec = _vec_map(deflation.span)
         assert to_vec.size == a.dim * module.dim * k * module.dim
-        assert _system_bytes(a.dim, module.dim, k) == (system.nbytes + u.nbytes + vh.nbytes
-                                                       + to_vec.nbytes)
+        assert _system_bytes(a.dim, module.dim, k) == (system.nbytes + (system @ u).nbytes
+                                                       + u.nbytes + to_vec.nbytes)
 
     @pytest.mark.parametrize("pipeline", [is_contractible, is_amenable])
     def test_oversized_system_refused_before_it_is_built(self, pipeline, monkeypatch):
@@ -1259,9 +1327,30 @@ class TestRankVerdictAgainstProjection:
         a, module, sid = m2
         system = is_contractible(a, module, sid, sid).diagnostics["system"]
         rows = a.generators
-        whole = np.linalg.svd(generator_system(a, module, sid, sid, rows)[0], compute_uv=False)
+        whole = np.linalg.svd(leibniz_system(a, module, sid, sid, rows)[0], compute_uv=False)
         assert whole[system["rank"]] / whole[0] <= system["dropped"] < 1e-14
         assert system["kept"] <= whole[system["rank"] - 1] / whole[0] * (1 + 1e-12)
+
+    @pytest.mark.parametrize("fixture,changed", [("matrix:2", False), ("matrix:3", True),
+                                                 ("upper-triangular:3", False),
+                                                 ("upper-triangular:4", True)])
+    def test_the_dropped_value_adds_the_spectral_leak(self, fixture, changed):
+        # |S U_r|_2 keeps Weyl's bound on the whole system's largest dropped
+        # value, and is at most the Frobenius norm it replaced
+        a = get_algebra(fixture)
+        if changed:
+            a = change_of_basis(a, seed=17)
+        module, sid = regular_bimodule(a), identity_map(a)
+        system = is_contractible(a, module, sid, sid).diagnostics["system"]
+        deflation = _deflation(a, module, sid, sid)
+        r, rank = deflation.r, system["rank"]
+        assert r > 0
+        values = np.linalg.svd(deflation.deflated, compute_uv=False)
+        frobenius = np.linalg.norm((deflation.system @ deflation.u)[:, :r])
+        dropped = values[rank] if rank < len(values) else 0.0
+        whole = np.linalg.svd(deflation.system, compute_uv=False)
+        assert values[0] > frobenius
+        assert whole[rank] / whole[0] <= system["dropped"] <= (dropped + frobenius) / values[0]
 
 
 class TestIndeterminateBand:

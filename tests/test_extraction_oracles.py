@@ -385,7 +385,7 @@ class TestTabulatedCallback:
         # 12 rows x 64 terms: call k is term (k - 1) % 64 of row (k - 1) // 64
         space = get_algebra("upper-triangular:3")
         rows = control_rows(space.dim, 44)
-        table = _doubling_rows(rows, DEFAULT_TRUNCATION)
+        table = _doubling_rows(rows)
         ours, reference = Returns(k, BAD_VALUES[value]), Returns(k, BAD_VALUES[value])
         got = outcome(lambda: phi_rows(TabulatedControl(ours, 0.5), space, table, table).tobytes())
         expected = outcome(lambda: previous_table(
@@ -448,22 +448,21 @@ class TestTabulatedCallback:
 # --- doubling rows ------------------------------------------------------------------
 
 class TestDoublingRows:
-    @pytest.mark.parametrize("count", [0, 1, 3, 64, 1023, 1024, 1025, 1100, 2200])
-    def test_bits_of_ldexp(self, count):
+    def test_bits_of_ldexp(self):
         rows = random_rows(9, 5, 48)
         rows[2, 1] = complex(-0.0, -0.0)
         rows[3] *= 1e-300
         rows[4, 2] = 5e-324 - 5e-324j
         rows[5] *= 1e300
         with np.errstate(over="ignore"):
-            ours = _doubling_rows(rows, count)
-            expected = previous_doubling_rows(rows, count)
-        assert ours.shape == expected.shape == (9 * count, 5)
+            ours = _doubling_rows(rows)
+            expected = previous_doubling_rows(rows, DEFAULT_TRUNCATION)
+        assert ours.shape == expected.shape == (9 * DEFAULT_TRUNCATION, 5)
         assert ours.tobytes() == expected.tobytes()
 
     def test_no_invalid_operations(self):
         with np.errstate(all="raise"):
-            _doubling_rows(np.array([[0.0, -0.0j, 1e-310]]), 1100)
+            _doubling_rows(np.array([[0.0, -0.0j, 1e-310]]))
 
 
 # --- the report writer --------------------------------------------------------------
