@@ -560,13 +560,27 @@ def make_matrix_algebra(n: int) -> FiniteAlgebra:
     return _matrix_unit_algebra(n, [(i, j) for i in range(n) for j in range(n)])
 
 
+def outer_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row k holds the products x[k, i] y[k, j] in (i, j) row-major order."""
+    return (x[:, :, None] * y[:, None, :]).reshape(len(x), x.shape[1] * y.shape[1])
+
+
+@single_blas_thread
+def bilinear_rows(x: np.ndarray, y: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """Row k is sum_ij x[k, i] y[k, j] tensor[i, j, :]: one stacked product
+    per row of `outer_rows`, so its bits do not depend on the batch, its size
+    or its memory layout. `mul`, `act_left` and `act_right` are one row of it."""
+    p, q, r = tensor.shape
+    return (outer_rows(x, y)[:, None, :] @ tensor.reshape(p * q, r))[:, 0]
+
+
 def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Product in the owning algebra."""
     if not isinstance(a, AlgebraElement) or not isinstance(b, AlgebraElement):
         raise SpaceMismatchError("mul expects two algebra elements")
     if not a.space.same_space(b.space):
         raise SpaceMismatchError("elements of different algebras")
-    coords = np.einsum("i,j,ijk->k", a.coords, b.coords, a.space.structure)
+    coords = bilinear_rows(a.coords[None], b.coords[None], a.space.structure)[0]
     return AlgebraElement(a.space, coords)
 
 
@@ -722,14 +736,14 @@ def zero_bimodule(algebra: FiniteAlgebra) -> Bimodule:
 def act_left(a: AlgebraElement, x: ModuleElement) -> ModuleElement:
     """Left module action a.x."""
     _check_action_pair(a, x)
-    coords = np.einsum("i,j,ijk->k", a.coords, x.coords, x.space.left_action)
+    coords = bilinear_rows(a.coords[None], x.coords[None], x.space.left_action)[0]
     return ModuleElement(x.space, coords)
 
 
 def act_right(x: ModuleElement, a: AlgebraElement) -> ModuleElement:
     """Right module action x.a."""
     _check_action_pair(a, x)
-    coords = np.einsum("j,i,jik->k", x.coords, a.coords, x.space.right_action)
+    coords = bilinear_rows(x.coords[None], a.coords[None], x.space.right_action)[0]
     return ModuleElement(x.space, coords)
 
 
@@ -757,12 +771,8 @@ def dual_bimodule(module: Bimodule) -> Bimodule:
 def _dual_bimodule(module: Bimodule) -> Bimodule:
     left = np.transpose(module.right_action, (1, 2, 0)).copy()
     right = np.transpose(module.left_action, (2, 0, 1)).copy()
-    if module.dim == 0:
-        weights = np.zeros(0)
-    else:
-        weights = 1.0 / module.norm_weights
     kind = "linf" if module.norm_kind == "l1" else "l1"
-    return Bimodule(module.algebra, left, right, weights=weights, norm_kind=kind,
+    return Bimodule(module.algebra, left, right, weights=1.0 / module.norm_weights, norm_kind=kind,
                     _axioms_proven=True)
 
 

@@ -10,9 +10,10 @@ entries or more, the size of one map on matrix:8, and the row forms make
 one such product per row. `single_blas_thread` runs a function with one
 OpenBLAS thread and restores the previous count when it returns. It wraps
 the public functions that factor, solve or multiply matrices of a problem's
-size: the certifying constructors, `nullspace`, `conjugation_map` and
-`LinearMap`'s products, the derivation layer's systems, subspaces, solves
-and verdicts, and the perturbation and hypothesis sampling of `perturb`.
+size: the certifying constructors, `nullspace`, `conjugation_map`,
+`bilinear_rows` and `LinearMap`'s products, the derivation layer's systems,
+subspaces, solves and verdicts, and the perturbation and hypothesis
+sampling of `perturb`.
 
 The count is set through `openblas_set_num_threads_local` (OpenBLAS 0.3.27
 and later, exported unprefixed by the OpenBLAS that numpy's wheels bundle),

@@ -25,6 +25,7 @@ from .algebra import (
     FiniteAlgebra,
     LinearMap,
     ModuleElement,
+    bilinear_rows,
     dual_bimodule,
     kept_entry,
     nullspace,
@@ -85,30 +86,21 @@ class DerivationTriple:
         return self.d.codomain
 
 
-def _products(algebra: FiniteAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a_k b_k per pair of rows in any memory layout: the batched form of mul,
-    # with its bits in each row, as the action einsums below are of act_left
-    # and act_right
-    return np.einsum("ni,nj,ijk->nk", np.ascontiguousarray(a), np.ascontiguousarray(b),
-                     algebra.structure)
-
-
 def leibniz_residual(triple: DerivationTriple, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|d(ab) - d(a).sigma(b) - tau(a).d(b)| in the module norm at each pair
-    of rows of two [N, n] coordinate arrays."""
+    of rows of two [N, n] coordinate arrays, each row with the bits of `mul`,
+    `act_right` and `act_left` on its pair (`bilinear_rows`)."""
     d, module = triple.d, triple.module
-    first = np.einsum("nj,ni,jik->nk", d.apply_rows(a), triple.sigma.apply_rows(b),
-                      module.right_action)
-    second = np.einsum("ni,nj,ijk->nk", triple.tau.apply_rows(a), d.apply_rows(b),
-                       module.left_action)
-    return module.norms(d.apply_rows(_products(triple.algebra, a, b)) - first - second)
+    first = bilinear_rows(d.apply_rows(a), triple.sigma.apply_rows(b), module.right_action)
+    second = bilinear_rows(triple.tau.apply_rows(a), d.apply_rows(b), module.left_action)
+    products = bilinear_rows(a, b, triple.algebra.structure)
+    return module.norms(d.apply_rows(products) - first - second)
 
 
 def _endo_defect(s: LinearMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """s(ab) - s(a) s(b) at each pair of rows."""
-    algebra = s.codomain
-    return s.apply_rows(_products(algebra, a, b)) \
-        - _products(algebra, s.apply_rows(a), s.apply_rows(b))
+    c = s.codomain.structure
+    return s.apply_rows(bilinear_rows(a, b, c)) - bilinear_rows(s.apply_rows(a), s.apply_rows(b), c)
 
 
 def endomorphism_residual(s: LinearMap, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,8 +171,8 @@ def sigma_endo_certificate(triple: DerivationTriple, samples: int = 200,
     algebra = triple.algebra
     rows = ball_rows(algebra, generator(seed, "sigma-endo"), np.ones(3 * samples))
     a, b, c = rows[0::3], rows[1::3], rows[2::3]
-    cancellation = np.einsum("nj,ni,jik->nk", triple.d.apply_rows(c),
-                             _endo_defect(triple.sigma, a, b), triple.module.right_action)
+    cancellation = bilinear_rows(triple.d.apply_rows(c), _endo_defect(triple.sigma, a, b),
+                                 triple.module.right_action)
     worst = np.max(triple.module.norms(cancellation), initial=0.0)
     ran = right_annihilator(algebra)
     rank = np.linalg.matrix_rank(triple.d.matrix, tol=None) if triple.d.matrix.size else 0

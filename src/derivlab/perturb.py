@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Bimodule, kept, module_annihilator, record_dict
+from .algebra import Bimodule, kept, module_annihilator, outer_rows, record_dict
 from .blas import single_blas_thread
 from .control import ControlFunction, constant_control, control_from_dict, phi_rows
 from .encoding import document_field, document_number, encode_complex
@@ -355,7 +355,9 @@ def _ratios(defects: np.ndarray, budgets: np.ndarray, dust: np.ndarray) -> np.nd
 def _defect_ratios(f: PointMap, g_sigma: PointMap, g_tau: PointMap, a: np.ndarray,
                    b: np.ndarray, lam: np.ndarray, budgets: np.ndarray,
                    dust: np.ndarray) -> np.ndarray:
-    """[N, 5] defect/budget ratios of the sample rows, columns in FAMILIES order."""
+    """[N, 5] defect/budget ratios of the sample rows, columns in FAMILIES order.
+    Each product is one matrix product of `outer_rows` with the tensor: 3x as fast
+    as `bilinear_rows` on matrix:8, but its blocked sums may move a row's bits."""
     algebra, module = f.domain, f.codomain
     lam = lam[:, None]
     scaled = lam * (a + b)
@@ -364,22 +366,16 @@ def _defect_ratios(f: PointMap, g_sigma: PointMap, g_tau: PointMap, a: np.ndarra
     for g in (g_sigma, g_tau):
         defects.append(algebra.norms(
             g.eval_rows(scaled) - lam * g.eval_rows(a) - lam * g.eval_rows(b)))
-    # each three-index contraction as an outer product of the two row sets
-    # and one matrix product with the tensor
     n, m = algebra.dim, module.dim
     structure = algebra.structure.reshape(n * n, n)
-    ab = _outer(a, b) @ structure
+    ab = outer_rows(a, b) @ structure
     tau_a = g_tau.eval_rows(a)
-    defects.append(module.norms(
-        f.eval_rows(ab) - _outer(fa, g_sigma.eval_rows(b)) @ module.right_action.reshape(m * n, m)
-        - _outer(tau_a, fb) @ module.left_action.reshape(n * m, m)))
-    defects.append(algebra.norms(g_tau.eval_rows(ab) - _outer(tau_a, g_tau.eval_rows(b)) @ structure))
+    right, left = module.right_action.reshape(m * n, m), module.left_action.reshape(n * m, m)
+    defects.append(module.norms(f.eval_rows(ab) - outer_rows(fa, g_sigma.eval_rows(b)) @ right
+                                - outer_rows(tau_a, fb) @ left))
+    defects.append(algebra.norms(g_tau.eval_rows(ab)
+                                 - outer_rows(tau_a, g_tau.eval_rows(b)) @ structure))
     return np.stack([_ratios(d, budgets, dust) for d in defects], axis=1)
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row n holds the products a[n, i] b[n, j] in (i, j) row-major order."""
-    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
 
 @single_blas_thread

@@ -6,8 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from derivlab import (blas, get_algebra, identity_map, is_amenable, is_contractible,
-                      regular_bimodule)
+from derivlab import (DerivationTriple, LinearMap, algebra, blas, get_algebra, identity_map,
+                      is_amenable, is_contractible, leibniz_residual, regular_bimodule)
 from derivlab.algebra import nullspace
 from derivlab.blas import blas_threads, single_blas_thread
 
@@ -115,4 +115,19 @@ def test_nullspace_runs_at_one_thread(two_threads, monkeypatch):
     mat = np.arange(12.0).reshape(4, 3) + 0j
     assert nullspace(mat, 1e-10).shape == (1, 3)
     assert counts == [1]
+    assert blas_threads() == 2
+
+
+@needs_setter
+def test_product_rule_rows_run_at_one_thread(two_threads, monkeypatch):
+    # extract_triple samples the product rule outside any scope of its own
+    counts, outer_rows = [], algebra.outer_rows
+    monkeypatch.setattr(algebra, "outer_rows",
+                        lambda *args: counts.append(blas_threads()) or outer_rows(*args))
+    a = get_algebra("matrix:3")
+    sid = identity_map(a)
+    triple = DerivationTriple(LinearMap(np.eye(a.dim), a, regular_bimodule(a)), sid, sid)
+    rows = np.ones((5, a.dim), dtype=complex)
+    assert leibniz_residual(triple, rows, rows).shape == (5,)
+    assert counts == [1, 1, 1]
     assert blas_threads() == 2

@@ -4,7 +4,10 @@ The row forms stack one small product per row (`matrix @ x`, `weights @
 |x|`) instead of calling one matrix-matrix product, whose blocked sums
 round differently. These tests compare `tobytes()` against the one-point
 forms and against per-point reference loops kept here, so a numpy or BLAS
-upgrade that changes the dispatch fails here first.
+upgrade that changes the dispatch fails here first. The product-rule
+residuals are also compared, to rounding, with the three-operand `einsum`
+spelling of their products, a reference that shares no code with
+`bilinear_rows`.
 """
 
 import hashlib
@@ -42,6 +45,7 @@ from derivlab import (
     verify_hypotheses,
     zero_bimodule,
 )
+from derivlab.algebra import bilinear_rows, outer_rows
 from derivlab.control import (DEFAULT_TRUNCATION, phi_rows, summed_control, summed_control_rows,
                               summed_control_tail)
 from derivlab.hyers import (ADDITIVITY_PAIRS, _not_converged, _pointwise_limits, lambda_grid,
@@ -149,6 +153,9 @@ def random_triple(algebra, module, seed):
 
 
 def reference_leibniz(triple, a, b):
+    # the element forms are one-row calls of the kernel the row forms use:
+    # equal bits show that a row does not depend on its batch or layout, and
+    # `einsum_leibniz` below is the reference that shares no code with it
     x, y = triple.algebra.element(a), triple.algebra.element(b)
     d, sigma, tau = triple.d, triple.sigma, triple.tau
     return (d.apply(mul(x, y)) - act_right(d.apply(x), sigma.apply(y))
@@ -158,6 +165,30 @@ def reference_leibniz(triple, a, b):
 def reference_endomorphism(s, a, b):
     x, y = s.domain.element(a), s.domain.element(b)
     return (s.apply(mul(x, y)) - mul(s.apply(x), s.apply(y))).norm()
+
+
+def einsum_leibniz(triple, a, b):
+    """`leibniz_residual` with each product a three-operand `einsum`."""
+    d, module = triple.d, triple.module
+    products = np.einsum("ni,nj,ijk->nk", a, b, triple.algebra.structure)
+    first = np.einsum("nj,ni,jik->nk", d.apply_rows(a), triple.sigma.apply_rows(b),
+                      module.right_action)
+    second = np.einsum("ni,nj,ijk->nk", triple.tau.apply_rows(a), d.apply_rows(b),
+                       module.left_action)
+    return module.norms(d.apply_rows(products) - first - second)
+
+
+def einsum_endo_defect(s, a, b):
+    """s(ab) - s(a) s(b) per row, each product a three-operand `einsum`."""
+    c = s.codomain.structure
+    return s.apply_rows(np.einsum("ni,nj,ijk->nk", a, b, c)) \
+        - np.einsum("ni,nj,ijk->nk", s.apply_rows(a), s.apply_rows(b), c)
+
+
+def assert_close_to_einsum(values, reference):
+    # the einsum sums in another order: equal up to a few ulps of the terms
+    assert values.shape == reference.shape
+    assert np.allclose(values, reference, rtol=1e-12, atol=0.0)
 
 
 RESIDUAL_FAMILIES = FAMILIES + ("matrix:4",)
@@ -199,6 +230,36 @@ class TestResidualRows:
         assert_rows_equal(residuals[:, None],
                           [[reference_endomorphism(s, x, y)] for x, y in zip(a, b)])
 
+    @pytest.mark.parametrize("basis", ["standard", "changed"])
+    @pytest.mark.parametrize("module", ["regular", "extended", "dual", "zero"])
+    @pytest.mark.parametrize("count", [0, 1, 37])
+    @pytest.mark.parametrize("fixture", RESIDUAL_FAMILIES)
+    def test_residuals_match_the_einsum_spelling(self, fixture, count, module, basis):
+        algebra = residual_algebra(fixture, basis)
+        regular = regular_bimodule(algebra)
+        target = {"regular": regular, "extended": extend_with_annihilator(regular)[0],
+                  "dual": dual_bimodule(regular), "zero": zero_bimodule(algebra)}[module]
+        triple = random_triple(algebra, target, 7)
+        a, b = random_rows(count, algebra.dim, 20), random_rows(count, algebra.dim, 21)
+        assert_close_to_einsum(leibniz_residual(triple, a, b), einsum_leibniz(triple, a, b))
+        assert_close_to_einsum(endomorphism_residual(triple.sigma, a, b),
+                               algebra.norms(einsum_endo_defect(triple.sigma, a, b)))
+
+    @pytest.mark.parametrize("basis", ["standard", "changed"])
+    @pytest.mark.parametrize("samples", [0, 1, 37])
+    @pytest.mark.parametrize("fixture", RESIDUAL_FAMILIES)
+    def test_sigma_endo_certificate_matches_the_einsum_spelling(self, fixture, samples, basis):
+        algebra = residual_algebra(fixture, basis)
+        triple = random_triple(algebra, regular_bimodule(algebra), 9)
+        rows = ball_rows(algebra, generator(6, "sigma-endo"), np.ones(3 * samples))
+        a, b, c = rows[0::3], rows[1::3], rows[2::3]
+        cancellation = np.einsum("nj,ni,jik->nk", triple.d.apply_rows(c),
+                                 einsum_endo_defect(triple.sigma, a, b),
+                                 triple.module.right_action)
+        worst = np.max(triple.module.norms(cancellation), initial=0.0)
+        certificate = sigma_endo_certificate(triple, samples=samples, seed=6)
+        assert_close_to_einsum(np.array([certificate.max_cancellation]), np.array([worst]))
+
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("fixture", RESIDUAL_FAMILIES)
     def test_residuals_match_per_pair_in_any_memory_layout(self, fixture, layout):
@@ -229,6 +290,48 @@ class TestResidualRows:
         assert certificate.samples == samples
         # every product vanishes in a zero-product algebra, so its defect does too
         assert (worst > 0.0) == (samples > 0 and not fixture.startswith("zero-product"))
+
+
+class TestBilinearRows:
+    """`bilinear_rows` gives each row the bits of its one-row call."""
+
+    @staticmethod
+    def tensors(fixture):
+        algebra = get_algebra(fixture)
+        regular = regular_bimodule(algebra)
+        dual, extended = dual_bimodule(regular), extend_with_annihilator(regular)[0]
+        n, m = algebra.dim, extended.dim
+        return {"structure": (algebra.structure, n, n),
+                "dual left": (dual.left_action, n, n), "dual right": (dual.right_action, n, n),
+                "extended left": (extended.left_action, n, m),
+                "extended right": (extended.right_action, m, n),
+                "zero left": (zero_bimodule(algebra).left_action, n, 0)}
+
+    @pytest.mark.parametrize("fixture", RESIDUAL_FAMILIES + ("matrix:8",))
+    def test_rows_match_one_row_calls(self, fixture):
+        # 64 rows on matrix:8 is where one matrix-matrix product of the
+        # stacked outer products rounds differently from the rows one at a time
+        for name, (tensor, p, q) in self.tensors(fixture).items():
+            x, y = random_rows(64, p, 30), random_rows(64, q, 31)
+            rows = bilinear_rows(x, y, tensor)
+            assert rows.shape == (64, tensor.shape[2]), name
+            assert_rows_equal(rows, [bilinear_rows(u[None], v[None], tensor)[0]
+                                     for u, v in zip(x, y)])
+            assert_close_to_einsum(rows, np.einsum("ni,nj,ijk->nk", x, y, tensor))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_rows_do_not_depend_on_memory_layout(self, layout):
+        tensor, p, q = self.tensors("matrix:3")["dual right"]
+        x, y = random_rows(37, p, 32), random_rows(37, q, 33)
+        out = bilinear_rows(laid_out(x, layout), laid_out(y, layout), tensor)
+        assert out.tobytes() == bilinear_rows(x, y, tensor).tobytes()
+
+    @pytest.mark.parametrize("fixture", ["matrix:2", "zero-product:4"])
+    def test_empty_batch(self, fixture):
+        for name, (tensor, p, q) in self.tensors(fixture).items():
+            out = bilinear_rows(np.zeros((0, p), dtype=complex), np.zeros((0, q)), tensor)
+            assert out.shape == (0, tensor.shape[2]) and out.dtype == complex, name
+            assert outer_rows(np.zeros((0, p)), np.zeros((0, q))).shape == (0, p * q)
 
 
 # --- per-point references of the built-in maps ---------------------------------
