@@ -309,7 +309,8 @@ class PerturbedExperiment:
     base derivation d0 is P v / |P v| (else zero) for the projection P onto
     the derivation space into the regular bimodule extended by one
     zero-action direction and the fixed map v keyed "base-derivation";
-    control is the requested one, else the maps' own."""
+    control is the requested one, else the maps' own. d0's map is kept on
+    that module per pair of twists kept on the algebra."""
 
     algebra: FiniteAlgebra
     module: Bimodule
@@ -333,9 +334,14 @@ class PerturbedExperiment:
         module, ann_basis = extend_with_annihilator(regular_bimodule(algebra))
         sigma = _resolve_endomorphism(algebra, config.sigma)
         tau = _resolve_endomorphism(algebra, config.tau)
-        space = derivation_space(algebra, module, sigma, tau)
-        d = space.unit_projection("base-derivation").reshape(space.map_shape)
-        d0 = DerivationTriple(LinearMap(d, algebra, module), sigma, tau)
+        def base() -> LinearMap:
+            space = derivation_space(algebra, module, sigma, tau)
+            d = space.unit_projection("base-derivation").reshape(space.map_shape)
+            return LinearMap(d, algebra, module)
+
+        named = {config.sigma, config.tau} <= {"id", "conjugation:shear"}
+        key = ("base derivation", config.sigma, config.tau)
+        d0 = DerivationTriple(kept(module, key, base) if named else base(), sigma, tau)
         spec = cls.perturbation(config)
         if spec.mode == "annihilator":
             maps = make_annihilator_perturbation(d0, spec, ann_basis)

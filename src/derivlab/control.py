@@ -113,6 +113,17 @@ def constant_control(alpha: float) -> PNormControl:
     return PNormControl(alpha, 0.0, 0.0)
 
 
+def _checked_value(value) -> float:
+    """A callback's value if a finite nonnegative real but no bool, else ControlError."""
+    if type(value) is float and 0.0 <= value < math.inf:
+        return value  # nearly every callback: a finite nonnegative float
+    real = type(value) is float or (  # float first, as the abstract check is slow
+        not isinstance(value, bool) and isinstance(value, numbers.Real))
+    if not real or not math.isfinite(value) or value < 0.0:
+        raise ControlError(f"control callback returned invalid value {value!r}")
+    return float(value)
+
+
 class TabulatedControl(ControlFunction):
     """Black-box control with a user-asserted growth exponent.
 
@@ -134,15 +145,7 @@ class TabulatedControl(ControlFunction):
         self.growth_exponent = float(growth_exponent)
 
     def evaluate(self, a, b) -> float:
-        value = self.func(a, b)
-        if type(value) is float and 0.0 <= value < math.inf:
-            return value  # nearly every callback: a finite nonnegative float
-        # any real number but a bool; float first, as the abstract check is slow
-        real = type(value) is float or (
-            not isinstance(value, bool) and isinstance(value, numbers.Real))
-        if not real or not math.isfinite(value) or value < 0.0:
-            raise ControlError(f"control callback returned invalid value {value!r}")
-        return float(value)
+        return _checked_value(self.func(a, b))
 
     def to_dict(self) -> dict:
         raise ControlError("tabulated controls are not serializable")
@@ -191,17 +194,19 @@ def phi_rows(phi: ControlFunction, space, a_rows, b_rows) -> np.ndarray:
     """phi(a_k, b_k) for the rows of two [N, dim] coordinate arrays.
 
     A power-norm control reads the row norms (PNormControl.at_norms); any
-    other control is called once per row, in row order, through `evaluate`,
-    in one loop that makes the elements over a read-only copy of the rows
-    as it goes (`call_on_rows`). When b_rows is a_rows one element serves
-    as both arguments.
+    other control is called once per row, in row order, in one loop that
+    makes the elements over a read-only copy of the rows as it goes
+    (`call_on_rows`). The loop calls a tabulated control's callback itself
+    and applies `evaluate`'s rule to each value, any other control's
+    `evaluate`. When b_rows is a_rows one element serves as both arguments.
     """
-    diagonal = b_rows is a_rows
+    b_rows = None if b_rows is a_rows else b_rows
     if isinstance(phi, PNormControl):
         ta = space.norms(a_rows)
-        return phi.at_norms(ta, ta if diagonal else space.norms(b_rows))
-    return np.array(space.call_on_rows(phi.evaluate, a_rows, None if diagonal else b_rows),
-                    dtype=float)
+        return phi.at_norms(ta, ta if b_rows is None else space.norms(b_rows))
+    if isinstance(phi, TabulatedControl):
+        return np.array(space.call_on_rows(phi.func, a_rows, b_rows, _checked_value), dtype=float)
+    return np.array(space.call_on_rows(phi.evaluate, a_rows, b_rows), dtype=float)
 
 
 def _doubling_rows(rows) -> np.ndarray:
@@ -219,7 +224,7 @@ def _doubling_rows(rows) -> np.ndarray:
     return scaled.view(complex).reshape(len(parts) * DEFAULT_TRUNCATION, parts.shape[1] // 2)
 
 
-_TABLE_ROWS = 16  # rows whose DEFAULT_TRUNCATION scaled rows are held at once
+_TABLE_ROWS = 64  # rows whose scaled rows are held at once: 0.6 MB on matrix:3
 
 
 def _tabulated_terms(phi: ControlFunction, space, a_rows, b_rows):

@@ -114,10 +114,6 @@ class PointMap:
     __call__ = eval
 
 
-def _as_rows(space: _CoordinateSpace, points) -> np.ndarray:
-    return np.asarray(points, dtype=complex).reshape(len(points), space.dim)
-
-
 def sampled_envelope(pmap: PointMap, limit: LinearMap, points,
                      phi: ControlFunction | None = None):
     """Arrays of |f(a) - d(a)| and, when phi is given, of the summed control
@@ -126,7 +122,7 @@ def sampled_envelope(pmap: PointMap, limit: LinearMap, points,
     the control is the closed-form value or the truncated sum plus its tail
     bound (summed_control_rows).
     """
-    rows = _as_rows(pmap.domain, points)
+    rows = np.asarray(points, dtype=complex).reshape(len(points), pmap.domain.dim)
     deviations = pmap.codomain.norms(pmap.eval_rows(rows) - limit.apply_rows(rows))
     if phi is None:
         return deviations, None

@@ -22,7 +22,7 @@ from .control import ControlFunction, constant_control, control_from_dict, phi_r
 from .encoding import document_field, document_number, encode_complex
 from .errors import ConstructionError, PreconditionError
 from .hyers import LAMBDA_FULL, PointMap, lambda_grid
-from .sampling import SCALE_GRID, ball_rows, generator, hashed_unit_rows
+from .sampling import SCALE_GRID, RowHash, ball_rows, generator
 
 QUANT_GRID = 2.0**-20
 SEED_BOUND = 2**63  # a seed keys the noise hash as one signed 64-bit word
@@ -92,36 +92,44 @@ class PerturbationSpec:
                                 cap=number("cap", float("inf")), seed=seed)
 
 
-def _keyed_directions(seed: int, label: bytes, rows: np.ndarray, out_dim: int):
-    """Deterministic (directions [N, out_dim], magnitudes [N]) keyed by the
-    quantized input rows.
+def _keyed_directions(seed: int, label: bytes, space, out_dim: int):
+    """The function of [N, dim] rows of the space giving deterministic
+    (directions [N, out_dim], magnitudes [N]) keyed by the quantized rows.
 
     The input coordinates are snapped to a 2^-20 grid so the noise is a
     genuine function of its argument; the snapped bytes of a row (-0.0 read
     as 0.0) plus the seed key a hash that yields a complex direction and a
-    magnitude in [0, 1). A row that snaps to the origin gets zeros, so the
-    noise fixes 0.
+    magnitude in [0, 1). The hash is keyed once, here. A row that snaps to
+    the origin gets zeros, so the noise fixes 0.
     """
-    snapped = np.round(rows / QUANT_GRID) * QUANT_GRID + 0.0  # + 0.0 turns -0.0 into 0.0
     prefix = int(seed).to_bytes(8, "little", signed=True) + label
-    floats = hashed_unit_rows(prefix, snapped, 2 * out_dim + 1)
-    directions = (2.0 * floats[:, :out_dim] - 1.0) + 1j * (2.0 * floats[:, out_dim:-1] - 1.0)
-    magnitudes = floats[:, -1] * (1.0 - 1e-12)
-    origin = ~snapped.any(axis=1)
-    directions[origin] = 0.0
-    magnitudes[origin] = 0.0
-    return directions, magnitudes
+    key = RowHash(prefix, 16 * space.dim, 2 * out_dim + 1)
+
+    def keyed(rows):
+        snapped = np.round(rows / QUANT_GRID) * QUANT_GRID + 0.0  # + 0.0 turns -0.0 into 0.0
+        floats = key(snapped)
+        directions = (2.0 * floats[:, :out_dim] - 1.0) + 1j * (2.0 * floats[:, out_dim:-1] - 1.0)
+        magnitudes = floats[:, -1] * (1.0 - 1e-12)
+        origin = ~snapped.any(axis=1)
+        if origin.any():
+            directions[origin] = 0.0
+            magnitudes[origin] = 0.0
+        return directions, magnitudes
+    return keyed
 
 
 def _add_noise(space, values: np.ndarray, index: np.ndarray, sizes: np.ndarray,
                directions: np.ndarray) -> None:
     """values[index] += sizes * directions / |directions|, in place, on the
     rows whose direction has positive norm (the others keep their signed
-    zeros)."""
+    zeros); index holds increasing row numbers."""
     scales = space.norms(directions)
     hit = scales > 0.0
-    rows = index[hit]
-    values[rows] = values[rows] + (sizes[hit] / scales[hit])[:, None] * directions[hit]
+    if len(index) < len(values) or not hit.all():
+        rows = index[hit]
+        values[rows] = values[rows] + (sizes[hit] / scales[hit])[:, None] * directions[hit]
+    else:  # every row is hit: the same sums, added in place
+        values += (sizes / scales)[:, None] * directions
 
 
 @dataclass
@@ -221,13 +229,13 @@ def make_annihilator_perturbation(d0, spec: PerturbationSpec, annihilator_basis=
             "extend it first (extend_with_annihilator)"
         )
     epsilon = spec.epsilon
-    seed = spec.seed
+    noise = _keyed_directions(spec.seed, b"ann", d0.algebra, basis.shape[0])
     d_matrix = d0.d
 
     def f_rows(x):
         values = d_matrix.apply_rows(x)
         if epsilon > 0.0:
-            coeffs, magnitudes = _keyed_directions(seed, b"ann", x, basis.shape[0])
+            coeffs, magnitudes = noise(x)
             raw = (coeffs[:, None, :] @ basis[None])[:, 0, :]  # coeffs @ basis per row
             _add_noise(module, values, np.arange(len(x)), epsilon * magnitudes, raw)
         return values
@@ -265,7 +273,7 @@ def make_clamped_perturbation(d0, spec: PerturbationSpec):
     cap = spec.cap
     d_matrix = d0.d
     algebra = d0.algebra
-    noise_seed = spec.seed
+    noise = _keyed_directions(spec.seed, b"clamp", algebra, module.dim)
 
     def f_rows(x):
         values = d_matrix.apply_rows(x)
@@ -276,7 +284,7 @@ def make_clamped_perturbation(d0, spec: PerturbationSpec):
         budgets[inside] = np.minimum(phi_rows(phi, algebra, region, region) / 3.0, cap) \
             * cuts[inside]
         noisy = np.flatnonzero(budgets > 0.0)
-        coeffs, magnitudes = _keyed_directions(noise_seed, b"clamp", x[noisy], module.dim)
+        coeffs, magnitudes = noise(x[noisy])
         _add_noise(module, values, noisy, budgets[noisy] * magnitudes, coeffs)
         return values
 

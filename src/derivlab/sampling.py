@@ -44,6 +44,24 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+class RowHash:
+    """hashed_unit_rows(prefix, rows, count) on rows of `width` bytes, its key
+    (k1, the multipliers m_j and the steps (i+1) G) made once, read-only."""
+
+    def __init__(self, prefix: bytes, width: int, count: int):
+        k0, self.k1 = np.frombuffer(hashlib.blake2b(prefix, digest_size=16).digest(), dtype="<u8")
+        steps = np.arange(1, max(width // 8, count) + 1, dtype=np.uint64) * GOLDEN
+        self.multipliers, self.steps = _mix(k0 + steps[:width // 8]) | np.uint64(1), steps[:count]
+        self.multipliers.setflags(write=False)
+        self.steps.setflags(write=False)
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        width = 8 * len(self.multipliers)
+        words = np.ascontiguousarray(rows).view(np.uint8).reshape(len(rows), width).view("<u8")
+        hashes = (words * self.multipliers).sum(axis=1, dtype=np.uint64) ^ self.k1
+        return (_mix(hashes[:, None] + self.steps) >> np.uint64(11)) * 2.0**-53
+
+
 def hashed_unit_rows(prefix: bytes, rows, count: int) -> np.ndarray:
     """Hash `prefix` and the bytes of each row of `rows` into `count` floats
     in [0, 1): an [N, count] array.
@@ -60,14 +78,7 @@ def hashed_unit_rows(prefix: bytes, rows, count: int) -> np.ndarray:
       h = (sum_j w_j m_j) ^ k1;
     - float i of the row is (mix(h + (i+1) G) >> 11) 2^-53.
     """
-    rows = np.asarray(rows)
-    k0, k1 = np.frombuffer(hashlib.blake2b(prefix, digest_size=16).digest(), dtype="<u8")
-    width = rows[0].nbytes if len(rows) else 0
-    words = np.ascontiguousarray(rows).view(np.uint8).reshape(len(rows), width).view("<u8")
-    steps = np.arange(1, max(words.shape[1], count) + 1, dtype=np.uint64) * GOLDEN
-    multipliers = _mix(k0 + steps[: words.shape[1]]) | np.uint64(1)
-    hashes = (words * multipliers).sum(axis=1, dtype=np.uint64) ^ k1
-    return (_mix(hashes[:, None] + steps[:count]) >> np.uint64(11)) * 2.0**-53
+    return RowHash(prefix, np.asarray(rows)[:1].nbytes, count)(rows)
 
 
 def hashed_unit_floats(payload: bytes, count: int) -> np.ndarray:
@@ -142,4 +153,4 @@ SCALE_GRID = (0.25, 1.0, 4.0, 16.0)
 def ball_points(space, rng: np.random.Generator, count: int) -> np.ndarray:
     """[count, dim] ball points drawn in order, point k with radius
     SCALE_GRID[k % 4]."""
-    return ball_rows(space, rng, [SCALE_GRID[k % len(SCALE_GRID)] for k in range(count)])
+    return ball_rows(space, rng, np.resize(SCALE_GRID, count))

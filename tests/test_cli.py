@@ -16,9 +16,12 @@ import pytest
 from derivlab import ConstructionError, PerturbationSpec, get_algebra
 from derivlab import cli as cli_module
 from derivlab.algebra import regular_bimodule
+from derivlab.derivation import derivation_space
+from derivlab.perturb import extend_with_annihilator
 from derivlab.blas import blas_threads
 from derivlab.cli import (EXIT_ERROR, EXIT_OK, EXIT_UNSATISFIED, PIPELINES, ExperimentConfig,
-                          _resolve_endomorphism, main, report_json, run, sweep)
+                          PerturbedExperiment, _resolve_endomorphism, main, report_json, run,
+                          sweep)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -532,6 +535,40 @@ class TestReuse:
         assert [reports for reports, _ in results] == [want] * workers
         for _, kept in results:
             assert all(mine is first for mine, first in zip(kept, results[0][1]))
+
+    def test_base_derivation_kept_per_module_and_twist_pair(self, monkeypatch):
+        shared = get_algebra.__wrapped__("matrix:3")
+        monkeypatch.setattr(cli_module, "get_algebra", lambda name: shared)
+        shear = "conjugation:shear"
+        pairs = [("id", "id"), (shear, "id"), (shear, shear)]
+        configs = [ExperimentConfig(fixture="matrix:3", pipeline="extract", sigma=sigma, tau=tau)
+                   for sigma, tau in pairs]
+        kept = [PerturbedExperiment.build(config).d0.d for config in configs]
+        for (sigma, tau), config, d0 in zip(pairs, configs, kept):
+            # the bits of a derivation space factored on an algebra nothing is kept on
+            fresh = get_algebra.__wrapped__("matrix:3")
+            module, _ = extend_with_annihilator(regular_bimodule(fresh))
+            space = derivation_space(fresh, module, _resolve_endomorphism(fresh, sigma),
+                                     _resolve_endomorphism(fresh, tau))
+            d = space.unit_projection("base-derivation").reshape(space.map_shape)
+            assert d0.matrix.tobytes() == d.tobytes(), (sigma, tau)
+            assert PerturbedExperiment.build(config).d0.d is d0
+
+    def test_file_twists_keep_no_base_derivation(self, tmp_path, monkeypatch):
+        shared = get_algebra.__wrapped__("matrix:2")
+        monkeypatch.setattr(cli_module, "get_algebra", lambda name: shared)
+        doc = tmp_path / "identity.json"
+        doc.write_text(json.dumps({"matrix": [[[float(i == j), 0.0] for j in range(4)]
+                                              for i in range(4)]}))
+        config = ExperimentConfig(fixture="matrix:2", pipeline="extract", sigma=f"file:{doc}")
+        first = PerturbedExperiment.build(config)
+        store = dict(first.module.__dict__.get("_kept", {}))
+        second = PerturbedExperiment.build(config)
+        assert second.module is first.module
+        assert first.module.__dict__.get("_kept", {}) == store
+        assert not any("base derivation" in key for key in store if isinstance(key, tuple))
+        assert second.d0.d is not first.d0.d
+        assert second.d0.d.matrix.tobytes() == first.d0.d.matrix.tobytes()
 
     def test_non_multiplicative_file_twist_refused_on_every_run(self, tmp_path, capsys):
         doc = tmp_path / "half.json"

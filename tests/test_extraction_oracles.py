@@ -38,12 +38,12 @@ from derivlab import (
 )
 from derivlab import perturb
 from derivlab.cli import report_json
-from derivlab.control import (DEFAULT_TRUNCATION, _doubling_rows, doubling_tails, phi_rows,
-                              summed_control_rows)
+from derivlab.control import (_TABLE_ROWS, DEFAULT_TRUNCATION, _doubling_rows, doubling_tails,
+                              phi_rows, summed_control_rows)
 from derivlab.derivation import DerivationTriple
 from derivlab.hyers import (ADDITIVITY_PAIRS, BOUND_SAMPLES, BoundCheckSample, ExtractionReport,
                             _not_converged, _pointwise_limits, sampled_envelope)
-from derivlab.sampling import ball_points, ball_rows, generator, hashed_unit_rows
+from derivlab.sampling import RowHash, ball_points, ball_rows, generator, hashed_unit_rows
 
 from test_rows import (FAMILIES, ROW_CONTROLS, annihilator_case, base_triple, clamped_case,
                        control_rows, laid_out, random_rows, reference_hashed_floats,
@@ -331,6 +331,42 @@ class TestHashedRows:
         assert hashed_unit_rows(prefix, row, 5)[0].tolist() == expected
         assert row_by_row(prefix, row, 5)[0].tolist() == expected
 
+    def test_keys_made_once_give_the_reference_floats(self):
+        # keys of several prefixes, row widths and counts, used in turn
+        cases = [((s).to_bytes(8, "little", signed=True) + label, dim, count)
+                 for s, label in ((-3, b"clamp"), (5, b"ann"), (0, b""))
+                 for dim, count in ((0, 3), (2, 5), (6, 13), (9, 2))]
+        keys = [RowHash(prefix, 16 * dim, count) for prefix, dim, count in cases]
+        for turn in range(2):
+            for k, ((prefix, dim, count), key) in enumerate(zip(cases, keys)):
+                rows = random_rows((k + turn) % 5, dim, 50 + k)
+                ours = key(rows)
+                assert ours.shape == (len(rows), count)
+                assert ours.tobytes() == row_by_row(prefix, rows, count).tobytes()
+                assert ours.tobytes() == hashed_unit_rows(prefix, rows, count).tobytes()
+
+    def test_key_arrays_are_read_only(self):
+        key = RowHash(b"p", 48, 7)
+        for array in (key.multipliers, key.steps):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    @pytest.mark.parametrize("case", ["annihilator", "clamped"])
+    def test_noise_keeps_its_bytes_beside_other_seeds(self, case):
+        make = {"annihilator": lambda seed: annihilator_case("matrix:2", seed=seed),
+                "clamped": lambda seed: clamped_case("matrix:2", radius=8.0, seed=seed)}[case]
+        rows = random_rows(20, 4, 51)
+        (first, reference), (other, _) = make(5), make(6)
+        before = first.f.eval_rows(rows)
+        other.f.eval_rows(rows)
+        again, _ = make(5)
+        expected = np.array([reference(row) for row in rows])
+        assert before.tobytes() == expected.tobytes()
+        assert first.f.eval_rows(rows).tobytes() == expected.tobytes()
+        assert again.f.eval_rows(rows).tobytes() == expected.tobytes()
+        assert other.f.eval_rows(rows).tobytes() != expected.tobytes()
+
     def test_flipping_any_bit_of_a_snapped_row_changes_its_floats(self):
         prefix = (3).to_bytes(8, "little", signed=True) + b"clamp"
         snapped = np.round(random_rows(1, 3, 45) / perturb.QUANT_GRID) * perturb.QUANT_GRID
@@ -427,17 +463,33 @@ class TestTabulatedCallback:
         assert [a.coords.tobytes() for a, _ in seen] == [r.tobytes() for r in rows]
         assert not any(np.shares_memory(a.coords, rows) for a, _ in seen)
 
-    def test_one_stability_check_is_1000_times_64_calls(self, monkeypatch):
+    @pytest.mark.parametrize("k", [16 * DEFAULT_TRUNCATION + 1,
+                                   _TABLE_ROWS * DEFAULT_TRUNCATION + 1])
+    @pytest.mark.parametrize("value", ["float64", "int", "nan", "negative", "bool", "str"])
+    def test_past_the_first_table_chunk(self, value, k):
+        # the summed control fills its table a chunk of rows at a time; call k
+        # lies in a later chunk than the first
+        space = get_algebra("upper-triangular:3")
+        rows = random_rows(_TABLE_ROWS + 6, space.dim, 49)
+        ours, reference = Returns(k, BAD_VALUES[value]), Returns(k, BAD_VALUES[value])
+        got = outcome(lambda: summed_control_rows(
+            TabulatedControl(ours, 0.5), space, rows, rows)[0].tobytes())
+        terms = lambda: np.ldexp(0.5, -np.arange(DEFAULT_TRUNCATION)) * previous_table(
+            reference, space, rows, DEFAULT_TRUNCATION)
+        expected = outcome(lambda: np.array([math.fsum(row) for row in terms().tolist()]).tobytes())
+        assert got == expected
+        assert ours.calls == reference.calls
+        assert len(ours.calls) == (k if isinstance(got, tuple) else len(rows) * DEFAULT_TRUNCATION)
+
+    def test_one_stability_check_is_1000_times_64_calls(self):
         calls = []
-        evaluate = TabulatedControl.evaluate
 
-        def counted(self, a, b):
+        def budget(a, b):
             calls.append(1)
-            return evaluate(self, a, b)
+            return 3e-3
 
-        monkeypatch.setattr(TabulatedControl, "evaluate", counted)
         maps, _ = annihilator_case("matrix:3", epsilon=1e-3)
-        phi = TabulatedControl(lambda a, b: 3e-3, 0.0)
+        phi = TabulatedControl(budget, 0.0)
         limit = LinearMap(np.zeros((maps.f.codomain.dim, maps.f.domain.dim)),
                           maps.f.domain, maps.f.codomain)
         report = verify_stability_bound(maps.f, limit, phi, samples=1000, seed=3)
