@@ -197,15 +197,14 @@ class _CoordinateSpace:
     def element(self, coords):
         return self._element_cls(self, _as_complex(coords, "element coordinates"))
 
-    def call_on_rows(self, func, a_rows, b_rows=None, check=None) -> list:
-        """[func(x_k, y_k)] in row order, for elements x_k and y_k viewing
-        row k of read-only copies of two [N, dim] coordinate arrays; y_k is
-        x_k when b_rows is None. The copies fix every row's shape and their
+    def call_on_rows(self, func, a_rows, b_rows=None, *, check) -> list:
+        """[check(func(x_k, y_k))] in row order, for elements x_k and y_k
+        viewing row k of read-only copies of two [N, dim] coordinate arrays;
+        y_k is x_k when b_rows is None. The copies fix every row's shape and their
         row views are read-only, so the elements are made in the loop
         without the per-element check of `__init__`; they are not checked
-        for finiteness, as element arithmetic is not. check(value), if given,
-        replaces each value that is not a plain finite nonnegative float."""
-        cls, out, inf = self._element_cls, [], float("inf")
+        for finiteness, as element arithmetic is not."""
+        cls, out = self._element_cls, []
         new = cls.__new__
         a_table = self._read_only_rows(a_rows)
         b_table = repeat(None) if b_rows is None else self._read_only_rows(b_rows)
@@ -217,10 +216,7 @@ class _CoordinateSpace:
             else:
                 y = new(cls)
                 y.space, y.coords = self, b
-            value = func(x, y)
-            if check is not None and not (type(value) is float and 0.0 <= value < inf):
-                value = check(value)
-            out.append(value)
+            out.append(check(func(x, y)))
         return out
 
     def _read_only_rows(self, rows) -> np.ndarray:

@@ -265,12 +265,11 @@ def _resolve_algebra(fixture) -> FiniteAlgebra:
 
 
 def _resolve_endomorphism(algebra: FiniteAlgebra, name: str) -> LinearMap:
-    """The twist `name` names; `id` and `conjugation:shear` are made once per
-    algebra and kept on it, and a file is read and certified on every call."""
-    if name == "id":
-        return kept(algebra, "twist: id", lambda: identity_map(algebra))
-    if name == "conjugation:shear":
-        return kept(algebra, "twist: conjugation:shear", lambda: _shear(algebra))
+    """The twist `name` names; the named twists (`_KEPT_TWISTS`) are made
+    once per algebra and kept on it, and a file is read and certified on
+    every call."""
+    if name in _KEPT_TWISTS:
+        return kept(algebra, f"twist: {name}", lambda: _KEPT_TWISTS[name](algebra))
     if name.startswith("conjugation:"):
         arg = name.split(":", 1)[1]
         with open(arg, encoding="utf-8") as fh:
@@ -301,6 +300,9 @@ def _shear(algebra: FiniteAlgebra) -> LinearMap:
         except DerivlabError:
             continue
     raise DerivlabError("no invertible shear found")
+
+
+_KEPT_TWISTS = {"id": identity_map, "conjugation:shear": _shear}  # twists kept on the algebra
 
 
 @dataclass
@@ -339,7 +341,7 @@ class PerturbedExperiment:
             d = space.unit_projection("base-derivation").reshape(space.map_shape)
             return LinearMap(d, algebra, module)
 
-        named = {config.sigma, config.tau} <= {"id", "conjugation:shear"}
+        named = {config.sigma, config.tau} <= _KEPT_TWISTS.keys()
         key = ("base derivation", config.sigma, config.tau)
         d0 = DerivationTriple(kept(module, key, base) if named else base(), sigma, tau)
         spec = cls.perturbation(config)

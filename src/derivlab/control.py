@@ -196,17 +196,17 @@ def phi_rows(phi: ControlFunction, space, a_rows, b_rows) -> np.ndarray:
     A power-norm control reads the row norms (PNormControl.at_norms); any
     other control is called once per row, in row order, in one loop that
     makes the elements over a read-only copy of the rows as it goes
-    (`call_on_rows`). The loop calls a tabulated control's callback itself
-    and applies `evaluate`'s rule to each value, any other control's
-    `evaluate`. When b_rows is a_rows one element serves as both arguments.
+    (`call_on_rows`). The loop calls a tabulated control's callback itself,
+    any other control's `evaluate`, and passes each value through
+    `_checked_value`, the rule `evaluate` applies. When b_rows is a_rows one
+    element serves as both arguments.
     """
     b_rows = None if b_rows is a_rows else b_rows
     if isinstance(phi, PNormControl):
         ta = space.norms(a_rows)
         return phi.at_norms(ta, ta if b_rows is None else space.norms(b_rows))
-    if isinstance(phi, TabulatedControl):
-        return np.array(space.call_on_rows(phi.func, a_rows, b_rows, _checked_value), dtype=float)
-    return np.array(space.call_on_rows(phi.evaluate, a_rows, b_rows), dtype=float)
+    func = phi.func if isinstance(phi, TabulatedControl) else phi.evaluate
+    return np.array(space.call_on_rows(func, a_rows, b_rows, check=_checked_value), dtype=float)
 
 
 def _doubling_rows(rows) -> np.ndarray:
@@ -224,7 +224,7 @@ def _doubling_rows(rows) -> np.ndarray:
     return scaled.view(complex).reshape(len(parts) * DEFAULT_TRUNCATION, parts.shape[1] // 2)
 
 
-_TABLE_ROWS = 64  # rows whose scaled rows are held at once: 0.6 MB on matrix:3
+_TABLE_ROWS = 16  # rows whose DEFAULT_TRUNCATION scaled rows are held at once
 
 
 def _tabulated_terms(phi: ControlFunction, space, a_rows, b_rows):

@@ -111,9 +111,8 @@ def _keyed_directions(seed: int, label: bytes, space, out_dim: int):
         directions = (2.0 * floats[:, :out_dim] - 1.0) + 1j * (2.0 * floats[:, out_dim:-1] - 1.0)
         magnitudes = floats[:, -1] * (1.0 - 1e-12)
         origin = ~snapped.any(axis=1)
-        if origin.any():
-            directions[origin] = 0.0
-            magnitudes[origin] = 0.0
+        directions[origin] = 0.0
+        magnitudes[origin] = 0.0
         return directions, magnitudes
     return keyed
 
@@ -122,14 +121,11 @@ def _add_noise(space, values: np.ndarray, index: np.ndarray, sizes: np.ndarray,
                directions: np.ndarray) -> None:
     """values[index] += sizes * directions / |directions|, in place, on the
     rows whose direction has positive norm (the others keep their signed
-    zeros); index holds increasing row numbers."""
+    zeros)."""
     scales = space.norms(directions)
     hit = scales > 0.0
-    if len(index) < len(values) or not hit.all():
-        rows = index[hit]
-        values[rows] = values[rows] + (sizes[hit] / scales[hit])[:, None] * directions[hit]
-    else:  # every row is hit: the same sums, added in place
-        values += (sizes / scales)[:, None] * directions
+    rows = index[hit]
+    values[rows] = values[rows] + (sizes[hit] / scales[hit])[:, None] * directions[hit]
 
 
 @dataclass

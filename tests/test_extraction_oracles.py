@@ -463,12 +463,12 @@ class TestTabulatedCallback:
         assert [a.coords.tobytes() for a, _ in seen] == [r.tobytes() for r in rows]
         assert not any(np.shares_memory(a.coords, rows) for a, _ in seen)
 
-    @pytest.mark.parametrize("k", [16 * DEFAULT_TRUNCATION + 1,
-                                   _TABLE_ROWS * DEFAULT_TRUNCATION + 1])
+    @pytest.mark.parametrize("k", [_TABLE_ROWS * DEFAULT_TRUNCATION + 1,
+                                   (_TABLE_ROWS + 5) * DEFAULT_TRUNCATION + 7])
     @pytest.mark.parametrize("value", ["float64", "int", "nan", "negative", "bool", "str"])
     def test_past_the_first_table_chunk(self, value, k):
         # the summed control fills its table a chunk of rows at a time; call k
-        # lies in a later chunk than the first
+        # is the first of the second chunk, or one in the last row
         space = get_algebra("upper-triangular:3")
         rows = random_rows(_TABLE_ROWS + 6, space.dim, 49)
         ours, reference = Returns(k, BAD_VALUES[value]), Returns(k, BAD_VALUES[value])
