@@ -410,12 +410,15 @@ class FiniteAlgebra(_CoordinateSpace):
         Two generic elements from a fixed seeded stream, then basis vectors
         in order, each added only while the non-unital closure (the span of
         all products of the rows) misses it. When that needs as many rows
-        as the dimension, the identity rows are returned instead.
+        as the dimension, the identity rows are returned instead. The plan
+        of the first closure is kept as the generators' when the two generic
+        rows are what is returned.
         """
         n = self.dim
         rng = generator(0, "algebra-generators")
         rows = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
-        span = self._closure(rows)
+        plan = self._closure(rows)
+        span = plan.basis
         for e in np.eye(n, dtype=complex):
             if span.shape[0] == n or rows.shape[0] >= n:
                 break
@@ -424,6 +427,8 @@ class FiniteAlgebra(_CoordinateSpace):
                 span = self._closure(rows, span)
         if rows.shape[0] >= n:
             rows = np.eye(n, dtype=complex)
+        elif rows.shape[0] == 2:
+            kept(self, "closure plan: generators", lambda: plan)
         rows.setflags(write=False)
         return rows
 
@@ -436,28 +441,29 @@ class FiniteAlgebra(_CoordinateSpace):
         elif np.array_equal(rows, np.eye(self.dim)):
             key = "closure plan: identity"
         else:
-            return self._closure(rows, record=True)
-        return kept(self, key, lambda: self._closure(rows, record=True))
+            return self._closure(rows)
+        return kept(self, key, lambda: self._closure(rows))
 
-    def _closure(self, rows: np.ndarray, span: np.ndarray | None = None,
-                 record: bool = False):
-        """Orthonormal rows spanning every product of one or more `rows`.
+    def _closure(self, rows: np.ndarray, span: np.ndarray | None = None):
+        """The `ClosurePlan` of the orthonormal rows spanning every product
+        of one or more `rows`.
 
         Gram-Schmidt over the words, first in first out: the rows are the
         first words, and each new direction b queues the products b g for
-        every row g, all formed in one matrix product. A word counts as new
-        when what is left after projecting out the span exceeds SPAN_RTOL
-        times a bound on the word's size, so rounding noise of a zero
-        product is dropped. Given `span`, the closure of all rows but the
-        last row e, the words that are new start as e itself or as b e for
-        b in `span`, so those are queued and `span` grows from there. The
-        loop stops once the span is the whole algebra.
+        every row g, all formed in one matrix product with the structure
+        tensor. A word counts as new when what is left after projecting out
+        the span exceeds SPAN_RTOL times a bound on the word's size, so
+        rounding noise of a zero product is dropped. Every queued word is
+        taken; those left once the span is the whole algebra are reduced in
+        one batch, and the plan records what was done with each word.
 
-        With `record`, for a closure from scratch, every queued word is
-        taken (those left once the span is the whole algebra in one batch)
-        and the result is the `ClosurePlan` of what was done with each word.
+        Given `span`, the closure of all rows but the last row e, the words
+        that are new start as e itself or as b e for b in `span`, so those
+        are queued, `span` grows from there and the grown span is returned
+        (no plan) as soon as it is the whole algebra.
         """
         n, size = self.dim, np.linalg.norm(self.structure)
+        flat = self.structure.reshape(n, n * n)  # rows @ (b @ flat).reshape(n, n): b g per row g
         row_lengths = np.linalg.norm(rows, axis=1)
         basis = np.zeros((n, n), dtype=complex)
         if span is None:
@@ -467,7 +473,7 @@ class FiniteAlgebra(_CoordinateSpace):
             count = len(span)
             basis[:count] = span
             e, length = rows[-1], np.linalg.norm(rows[-1])
-            words = np.vstack([e, span @ self.right_mult_matrix(e).T])
+            words = np.vstack([e, span @ np.tensordot(self.structure, e, (1, 0))])
             bounds = np.full(len(words), size * length)
             bounds[0] = length
         conj = basis.conj()
@@ -477,48 +483,38 @@ class FiniteAlgebra(_CoordinateSpace):
         batches, final = [(None, steps)], None
         while True:
             for word, bound in zip(words, bounds):
-                if count == n and not record:
+                if count == n and span is not None:
                     return basis
-                span, spanconj = basis[:count], conj[:count]
+                current, spanconj = basis[:count], conj[:count]
                 first = spanconj @ word
-                word = word - span.T @ first
+                word = word - current.T @ first
                 second = spanconj @ word  # restores orthogonality lost to rounding
-                word = word - span.T @ second
+                word = word - current.T @ second
                 length = np.linalg.norm(word)
                 new = length > SPAN_RTOL * bound
                 if new:
                     basis[count] = word / length
                     conj[count] = basis[count].conj()
-                if record:
-                    steps.append((first + second, length, new))
+                steps.append((first + second, length, new))
                 count += new
             if queued == count:
                 break
-            if count == n and record:
+            if count == n and span is None:
                 # every word left falls inside the span: the products of all
                 # queued rows, reduced together
-                lefts = np.einsum("bi,ijk->bjk", basis[queued:], self.structure)
+                lefts = (basis[queued:] @ flat).reshape(-1, n, n)
                 words = (rows @ lefts).reshape(-1, n)
                 first = words @ conj.T
                 second = (words - first @ basis) @ conj.T
                 final = (queued, first + second)
                 break
-            b = basis[queued]
-            words, bounds = rows @ self.left_mult_matrix(b).T, row_bounds
+            words, bounds = rows @ (basis[queued] @ flat).reshape(n, n), row_bounds
             steps = []
             batches.append((queued, steps))
             queued += 1
-        if not record:
+        if span is not None:
             return basis[:count]
         return ClosurePlan(basis[:count], batches, final)
-
-    def left_mult_matrix(self, coords) -> np.ndarray:
-        """Matrix of x -> a x for a with the given coordinates."""
-        return np.einsum("i,ijk->kj", np.asarray(coords, dtype=complex), self.structure)
-
-    def right_mult_matrix(self, coords) -> np.ndarray:
-        """Matrix of x -> x a."""
-        return np.einsum("j,ijk->ki", np.asarray(coords, dtype=complex), self.structure)
 
     def __repr__(self):
         return f"FiniteAlgebra(dim={self.dim}, tag={self.tag!r})"
@@ -553,10 +549,10 @@ def make_matrix_algebra(n: int) -> FiniteAlgebra:
     """Full matrix algebra on n-by-n matrices in the matrix-unit basis.
 
     Basis index p = n*row + col encodes the matrix unit E[row, col]; the
-    products are E_ij E_kl = delta_jk E_il. 1 <= n <= 8.
+    products are E_ij E_kl = delta_jk E_il. 1 <= n <= 12.
     """
-    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 8:
-        raise ConstructionError("matrix algebra size must satisfy 1 <= n <= 8")
+    if not isinstance(n, (int, np.integer)) or not 1 <= n <= 12:
+        raise ConstructionError("matrix algebra size must satisfy 1 <= n <= 12")
     return _matrix_unit_algebra(n, [(i, j) for i in range(n) for j in range(n)])
 
 
@@ -915,12 +911,16 @@ def conjugation_map(algebra: FiniteAlgebra, u_coords) -> LinearMap:
     if u.shape != (algebra.dim,):
         raise ConstructionError(
             f"conjugating element must have {algebra.dim} coordinates, got shape {u.shape}")
-    lu = algebra.left_mult_matrix(u)
+    n = algebra.dim
+    # x -> u x and x -> x u^{-1}, C-contiguous so that lu @ ru is one gemm on
+    # row-major operands whatever the views' strides
+    lu = np.ascontiguousarray((u @ algebra.structure.reshape(n, n * n)).reshape(n, n).T)
     try:
         u_inv = np.linalg.solve(lu, algebra.unit_coords)
     except np.linalg.LinAlgError as exc:
         raise ConstructionError("conjugating element is not invertible") from exc
-    return LinearMap(lu @ algebra.right_mult_matrix(u_inv), algebra, algebra)
+    ru = np.ascontiguousarray(np.tensordot(algebra.structure, u_inv, (1, 0)).T)
+    return LinearMap(lu @ ru, algebra, algebra)
 
 
 # --- serialization -----------------------------------------------------------

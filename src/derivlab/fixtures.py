@@ -1,8 +1,8 @@
 """Builtin algebra fixtures addressable by name.
 
-Registry grammar: "matrix:n" (full n-by-n matrix algebra, n <= 8),
+Registry grammar: "matrix:n" (full n-by-n matrix algebra, n <= 12),
 "dual-numbers" (the plane with one nilpotent direction),
-"upper-triangular:n" (upper-triangular n-by-n matrices, n <= 8), and
+"upper-triangular:n" (upper-triangular n-by-n matrices, n <= 12), and
 "zero-product:n" (n dimensions, every product zero, n <= 64). All carry exact
 small-integer structure constants, so structural certifications hold with
 wide margins.
@@ -27,15 +27,16 @@ def make_dual_numbers() -> FiniteAlgebra:
 
 
 def make_upper_triangular(n: int) -> FiniteAlgebra:
-    """Upper-triangular n-by-n matrices in the matrix-unit basis."""
-    if not 1 <= n <= 8:
-        raise ValueError("upper-triangular size must satisfy 1 <= n <= 8")
+    """Upper-triangular n-by-n matrices in the matrix-unit basis.
+    1 <= n <= 12."""
+    if not 1 <= n <= 12:
+        raise ValueError("upper-triangular size must satisfy 1 <= n <= 12")
     return _matrix_unit_algebra(n, [(i, j) for i in range(n) for j in range(i, n)])
 
 
 def make_zero_product(n: int) -> FiniteAlgebra:
     """n dimensions with every product zero (both annihilators full).
-    1 <= n <= 64, the largest dimension of the other families (matrix:8)."""
+    1 <= n <= 64."""
     if not 1 <= n <= 64:
         raise ValueError("zero-product dimension must satisfy 1 <= n <= 64")
     return make_algebra(np.zeros((n, n, n), dtype=complex))

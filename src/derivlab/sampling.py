@@ -113,38 +113,22 @@ def ball_point(space, rng: np.random.Generator, scale: float) -> np.ndarray:
     return ball_rows(space, rng, (scale,))[0]
 
 
-def sphere_point(space, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Coordinates of one point with norm exactly `scale` (up to rounding)."""
-    dim = space.dim
-    if dim == 0:
-        return np.zeros(0, dtype=complex)
-    while True:
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        nv = space.norm(v)
-        if nv > 0.0:
-            return v * (scale / nv)
-
-
 def sphere_rows(space, rng: np.random.Generator, count: int, scale: float = 1.0) -> np.ndarray:
-    """[count, dim] coordinates of the points `count` sphere_point calls
-    draw, in one draw.
+    """[count, dim] coordinates of `count` points with norm exactly `scale`
+    (up to rounding).
 
-    A point takes exactly 2 dim normals unless all of them are 0.0, so all
-    points are drawn by one standard_normal call and scaled in sphere_point's
-    expressions. When some row's norm is 0 the generator's state is restored
-    and the points are drawn again one sphere_point call at a time.
+    The generator draws `standard_normal((count, 2, dim))`, row k's dim real
+    and dim imaginary normals, and each row is scaled onto the sphere. A row
+    of zero normals stays zero, as in `ball_rows`.
     """
     dim = space.dim
     if dim == 0 or count == 0:
         return np.zeros((count, dim), dtype=complex)
-    state = rng.bit_generator.state
     normals = rng.standard_normal((count, 2, dim))
     v = normals[:, 0] + 1j * normals[:, 1]
     norms = space.norms(v)
-    if np.all(norms > 0.0):
-        return v * (scale / norms)[:, None]
-    rng.bit_generator.state = state
-    return np.array([sphere_point(space, rng, scale) for _ in range(count)])
+    scales = np.divide(scale, norms, out=np.zeros(count), where=norms > 0.0)
+    return v * scales[:, None]
 
 
 SCALE_GRID = (0.25, 1.0, 4.0, 16.0)

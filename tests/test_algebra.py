@@ -29,6 +29,7 @@ from derivlab import (
 from derivlab import algebra as algebra_module
 from derivlab.algebra import (STRUCTURE_TOL, AlgebraElement, Bimodule, FiniteAlgebra, LinearMap,
                               ModuleElement, record_dict, regular_bimodule)
+from derivlab.fixtures import make_upper_triangular
 from derivlab.perturb import extend_with_annihilator
 from derivlab.sampling import ball_point, ball_rows, generator
 
@@ -88,10 +89,12 @@ class TestMatrixAlgebra:
             assert np.allclose((unit * x).coords, x.coords, atol=1e-14)
             assert np.allclose((x * unit).coords, x.coords, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [0, 9, -1])
+    @pytest.mark.parametrize("n", [0, 13, -1])
     def test_size_limits(self, n):
-        with pytest.raises(ConstructionError):
+        with pytest.raises(ConstructionError, match="1 <= n <= 12"):
             make_matrix_algebra(n)
+        with pytest.raises(ValueError, match="1 <= n <= 12"):
+            make_upper_triangular(n)
 
 
 class TestMakeAlgebra:
@@ -270,7 +273,7 @@ class TestDualBimodule:
         rng = generator(9, "dual")
         for _ in range(20):
             u = ball_point(a, rng, 2.0)
-            expected = a.right_mult_matrix(u).T
+            expected = x_mod.right_matrix(u).T
             assert np.allclose(dual.left_matrix(u), expected, atol=1e-14)
 
     def test_double_dual_tensors_equal_original_entrywise(self):
@@ -337,7 +340,8 @@ class TestAnnihilators:
     def test_dual_numbers_by_hand(self):
         # eps*eps = 0 but e0*eps = eps != 0, so the joint nullspace is {0}
         a = get_algebra("dual-numbers")
-        stacked = np.vstack([a.left_mult_matrix([1, 0]), a.left_mult_matrix([0, 1])])
+        regular = regular_bimodule(a)
+        stacked = np.vstack([regular.left_matrix([1, 0]), regular.left_matrix([0, 1])])
         _, s, _ = np.linalg.svd(stacked)
         assert np.all(s > 0.5)  # full column rank by hand: rows include identity
         assert right_annihilator(a).shape[0] == 0
@@ -350,9 +354,10 @@ class TestAnnihilators:
     def test_annihilator_vectors_are_killed(self):
         a = get_algebra("zero-product:2")
         basis = right_annihilator(a)
+        regular = regular_bimodule(a)
         for x in basis:
             for i in range(a.dim):
-                assert a.norm(a.left_mult_matrix(np.eye(2)[i]) @ x) <= 1e-12
+                assert a.norm(regular.left_matrix(np.eye(2)[i]) @ x) <= 1e-12
 
     def test_module_annihilator_of_extended_module(self):
         from derivlab.perturb import extend_with_annihilator

@@ -38,8 +38,9 @@ from derivlab import (
     sigma_endo_certificate,
     zero_bimodule,
 )
-from derivlab.algebra import (SPAN_RTOL, algebra_to_dict, kept_entry, nullspace,
+from derivlab.algebra import (SPAN_RTOL, FiniteAlgebra, algebra_to_dict, kept_entry, nullspace,
                              regular_bimodule)
+from derivlab.blas import single_blas_thread
 from derivlab.cli import (ExperimentConfig, PerturbedExperiment, _resolve_endomorphism, main,
                           report_json)
 from derivlab import derivation as derivation_module
@@ -680,8 +681,8 @@ class TestLeibnizSystem:
         order = generator(37, "closure", fixture).permutation(a.dim)
         for k in range(2, a.dim + 1):
             rows = np.eye(a.dim, dtype=complex)[order[:k]]
-            grown = a._closure(rows, a._closure(rows[:-1]))
-            scratch = a._closure(rows)
+            grown = a._closure(rows, a._closure(rows[:-1]).basis)
+            scratch = a._closure(rows).basis
             carried = a.closure_plan(rows).basis
             for other in (scratch, carried):
                 assert np.abs(projector(grown) - projector(other)).max() <= 1e-12
@@ -843,10 +844,12 @@ class TestBasisIndependentChoices:
 def fused_closure(algebra, rows, payloads, extend):
     """The closure with its payloads carried beside the words in one loop,
     as FiniteAlgebra._closure ran it before the word side was recorded once
-    per algebra: the reference the replayed plan must match bit for bit.
+    per algebra, with the products it now forms through the structure
+    tensor: the reference the replayed plan must match bit for bit.
     Returns (span, the span rows' payloads, the stacked payloads left by the
     words that fell inside the span)."""
     n, size = algebra.dim, np.linalg.norm(algebra.structure)
+    flat = algebra.structure.reshape(n, n * n)
     row_lengths = np.linalg.norm(rows, axis=1)
     basis = np.zeros((n, n), dtype=complex)
     count = 0
@@ -879,7 +882,7 @@ def fused_closure(algebra, rows, payloads, extend):
         if queued == count:
             break
         if count == n:
-            lefts = np.einsum("bi,ijk->bjk", basis[queued:], algebra.structure)
+            lefts = (basis[queued:] @ flat).reshape(-1, n, n)
             words = (rows @ lefts).reshape(-1, n)
             payloads = extend(basis[queued:], stack[queued:].reshape(-1, *shape))
             payloads = payloads.reshape(len(words), -1).astype(complex, copy=False)
@@ -889,12 +892,100 @@ def fused_closure(algebra, rows, payloads, extend):
             inside.append(payloads)
             break
         b = basis[queued]
-        words, bounds = rows @ algebra.left_mult_matrix(b).T, row_bounds
+        words, bounds = rows @ (b @ flat).reshape(n, n), row_bounds
         payloads = extend(basis[queued:queued + 1], stack[queued:queued + 1].reshape(1, *shape))
         payloads = payloads.reshape(len(words), -1)
         queued += 1
     return (basis[:count], stack[:count].reshape(count, *shape),
             np.concatenate(inside).reshape(-1, *shape))
+
+
+REGISTRY_FIXTURES = ("matrix:1", "matrix:2", "matrix:3", "matrix:4", "upper-triangular:2",
+                     "upper-triangular:3", "upper-triangular:4", "dual-numbers",
+                     "zero-product:1", "zero-product:4")
+
+
+@single_blas_thread
+def einsum_closure_plan(algebra, rows):
+    """(basis, batches, final) of the closure of `rows` from scratch, with
+    every product formed by the einsums FiniteAlgebra._closure used before
+    it multiplied through the structure tensor: the byte reference for the
+    plan on fixtures whose products are single terms."""
+    n, size = algebra.dim, np.linalg.norm(algebra.structure)
+    row_lengths = np.linalg.norm(rows, axis=1)
+    basis = np.zeros((n, n), dtype=complex)
+    conj = basis.conj()
+    count = queued = 0
+    words, bounds = rows, row_lengths
+    steps = []
+    batches, final = [(None, steps)], None
+    while True:
+        for word, bound in zip(words, bounds):
+            span, spanconj = basis[:count], conj[:count]
+            first = spanconj @ word
+            word = word - span.T @ first
+            second = spanconj @ word
+            word = word - span.T @ second
+            length = np.linalg.norm(word)
+            new = length > SPAN_RTOL * bound
+            if new:
+                basis[count] = word / length
+                conj[count] = basis[count].conj()
+            steps.append((first + second, length, new))
+            count += new
+        if queued == count:
+            break
+        if count == n:
+            lefts = np.einsum("bi,ijk->bjk", basis[queued:], algebra.structure)
+            words = (rows @ lefts).reshape(-1, n)
+            first = words @ conj.T
+            second = (words - first @ basis) @ conj.T
+            final = (queued, first + second)
+            break
+        left = np.einsum("i,ijk->kj", basis[queued], algebra.structure)
+        words, bounds = rows @ left.T, size * row_lengths
+        steps = []
+        batches.append((queued, steps))
+        queued += 1
+    return basis[:count], batches, final
+
+
+@single_blas_thread
+def einsum_shear(algebra):
+    """The conjugation:shear matrix with x -> u x and x -> x u^{-1} formed
+    by the einsums conjugation_map used before."""
+    for k in range(algebra.dim):
+        u = algebra.unit_coords.copy()
+        u[k] += 1.0
+        lu = np.einsum("i,ijk->kj", u, algebra.structure)
+        try:
+            u_inv = np.linalg.solve(lu, algebra.unit_coords)
+        except np.linalg.LinAlgError:
+            continue
+        return lu @ np.einsum("j,ijk->ki", u_inv, algebra.structure)
+    raise AssertionError("no invertible shear")
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_plan_is(plan, basis, batches, final):
+    """The plan holds `basis`, `batches` and `final` bit for bit."""
+    assert_same_bits(plan.basis, basis)
+    assert [queued for queued, _ in plan.batches] == [queued for queued, _ in batches]
+    for (_, got), (_, want) in zip(plan.batches, batches):
+        assert len(got) == len(want)
+        for (combination, length, new), (want_combination, want_length, want_new) in zip(got, want):
+            assert_same_bits(combination, want_combination)
+            assert_same_bits(length, want_length)
+            assert new == want_new
+    assert (plan.final is None) == (final is None)
+    if final is not None:
+        assert plan.final[0] == final[0]
+        assert_same_bits(plan.final[1], final[1])
 
 
 def replay_cases():
@@ -941,6 +1032,51 @@ class TestClosurePlan:
         assert a.closure_plan(eye[::-1]) is not a.closure_plan(eye[::-1])
         with pytest.raises(ValueError, match="read-only"):
             a.closure_plan(eye).basis[0, 0] = 2.0
+
+
+    @pytest.mark.parametrize("basis", ["standard", "changed"])
+    @pytest.mark.parametrize("fixture", REGISTRY_FIXTURES)
+    def test_generators_plan_is_a_fresh_closure_bit_for_bit(self, fixture, basis):
+        # the generator search keeps its first closure as the generators'
+        # plan, and only when the two generic rows are the generators; the
+        # identity rows of dual-numbers and zero-product:n get a closure of
+        # their own
+        a = get_algebra.__wrapped__(fixture)
+        if basis == "changed":
+            a = change_of_basis(a, seed=61)
+        plan = a.closure_plan(a.generators)
+        fresh = a._closure(a.generators.copy())
+        assert fresh is not plan
+        assert_plan_is(plan, fresh.basis, fresh.batches, fresh.final)
+        assert plan.inside_count == fresh.inside_count
+
+    def test_a_fresh_algebra_and_a_verdict_run_one_closure_from_scratch(self, monkeypatch):
+        calls = []
+        closure = FiniteAlgebra._closure
+
+        def spy(self, rows, span=None):
+            calls.append(span is None)
+            return closure(self, rows, span)
+
+        monkeypatch.setattr(FiniteAlgebra, "_closure", spy)
+        a = get_algebra.__wrapped__("matrix:3")
+        sid = identity_map(a)
+        assert is_contractible(a, regular_bimodule(a), sid, sid).verdict == "h1_vanishes"
+        assert calls == [True]
+
+    @pytest.mark.parametrize("rows", ["generators", "identity"])
+    @pytest.mark.parametrize("fixture", REGISTRY_FIXTURES)
+    def test_plan_matches_the_einsum_products_bit_for_bit(self, fixture, rows):
+        a = get_algebra.__wrapped__(fixture)
+        rows = a.generators if rows == "generators" else np.eye(a.dim, dtype=complex)
+        assert_plan_is(a.closure_plan(rows), *einsum_closure_plan(a, rows))
+
+    @pytest.mark.parametrize("fixture", [f for f in REGISTRY_FIXTURES
+                                         if not f.startswith("zero-product")])
+    def test_shear_matches_the_einsum_products_bit_for_bit(self, fixture):
+        a = get_algebra.__wrapped__(fixture)
+        shear = _resolve_endomorphism(a, "conjugation:shear").matrix
+        assert_same_bits(shear, einsum_shear(a))
 
 
 class TestBuiltOnce:

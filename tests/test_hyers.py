@@ -28,7 +28,7 @@ from derivlab.hyers import lambda_grid
 from derivlab.perturb import PerturbationSpec, extend_with_annihilator, make_annihilator_perturbation
 from derivlab.sampling import ball_point, ball_rows, generator
 
-from test_rows import reference_ball_rows
+from test_rows import reference_ball_rows, sphere_point
 
 
 @pytest.fixture(scope="module")
@@ -377,7 +377,6 @@ class TestSampledEnvelopeConsumers:
     @pytest.mark.parametrize("fixture", CONSUMER_FIXTURES)
     def test_sweep_point(self, fixture, phi):
         from derivlab.cli import _sweep_point
-        from derivlab.sampling import sphere_point
 
         config, algebra, _, _, _, maps = cli_maps(fixture)
         config.control = phi.to_dict()

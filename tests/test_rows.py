@@ -52,7 +52,7 @@ from derivlab.hyers import (ADDITIVITY_PAIRS, _not_converged, _pointwise_limits,
                             sampled_envelope)
 from derivlab.perturb import HYPOTHESIS_BLOCK, QUANT_GRID, _smooth_cutoff
 from derivlab.sampling import (SCALE_GRID, ball_point, ball_points, ball_rows, generator,
-                               hashed_unit_floats, hashed_unit_rows, sphere_point, sphere_rows)
+                               hashed_unit_floats, hashed_unit_rows, sphere_rows)
 
 from test_derivation import change_of_basis
 
@@ -728,6 +728,20 @@ def reference_ball_rows(space, rng, radii):
     return points
 
 
+def sphere_point(space, rng, scale=1.0):
+    """One sphere point as sphere_rows draws each of its rows: 2 dim normals,
+    real parts then imaginary parts, scaled to norm `scale`; a draw of zero
+    normals is drawn again, which sphere_rows leaves zero instead."""
+    dim = space.dim
+    if dim == 0:
+        return np.zeros(0, dtype=complex)
+    while True:
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        nv = space.norm(v)
+        if nv > 0.0:
+            return v * (scale / nv)
+
+
 MASK64 = 2**64 - 1
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -865,18 +879,22 @@ class TestSamplingRows:
         sphere_rows(space, consumed, count, 2.5)
         assert consumed.random() == rng.random()
 
-    @pytest.mark.parametrize("zero_points", [(0,), (2, 5), range(3), ()])
-    def test_sphere_rows_replay_zero_draws_point_by_point(self, family, zero_points):
-        # a point whose normals are all zero is drawn again, so the points
-        # after it start later in the stream
+    @pytest.mark.parametrize("zero_points", [(0,), (2, 5), range(6), ()])
+    def test_sphere_rows_keep_a_zero_draw_zero(self, family, zero_points):
+        # a point whose normals are all zero stays zero, as in ball_rows, and
+        # every point takes its 2 dim normals, so none shifts the others
         space = family[1]["algebra"]
         ours = ZeroingRng(space.dim, zero_points)
-        rows = sphere_rows(space, ours, 6, 1.0)
+        rows = sphere_rows(space, ours, 6, 2.5)
         reference = ZeroingRng(space.dim, zero_points)
-        assert_rows_equal(rows, [sphere_point(space, reference, 1.0) for _ in range(6)])
-        assert ours.normals == reference.normals == 2 * space.dim * (6 + len(zero_points))
+        expected = []
+        for k in range(6):
+            v = reference.standard_normal(space.dim) + 1j * reference.standard_normal(space.dim)
+            expected.append(np.zeros(space.dim, dtype=complex) if k in zero_points
+                            else v * (2.5 / space.norm(v)))
+        assert_rows_equal(rows, expected)
+        assert ours.normals == reference.normals == 2 * space.dim * 6
         assert ours.inner.random() == reference.inner.random()
-        assert np.all(space.norms(rows) > 0.0)
 
     def test_ball_points_cycle_the_scale_grid(self):
         space = get_algebra("matrix:3")
