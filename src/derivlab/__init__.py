@@ -43,9 +43,7 @@ from .derivation import (
     ContractibilityReport,
     DerivationTriple,
     InnerSolveResult,
-    RoundtripResult,
     SubspaceBasis,
-    approx_contractibility_roundtrip,
     derivation_space,
     endomorphism_residual,
     inner_derivation,
@@ -79,6 +77,8 @@ from .perturb import (
     HypothesisReport,
     PerturbationSpec,
     PerturbedMaps,
+    RoundtripResult,
+    approx_contractibility_roundtrip,
     extend_with_annihilator,
     make_annihilator_perturbation,
     make_clamped_perturbation,

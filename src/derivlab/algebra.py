@@ -171,21 +171,17 @@ class _CoordinateSpace:
     tag: str
 
     def norm(self, coords) -> float:
-        coords = np.asarray(coords)
-        if self.dim == 0:
-            return 0.0
-        if self.norm_kind == "l1":
-            return float(self.norm_weights @ np.abs(coords))
-        return float(np.max(self.norm_weights * np.abs(coords)))
+        return float(self.norms(np.asarray(coords)[None])[0])
 
     def norms(self, rows) -> np.ndarray:
-        """`norm` of each row of an [N, dim] coordinate array, bit for bit,
-        in any memory layout.
+        """The weighted norm of each row of an [N, dim] coordinate array; a
+        row's bits depend on that row alone, in any memory layout. `norm`
+        is the one-row case.
 
-        The l1 weights are applied as one stacked dot product per row, the
-        product `norm` computes; `abs(rows) @ weights` would be a matrix-vector
-        product whose blocked sums differ in the last bits, and so does the
-        stacked product over rows that are not C-contiguous.
+        The l1 weights are applied as one stacked dot product per row;
+        `abs(rows) @ weights` would be a matrix-vector product whose blocked
+        sums differ in the last bits, and so does the stacked product over
+        rows that are not C-contiguous.
         """
         mags = np.ascontiguousarray(np.abs(np.asarray(rows)))
         if self.dim == 0:
@@ -859,23 +855,22 @@ class LinearMap:
     def codomain_tag(self) -> str:
         return self.codomain.tag
 
-    @single_blas_thread
     def apply(self, elt: _SpaceElement) -> _SpaceElement:
         if not self.domain.same_space(elt.space):
             raise SpaceMismatchError("element is not in the map's domain")
-        return self.codomain.element(self.matrix @ elt.coords)
+        return self.codomain.element(self.apply_coords(elt.coords))
 
     __call__ = apply
 
-    @single_blas_thread
     def apply_coords(self, coords) -> np.ndarray:
-        return self.matrix @ np.asarray(coords, dtype=complex)
+        return self.apply_rows(np.asarray(coords)[None])[0]
 
     @single_blas_thread
     def apply_rows(self, rows) -> np.ndarray:
-        """`apply_coords` of each row of an [N, n] array, bit for bit, in any
-        memory layout: one stacked matrix-vector product per row, never
-        `rows @ matrix.T`."""
+        """The map at each row of an [N, n] array, one stacked matrix-vector
+        product per row, never `rows @ matrix.T`: a row's bits depend on that
+        row alone, in any memory layout. `apply_coords` is the one-row
+        case."""
         rows = np.ascontiguousarray(rows, dtype=complex)
         return (self.matrix[None] @ rows[:, :, None])[:, :, 0]
 

@@ -49,7 +49,6 @@ from .control import ControlFunction, control_from_dict
 from .derivation import (
     VERDICT_INDETERMINATE,
     DerivationTriple,
-    approx_contractibility_roundtrip,
     derivation_space,
     is_amenable,
     is_contractible,
@@ -62,6 +61,7 @@ from .perturb import (
     SEED_BOUND,
     PerturbationSpec,
     PerturbedMaps,
+    approx_contractibility_roundtrip,
     extend_with_annihilator,
     make_annihilator_perturbation,
     make_clamped_perturbation,

@@ -256,7 +256,8 @@ def _tabulated_terms(phi: ControlFunction, space, a_rows, b_rows):
         values[s:s + _TABLE_ROWS] = phi_rows(phi, space, a, b).reshape(-1, DEFAULT_TRUNCATION)
     terms = np.ldexp(0.5, -np.arange(DEFAULT_TRUNCATION)) * values
     with np.errstate(over="ignore", invalid="ignore"):
-        growth = np.array([max(0.0, m) for m in (values / growth_steps).max(axis=1).tolist()])
+        top = (values / growth_steps).max(axis=1)
+    growth = np.where(top > 0.0, top, 0.0)  # max(0.0, m): -0.0 and nan give +0.0
 
     def bound(ns):
         steps = [2.0 ** (-n * (1.0 - q)) for n in ns]

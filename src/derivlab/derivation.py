@@ -34,9 +34,8 @@ from .algebra import (
     right_annihilator,
 )
 from .blas import single_blas_thread
-from .control import ControlFunction
 from .errors import PreconditionError, SpaceMismatchError
-from .sampling import SCALE_GRID, ball_points, ball_rows, generator
+from .sampling import ball_rows, generator
 
 SVD_RTOL = 1e-10
 MEMBERSHIP_TOL = 1e-9
@@ -334,6 +333,15 @@ def _system_bytes(n: int, m: int, k: int) -> int:
     return 16 * (rows * cols + rows * min(rows, cols) + cols * cols + n * m * cols)
 
 
+def _center_margin(s: np.ndarray, m: int, twists) -> dict:
+    """`rank_margin` of the singular values s of x -> x.sigma(a) - tau(a).x
+    on an m-dimensional module, given its two terms `twists`. The cutoff is
+    relative to the larger term's norm, not to their difference: on a
+    commutative algebra they cancel to rounding noise, which a cutoff
+    relative to s[0] would count as rank."""
+    return rank_margin(s, m, SVD_RTOL, max(np.linalg.norm(t) for t in twists))
+
+
 _Deflation = namedtuple("_Deflation", "rows span system u center r deflated leak")
 
 
@@ -347,9 +355,8 @@ def _deflation(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
 
     Then every inner map d_x is a derivation, and x -> d_x has the twisted
     center as its kernel, so dim Inner is the rank r of the k m x m operator
-    x -> (x.sigma(g_i) - tau(g_i).x)_i, cut off relative to the larger of
-    its two terms' norms (on a commutative algebra they cancel to rounding
-    noise). Its full SVD splits u-space into Inner, U_r, and W; S vanishes
+    x -> (x.sigma(g_i) - tau(g_i).x)_i, cut off by `_center_margin`. Its
+    full SVD splits u-space into Inner, U_r, and W; S vanishes
     on Inner up to the leak, and Der is U_r plus W times the nullspace of
     S W. When a twist is not multiplicative, d_x(ab) - d_x(a).sigma(b) -
     tau(a).d_x(b) = x.(sigma(ab) - sigma(a)sigma(b)) - (tau(ab) -
@@ -377,7 +384,7 @@ def _deflation(algebra: FiniteAlgebra, module: Bimodule, sigma: LinearMap,
     u, center, r, deflated, leak = None, None, 0, system, 0.0
     if multiplicative:
         u, s, _ = np.linalg.svd((right - left).reshape(k * m, m))
-        center = rank_margin(s, m, SVD_RTOL, max(np.linalg.norm(right), np.linalg.norm(left)))
+        center = _center_margin(s, m, (right, left))
         r = center["rank"]
         if r:
             rotated = system @ u
@@ -427,11 +434,7 @@ def inner_space(algebra: FiniteAlgebra, module: Bimodule,
         return SubspaceBasis(np.zeros((0, 0), dtype=complex), algebra, module)
     op, twists = _inner_operator(module, sigma, tau)
     u, s, _ = np.linalg.svd(op, full_matrices=False)
-    # the cutoff is relative to the two terms of x.sigma(a) - tau(a).x, not
-    # to their difference: on a commutative algebra they cancel to rounding
-    # noise, which a cutoff relative to s[0] would count as rank
-    scale = max(np.linalg.norm(t) for t in twists)
-    rank = rank_margin(s, module.dim, SVD_RTOL, scale)["rank"]
+    rank = _center_margin(s, module.dim, twists)["rank"]
     return SubspaceBasis(u[:, :rank].T, algebra, module)
 
 
@@ -596,109 +599,3 @@ def is_amenable(algebra: FiniteAlgebra, module: Bimodule,
     report = is_contractible(algebra, dual_bimodule(module), sigma, tau)
     report.kind = "amenability"
     return report
-
-
-@dataclass
-class RoundtripResult:
-    """Outcome of the approximate-to-exact contractibility round trip.
-
-    Feasible outcome: an element x whose inner derivation uniformly
-    approximates the original approximate map, with the realized bound
-    beta. Infeasible outcome: the exact extracted derivation as a witness
-    that no such x exists even approximately (a uniform bound would scale
-    away under doubling and force exactness).
-    """
-
-    feasible: bool
-    x: ModuleElement | None
-    beta: float | None
-    beta_bound: float | None
-    inner_residual: float
-    scaling_residual: float | None
-    witness: LinearMap | None
-
-    to_dict = record_dict
-
-
-def approx_contractibility_roundtrip(approx_map, phi: ControlFunction,
-                                     algebra: FiniteAlgebra, module: Bimodule,
-                                     sigma: LinearMap, tau: LinearMap,
-                                     samples: int = 1000, seed: int = 0) -> RoundtripResult:
-    """Round-trip an approximate twisted derivation through the exact theory.
-
-    Verifies the constant-budget hypotheses by sampling, extracts the exact
-    limit d, and solves for an inner representative. On success the
-    realized uniform bound beta = max |x.sigma(a) - tau(a).x - f(a)| is
-    reported and must not exceed the budget plus the inner residual slack.
-    On failure the exact derivation itself certifies that no x works: a
-    uniform bound at all scales collapses to zero under doubling.
-    """
-    from .control import PNormControl
-    from .hyers import PointMap, extract_additive, sampled_envelope
-    from .perturb import verify_hypotheses
-
-    if not isinstance(phi, PNormControl) or phi.beta != 0.0:
-        raise PreconditionError("round trip requires a constant control budget")
-    hypothesis = verify_hypotheses(
-        approx_map,
-        PointMap.from_linear_map(sigma),
-        PointMap.from_linear_map(tau),
-        phi,
-        samples=max(200, samples // 5),
-        seed=seed,
-    )
-    if hypothesis.verdict != "satisfied":
-        raise PreconditionError(
-            "the supplied map violates the approximate-derivation hypotheses; "
-            f"worst ratio {hypothesis.worst_ratio():.3g}"
-        )
-
-    report = extract_additive(approx_map, phi, seed=seed)
-    d = report.limit
-    triple = DerivationTriple(d, sigma, tau)
-    solve = inner_solve(triple)
-    alpha = phi.alpha
-
-    if not solve.feasible:
-        return RoundtripResult(
-            feasible=False,
-            x=None,
-            beta=None,
-            beta_bound=None,
-            inner_residual=solve.residual,
-            scaling_residual=None,
-            witness=d,
-        )
-
-    d_x = inner_derivation(module, sigma, tau, solve.x)
-    points = ball_points(algebra, generator(seed, "roundtrip-beta"), samples)
-    deviations, _ = sampled_envelope(approx_map, d_x, points)
-    beta = float(np.max(deviations, initial=0.0))
-    slack = max(1e-9, solve.residual * (1.0 + max(SCALE_GRID)))
-    beta_bound = alpha + slack
-    if beta > beta_bound:
-        raise PreconditionError(
-            f"realized uniform bound {beta:.3e} exceeds the certified budget "
-            f"{beta_bound:.3e}"
-        )
-
-    # doubling collapse: the inner defect against d, evaluated at 2^40 a
-    # and scaled back, stays at the solve residual (exact for linear maps)
-    scale = 2.0**40
-    scaled = scale * ball_rows(algebra, generator(seed, "roundtrip-scaling"), np.ones(16))
-    defects = module.norms(d_x.apply_rows(scaled) - d.apply_rows(scaled)) / scale
-    scaling_residual = float(np.max(defects, initial=0.0))
-    if scaling_residual > 1e-10:
-        raise PreconditionError(
-            f"doubling collapse failed: residual {scaling_residual:.3e}"
-        )
-
-    return RoundtripResult(
-        feasible=True,
-        x=solve.x,
-        beta=float(beta),
-        beta_bound=float(beta_bound),
-        inner_residual=solve.residual,
-        scaling_residual=scaling_residual,
-        witness=None,
-    )

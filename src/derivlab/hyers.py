@@ -14,6 +14,7 @@ import numpy as np
 
 from .algebra import LinearMap, _CoordinateSpace, _SpaceElement, record_dict
 from .control import ControlFunction, doubling_tails, summed_control_rows
+from .derivation import DerivationTriple, leibniz_residual
 from .encoding import encode_complex
 from .errors import ConstructionError, ConvergenceError, PreconditionError, SpaceMismatchError
 from .sampling import ball_points, ball_rows, generator
@@ -130,34 +131,30 @@ def sampled_envelope(pmap: PointMap, limit: LinearMap, points,
     return deviations, values if tails is None else values + tails
 
 
-@dataclass(frozen=True)
-class BoundCheckSample:
-    point: np.ndarray
-    lhs: float
-    rhs: float
-
-
 @dataclass
 class ExtractionReport:
-    """Limit map plus per-basis convergence diagnostics and bound samples."""
+    """Limit map plus per-basis convergence diagnostics and bound samples:
+    the sampled points [N, n], |f(a) - d(a)| at them [N] (bound_lhs) and
+    the summed control at (a, a) [N] (bound_rhs)."""
 
     limit: LinearMap
     per_basis_iterations: list[int]
     per_basis_final_delta: list[float]
     per_basis_tail_bound: list[float]
-    bound_check: list[BoundCheckSample]
+    bound_points: np.ndarray
+    bound_lhs: np.ndarray
+    bound_rhs: np.ndarray
     bound_ok: bool
 
     def to_dict(self) -> dict:
-        # one encode_complex call for all the points: one per point took 4x as long
-        points = encode_complex([s.point for s in self.bound_check])
         return {
             "matrix": encode_complex(self.limit.matrix),
             "per_basis_iterations": list(self.per_basis_iterations),
             "per_basis_final_delta": list(self.per_basis_final_delta),
             "per_basis_tail_bound": list(self.per_basis_tail_bound),
-            "bound_check": [{"point": p, "lhs": s.lhs, "rhs": s.rhs}
-                            for p, s in zip(points, self.bound_check)],
+            "bound_check": [{"point": p, "lhs": l, "rhs": r} for p, l, r in zip(
+                encode_complex(self.bound_points), self.bound_lhs.tolist(),
+                self.bound_rhs.tolist())],
             "bound_ok": self.bound_ok,
         }
 
@@ -290,10 +287,9 @@ def extract_additive(pmap: PointMap, phi: ControlFunction,
 
     points = ball_points(domain, generator(seed, "extract-bound"), BOUND_SAMPLES)
     lhs, rhs = sampled_envelope(pmap, limit_map, points, phi)
-    samples = [BoundCheckSample(c, float(l), float(r)) for c, l, r in zip(points, lhs, rhs)]
     bound_ok = not np.any(lhs > rhs + 1e-9 * (1.0 + rhs))
     return ExtractionReport(limit_map, iterations[:n_dim].tolist(), deltas[:n_dim].tolist(),
-                            tails[:n_dim].tolist(), samples, bound_ok)
+                            tails[:n_dim].tolist(), points, lhs, rhs, bound_ok)
 
 
 @dataclass
@@ -333,8 +329,6 @@ def extract_triple(approx_d: PointMap, approx_sigma: PointMap, approx_tau: Point
     LEIBNIZ_TOL, which is what the doubling of the product defect
     guarantees for controlled inputs.
     """
-    from .derivation import DerivationTriple, leibniz_residual
-
     d_report = extract_additive(approx_d, phi, max_n, tol, seed=seed)
     sigma_report = extract_additive(approx_sigma, phi, max_n, tol, seed=seed)
     tau_report = sigma_report if approx_tau is approx_sigma else extract_additive(

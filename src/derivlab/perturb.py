@@ -8,7 +8,9 @@ trades that certificate for arbitrary control shapes inside a bounded
 trust region; outside the safe regime the cross terms grow with the
 partner's norm, which is exactly the negative control the verifier is
 expected to flag. The constructors only build maps: verify_hypotheses
-samples the hypotheses, once, wherever a report reads them.
+samples the hypotheses, once, wherever a report reads them. The
+approximate-to-exact round trip starts from that check, then extracts the
+exact limit and solves for an inner representative.
 """
 from __future__ import annotations
 
@@ -16,13 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Bimodule, kept, module_annihilator, outer_rows, record_dict
+from .algebra import (Bimodule, FiniteAlgebra, LinearMap, ModuleElement, kept, module_annihilator,
+                      outer_rows, record_dict)
 from .blas import single_blas_thread
-from .control import ControlFunction, constant_control, control_from_dict, phi_rows
+from .control import (ControlFunction, PNormControl, constant_control, control_from_dict,
+                      phi_rows)
+from .derivation import DerivationTriple, inner_derivation, inner_solve
 from .encoding import document_field, document_number, encode_complex
 from .errors import ConstructionError, PreconditionError
-from .hyers import LAMBDA_FULL, PointMap, lambda_grid
-from .sampling import SCALE_GRID, RowHash, ball_rows, generator
+from .hyers import LAMBDA_FULL, PointMap, extract_additive, lambda_grid, sampled_envelope
+from .sampling import SCALE_GRID, RowHash, ball_points, ball_rows, generator
 
 QUANT_GRID = 2.0**-20
 SEED_BOUND = 2**63  # a seed keys the noise hash as one signed 64-bit word
@@ -240,14 +245,15 @@ def make_annihilator_perturbation(d0, spec: PerturbationSpec, annihilator_basis=
     return PerturbedMaps(f, *_twists(d0), constant_control(3.0 * epsilon))
 
 
-def _smooth_cutoff(t: float, radius: float) -> float:
-    # 1 inside the region, smoothly 0 beyond twice the radius
-    if t <= radius:
-        return 1.0
-    if t >= 2.0 * radius:
-        return 0.0
-    s = (2.0 * radius - t) / radius
-    return s * s * (3.0 - 2.0 * s)
+def _cutoffs(t: np.ndarray, radius: float) -> np.ndarray:
+    """The clamped noise's cutoff at each norm in t: 1 inside the region,
+    smoothly 0 beyond twice the radius. The polynomial in s is read only
+    strictly between the two; s is not clipped, so where 2 radius overflows
+    the cutoff keeps the -inf the polynomial gives there."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (2.0 * radius - t) / radius
+        return np.where(t <= radius, 1.0,
+                        np.where(t >= 2.0 * radius, 0.0, s * s * (3.0 - 2.0 * s)))
 
 
 def make_clamped_perturbation(d0, spec: PerturbationSpec):
@@ -273,7 +279,7 @@ def make_clamped_perturbation(d0, spec: PerturbationSpec):
 
     def f_rows(x):
         values = d_matrix.apply_rows(x)
-        cuts = np.array([_smooth_cutoff(t, radius) for t in algebra.norms(x).tolist()])
+        cuts = _cutoffs(algebra.norms(x), radius)
         inside = np.flatnonzero(cuts > 0.0)
         region = x[inside]
         budgets = np.zeros(len(x))
@@ -408,10 +414,10 @@ def verify_hypotheses(f: PointMap, g_sigma: PointMap, g_tau: PointMap,
 
     maxima = dict.fromkeys(FAMILIES, 0.0)
     witness = None
+    scales = np.asarray(scales, dtype=float)
     for start in range(0, samples, HYPOTHESIS_BLOCK):
-        block = range(start, min(start + HYPOTHESIS_BLOCK, samples))
-        scale = np.array([scales[k % len(scales)] for k in block], dtype=float)
-        lam = np.array([lambdas[k % len(lambdas)] for k in block], dtype=complex)
+        block = np.arange(start, min(start + HYPOTHESIS_BLOCK, samples))
+        scale, lam = scales[block % len(scales)], lambdas[block % len(lambdas)]
         drawn = ball_rows(algebra, rng, np.repeat(scale, 2))
         a, b = np.ascontiguousarray(drawn[0::2]), np.ascontiguousarray(drawn[1::2])
         budgets = phi_rows(phi, algebra, a, b)
@@ -435,4 +441,106 @@ def verify_hypotheses(f: PointMap, g_sigma: PointMap, g_tau: PointMap,
         lambda_mode=lambda_mode,
         verdict="violated" if witness is not None else "satisfied",
         witness=witness,
+    )
+
+
+@dataclass
+class RoundtripResult:
+    """Outcome of the approximate-to-exact contractibility round trip.
+
+    Feasible outcome: an element x whose inner derivation uniformly
+    approximates the original approximate map, with the realized bound
+    beta. Infeasible outcome: the exact extracted derivation as a witness
+    that no such x exists even approximately (a uniform bound would scale
+    away under doubling and force exactness).
+    """
+
+    feasible: bool
+    x: ModuleElement | None
+    beta: float | None
+    beta_bound: float | None
+    inner_residual: float
+    scaling_residual: float | None
+    witness: LinearMap | None
+
+    to_dict = record_dict
+
+
+def approx_contractibility_roundtrip(approx_map, phi: ControlFunction,
+                                     algebra: FiniteAlgebra, module: Bimodule,
+                                     sigma: LinearMap, tau: LinearMap,
+                                     samples: int = 1000, seed: int = 0) -> RoundtripResult:
+    """Round-trip an approximate twisted derivation through the exact theory.
+
+    Verifies the constant-budget hypotheses by sampling, extracts the exact
+    limit d, and solves for an inner representative. On success the
+    realized uniform bound beta = max |x.sigma(a) - tau(a).x - f(a)| is
+    reported and must not exceed the budget plus the inner residual slack.
+    On failure the exact derivation itself certifies that no x works: a
+    uniform bound at all scales collapses to zero under doubling.
+    """
+    if not isinstance(phi, PNormControl) or phi.beta != 0.0:
+        raise PreconditionError("round trip requires a constant control budget")
+    hypothesis = verify_hypotheses(
+        approx_map,
+        PointMap.from_linear_map(sigma),
+        PointMap.from_linear_map(tau),
+        phi,
+        samples=max(200, samples // 5),
+        seed=seed,
+    )
+    if hypothesis.verdict != "satisfied":
+        raise PreconditionError(
+            "the supplied map violates the approximate-derivation hypotheses; "
+            f"worst ratio {hypothesis.worst_ratio():.3g}"
+        )
+
+    report = extract_additive(approx_map, phi, seed=seed)
+    d = report.limit
+    triple = DerivationTriple(d, sigma, tau)
+    solve = inner_solve(triple)
+    alpha = phi.alpha
+
+    if not solve.feasible:
+        return RoundtripResult(
+            feasible=False,
+            x=None,
+            beta=None,
+            beta_bound=None,
+            inner_residual=solve.residual,
+            scaling_residual=None,
+            witness=d,
+        )
+
+    d_x = inner_derivation(module, sigma, tau, solve.x)
+    points = ball_points(algebra, generator(seed, "roundtrip-beta"), samples)
+    deviations, _ = sampled_envelope(approx_map, d_x, points)
+    beta = float(np.max(deviations, initial=0.0))
+    slack = max(1e-9, solve.residual * (1.0 + max(SCALE_GRID)))
+    beta_bound = alpha + slack
+    if beta > beta_bound:
+        raise PreconditionError(
+            f"realized uniform bound {beta:.3e} exceeds the certified budget "
+            f"{beta_bound:.3e}"
+        )
+
+    # doubling collapse: the inner defect against d, evaluated at 2^40 a
+    # and scaled back, stays at the solve residual (exact for linear maps)
+    scale = 2.0**40
+    scaled = scale * ball_rows(algebra, generator(seed, "roundtrip-scaling"), np.ones(16))
+    defects = module.norms(d_x.apply_rows(scaled) - d.apply_rows(scaled)) / scale
+    scaling_residual = float(np.max(defects, initial=0.0))
+    if scaling_residual > 1e-10:
+        raise PreconditionError(
+            f"doubling collapse failed: residual {scaling_residual:.3e}"
+        )
+
+    return RoundtripResult(
+        feasible=True,
+        x=solve.x,
+        beta=float(beta),
+        beta_bound=float(beta_bound),
+        inner_residual=solve.residual,
+        scaling_residual=scaling_residual,
+        witness=None,
     )

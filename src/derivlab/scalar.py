@@ -75,8 +75,6 @@ def scalar_homogeneity_certificate(d: LinearMap, gamma, a: AlgebraElement) -> fl
     gamma = complex(gamma)
     m_steps = math.floor(4.0 * abs(gamma)) + 1
     triple = three_unimodular(3.0 * gamma / m_steps)
-    total = np.zeros(d.codomain.dim, dtype=complex)
-    for theta in triple.as_tuple():
-        total = total + d.apply_coords(theta * a.coords)
-    reconstructed = (m_steps / 3.0) * total
+    images = d.apply_rows(np.array(triple.as_tuple())[:, None] * a.coords)
+    reconstructed = (m_steps / 3.0) * (images[0] + images[1] + images[2])
     return d.codomain.norm(reconstructed - gamma * d.apply_coords(a.coords))

@@ -407,6 +407,51 @@ class TestLinearMap:
             conjugation_map(make_matrix_algebra(2), coords)
 
 
+class TestElements:
+    def test_sum_difference_and_negation(self):
+        a = make_matrix_algebra(2)
+        module = regular_bimodule(a)
+        x, y = a.element([1, 2j, 0, -3]), a.element([0.5, 1, 1j, 3])
+        for value, want in ((x + y, [1.5, 1 + 2j, 1j, 0]), (x - y, [0.5, 2j - 1, -1j, -6]),
+                            (-x, [-1, -2j, 0, 3])):
+            assert type(value) is AlgebraElement
+            assert np.array_equal(value.coords, want)
+        assert (x + -x).norm() == 0.0
+        z = module.element([1, 0, 0, 1j])
+        assert type(z + z) is ModuleElement and np.array_equal((-z).coords, [-1, 0, 0, -1j])
+        with pytest.raises(SpaceMismatchError):
+            x + z
+
+    @pytest.mark.parametrize("scalar", [2, -0.5, 1j])
+    def test_scalar_times_element_on_either_side(self, scalar):
+        a = make_matrix_algebra(2)
+        x = a.element([1, 2j, 0, -3])
+        for value in (x * scalar, scalar * x):
+            assert type(value) is AlgebraElement
+            assert np.array_equal(value.coords, scalar * np.array([1, 2j, 0, -3]))
+        with pytest.raises(TypeError):
+            x * "2"
+
+    def test_elements_name_their_space(self):
+        a = make_matrix_algebra(2)
+        module = regular_bimodule(a)
+        assert a.basis_element(1).algebra is a
+        assert module.zero().module is module
+
+    def test_reprs(self):
+        from derivlab import constant_control
+
+        a = make_matrix_algebra(2)
+        module = regular_bimodule(a)
+        assert repr(a) == f"FiniteAlgebra(dim=4, tag={a.tag!r})"
+        assert repr(module) == f"Bimodule(dim=4, algebra_dim=4, tag={module.tag!r})"
+        assert repr(LinearMap(np.ones((4, 4)), a, module)) == \
+            f"LinearMap(4x4, {a.tag} -> {module.tag})"
+        assert repr(a.basis_element(1)) == \
+            "AlgebraElement(array([0.+0.j, 1.+0.j, 0.+0.j, 0.+0.j]))"
+        assert repr(constant_control(0.25)) == "PNormControl(alpha=0.25, beta=0.0, p=0.0)"
+
+
 class TestSerialization:
     def test_algebra_roundtrip_recertifies(self):
         a = make_matrix_algebra(2)

@@ -524,6 +524,21 @@ class TestSubspaces:
         assert ds.projection_residual(phi.matrix.reshape(-1)) <= 1e-10
 
 
+    def test_membership_of_linear_maps(self, m2):
+        a, module, sid = m2
+        ds = derivation_space(a, module, sid, sid)
+        for idx in range(ds.dim):
+            lin = ds.linear_map(idx)
+            assert ds.projection_residual(lin) == ds.projection_residual(lin.matrix.reshape(-1))
+            assert ds.contains(lin)
+        # the identity is no derivation: e_0 e_0 = e_0 but d(e_0) e_0 + e_0 d(e_0) = 2 e_0
+        identity = LinearMap(np.eye(4), a, module)
+        residual = ds.projection_residual(identity)
+        assert residual > 1.0
+        assert not ds.contains(identity)
+        assert ds.contains(identity.matrix.reshape(-1), tol=residual)
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("fixture,module_kind,twist", verdict_cases(CLOSED_FORM_FIXTURES))
     def test_dims_match_closed_form(self, fixture, module_kind, twist):

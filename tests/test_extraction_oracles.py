@@ -41,8 +41,8 @@ from derivlab.cli import report_json
 from derivlab.control import (_TABLE_ROWS, DEFAULT_TRUNCATION, _doubling_rows, doubling_tails,
                               phi_rows, summed_control_rows)
 from derivlab.derivation import DerivationTriple
-from derivlab.hyers import (ADDITIVITY_PAIRS, BOUND_SAMPLES, BoundCheckSample, ExtractionReport,
-                            _not_converged, _pointwise_limits, sampled_envelope)
+from derivlab.hyers import (ADDITIVITY_PAIRS, BOUND_SAMPLES, ExtractionReport, _not_converged,
+                            _pointwise_limits, sampled_envelope)
 from derivlab.sampling import RowHash, ball_points, ball_rows, generator, hashed_unit_rows
 
 from test_rows import (FAMILIES, ROW_CONTROLS, annihilator_case, base_triple, clamped_case,
@@ -126,10 +126,9 @@ def previous_extract_additive(pmap, phi, max_n=48, tol=1e-10, *, seed=0):
             raise ConvergenceError("pointwise limit disagrees with the assembled matrix")
     points = ball_points(domain, generator(seed, "extract-bound"), BOUND_SAMPLES)
     lhs, rhs = sampled_envelope(pmap, limit_map, points, phi)
-    samples = [BoundCheckSample(c, float(l), float(r)) for c, l, r in zip(points, lhs, rhs)]
     bound_ok = not np.any(lhs > rhs + 1e-9 * (1.0 + rhs))
     return ExtractionReport(limit_map, iterations[:n_dim].tolist(), deltas[:n_dim].tolist(),
-                            tails[:n_dim].tolist(), samples, bound_ok)
+                            tails[:n_dim].tolist(), points, lhs, rhs, bound_ok)
 
 
 def row_by_row(prefix, rows, count):

@@ -140,8 +140,8 @@ class TestExtractAdditive:
         maps = perturbed(setup, 1e-2)
         report = extract_additive(maps.f, maps.control, seed=3)
         assert report.bound_ok
-        for sample in report.bound_check:
-            assert sample.lhs <= sample.rhs + 1e-9 * (1.0 + sample.rhs)
+        for lhs, rhs in zip(report.bound_lhs, report.bound_rhs):
+            assert lhs <= rhs + 1e-9 * (1.0 + rhs)
 
     def test_apriori_and_aposteriori_consistency(self, setup):
         # realized error at each basis point is below the full series bound,
@@ -344,12 +344,13 @@ class TestSampledEnvelopeConsumers:
         points = reference_ball_rows(maps.f.domain, generator(3, "extract-bound"),
                                      [SCALE_GRID[k % len(SCALE_GRID)] for k in range(32)])
         bound_ok = True
-        for sample, coords in zip(report.bound_check, points):
+        for k, coords in enumerate(points):
             lhs, rhs = reference_pair(maps.f, report.limit, maps.control, coords)
-            assert np.array_equal(sample.point, coords)
-            assert (sample.lhs, sample.rhs) == (lhs, rhs)
+            assert np.array_equal(report.bound_points[k], coords)
+            assert (report.bound_lhs[k], report.bound_rhs[k]) == (lhs, rhs)
             bound_ok = bound_ok and not lhs > rhs + 1e-9 * (1.0 + rhs)
-        assert len(report.bound_check) == 32
+        assert report.bound_points.shape == (32, maps.f.domain.dim)
+        assert report.bound_lhs.shape == report.bound_rhs.shape == (32,)
         assert report.bound_ok is bound_ok
 
     @pytest.mark.parametrize("phi", ENVELOPES, ids=["tiny", "pnorm"])
@@ -395,7 +396,7 @@ class TestSampledEnvelopeConsumers:
 
     @pytest.mark.parametrize("fixture", ("matrix:2", "upper-triangular:3", "zero-product:4"))
     def test_roundtrip_beta(self, fixture):
-        from derivlab.derivation import approx_contractibility_roundtrip
+        from derivlab.perturb import approx_contractibility_roundtrip
         from derivlab.sampling import SCALE_GRID
 
         config, algebra, module, sigma, tau, maps = cli_maps(fixture)

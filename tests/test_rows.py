@@ -45,12 +45,13 @@ from derivlab import (
     verify_hypotheses,
     zero_bimodule,
 )
+from derivlab import perturb
 from derivlab.algebra import bilinear_rows, outer_rows
 from derivlab.control import (DEFAULT_TRUNCATION, phi_rows, summed_control, summed_control_rows,
                               summed_control_tail)
 from derivlab.hyers import (ADDITIVITY_PAIRS, _not_converged, _pointwise_limits, lambda_grid,
                             sampled_envelope)
-from derivlab.perturb import HYPOTHESIS_BLOCK, QUANT_GRID, _smooth_cutoff
+from derivlab.perturb import HYPOTHESIS_BLOCK, QUANT_GRID
 from derivlab.sampling import (SCALE_GRID, ball_point, ball_points, ball_rows, generator,
                                hashed_unit_floats, hashed_unit_rows, sphere_rows)
 
@@ -361,10 +362,21 @@ def reference_annihilator(d0, module, basis, spec):
     return f
 
 
+def smooth_cutoff(t: float, radius: float) -> float:
+    """The clamped noise's cutoff at one norm t: 1 inside the region,
+    smoothly 0 beyond twice the radius."""
+    if t <= radius:
+        return 1.0
+    if t >= 2.0 * radius:
+        return 0.0
+    s = (2.0 * radius - t) / radius
+    return s * s * (3.0 - 2.0 * s)
+
+
 def reference_clamped(d0, algebra, module, spec):
     def f(x):
         value = d0.apply_coords(x)
-        cut = _smooth_cutoff(algebra.norm(x), spec.region_radius)
+        cut = smooth_cutoff(algebra.norm(x), spec.region_radius)
         if cut > 0.0:
             a = algebra.element(x)
             budget = min(spec.control.evaluate(a, a) / 3.0, spec.cap) * cut
@@ -439,6 +451,19 @@ class TestEvalRows:
         out = maps.f.eval_rows(rows)
         assert_rows_equal(out, [reference(r) for r in rows])
         assert_rows_equal(out, [maps.f.eval_coords(r) for r in rows])
+
+    @pytest.mark.parametrize("radius", [1e-300, 1e-12, 1.0, 3.0, 1e12, 1e300, 1e308])
+    def test_clamped_cutoff_rows_match_the_scalar_reference(self, radius):
+        # 1e308 doubles to inf: the polynomial gives -inf between r and inf
+        edges = [0.0, radius, 2.0 * radius, math.inf, math.nan]
+        edges += [math.nextafter(t, side) for t in (radius, 2.0 * radius)
+                  for side in (0.0, math.inf)]
+        rng = np.random.default_rng(7)
+        with np.errstate(over="ignore"):
+            t = np.concatenate([edges, radius * rng.uniform(0.0, 3.0, 2000),
+                                np.exp(rng.uniform(-700.0, 700.0, 2000))])
+        want = np.array([smooth_cutoff(x, radius) for x in t.tolist()])
+        assert perturb._cutoffs(t, radius).tobytes() == want.tobytes()
 
     def test_per_point_user_map_is_looped(self):
         algebra, module, _, triple = base_triple("matrix:2")
